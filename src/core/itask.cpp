@@ -178,22 +178,6 @@ std::vector<std::vector<detect::Detection>> Framework::detect_batch(
   return decode_and_match(out, task, /*use_rel_head=*/false);
 }
 
-std::vector<std::vector<detect::Detection>> Framework::infer_batch(
-    const Tensor& images, const TaskHandle& task, ConfigKind config) const {
-  ITASK_CHECK(images.ndim() == 4, "infer_batch: need [B, C, H, W]");
-  if (config == ConfigKind::kTaskSpecific) {
-    const auto it = students_.find(task.slot);
-    ITASK_CHECK(it != students_.end(),
-                "infer_batch: prepare_task_specific() first");
-    const vit::VitOutput out = it->second->infer(images);
-    return decode_and_match(out, task, /*use_rel_head=*/true);
-  }
-  ITASK_CHECK(quantized_ != nullptr,
-              "infer_batch: prepare_quantized() first");
-  const vit::VitOutput out = quantized_->forward(images);
-  return decode_and_match(out, task, /*use_rel_head=*/false);
-}
-
 std::vector<detect::Detection> Framework::detect(const Tensor& image,
                                                  const TaskHandle& task,
                                                  ConfigKind config) {

@@ -56,9 +56,7 @@ PackedWeightInt8 pack_weights_int8(std::span<const int8_t> w, int64_t n,
 
 /// int8_gemm_bt_packed with the weight pre-packed. Integer addition is
 /// associative and the panels/loop order are identical, so this is
-/// bit-identical to both packed and naive variants — including when the
-/// kernel pool (tensor/kernel_pool.h) splits the MC-slab loop across
-/// threads for m ≥ gemm::kKernelPoolMinRows.
+/// bit-identical to both packed and naive variants.
 void int8_gemm_bt_prepacked(std::span<const int8_t> a, int32_t a_zero_point,
                             const PackedWeightInt8& w,
                             std::span<const int32_t> w_row_sums,

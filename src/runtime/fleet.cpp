@@ -82,11 +82,12 @@ std::vector<int64_t> InferenceFleet::shard_versions() const {
   return versions;
 }
 
-FleetSubmitResult InferenceFleet::try_submit(
-    Tensor image, kg::TaskId task, core::ConfigKind config, int64_t tenant,
-    std::optional<int64_t> deadline_us) {
+template <typename FleetResult, typename Attempt>
+FleetResult InferenceFleet::admit(kg::TaskId task, core::ConfigKind config,
+                                  int64_t tenant, const char* surface,
+                                  Attempt&& attempt) {
   std::lock_guard<std::mutex> lock(mu_);
-  FleetSubmitResult result;
+  FleetResult result;
   submitted_.increment();
   if (stopped_) {
     shutdown_rejected_.increment();
@@ -95,7 +96,9 @@ FleetSubmitResult InferenceFleet::try_submit(
   }
   // Fairness window: every attempt advances it (so a saturated tenant's
   // rejected attempts still roll the window toward its next grant), and the
-  // per-tenant fairness counters reset when it wraps.
+  // per-tenant fairness counters reset when it wraps. A group is ONE logical
+  // request: it advances the window and consumes quota once, regardless of
+  // K — a tenant cannot stretch its bounded share by inflating view counts.
   if (options_.tenant_quota > 0) {
     if (++window_attempts_ > options_.quota_window) {
       window_attempts_ = 1;
@@ -110,14 +113,15 @@ FleetSubmitResult InferenceFleet::try_submit(
   }
   // Replica rotation with failover: start at the slot this task's
   // submission sequence selects, then walk the rest of the replica set past
-  // full (or, mid-rollout, not-yet-servable) shards.
+  // full (or, mid-rollout, not-yet-servable) shards. A group moves as a
+  // unit: its views share one scene, so splitting them across shards would
+  // buy nothing and cost a cross-registry gather.
   const std::vector<int64_t> replicas = router_.replicas(task);
   const int64_t seq = route_seq_[task]++;
   const int64_t r = static_cast<int64_t>(replicas.size());
   bool any_servable = false;
   for (int64_t k = 0; k < r; ++k) {
-    const int64_t shard_index =
-        replicas[static_cast<size_t>((seq + k) % r)];
+    const int64_t shard_index = replicas[static_cast<size_t>((seq + k) % r)];
     InferenceServer& server = *shards_[static_cast<size_t>(shard_index)];
     if (!server.current_snapshot()->servable(task, config)) {
       // Version skew between shards: this replica has not seen the snapshot
@@ -126,23 +130,20 @@ FleetSubmitResult InferenceFleet::try_submit(
       continue;
     }
     any_servable = true;
-    // A rejected try_submit consumes the Tensor it was handed, so only the
-    // last candidate replica may take `image` by move — earlier attempts
-    // get a copy to keep failover possible. (Single-replica fleets, the
-    // default, never copy.)
-    const bool last_candidate = k + 1 == r;
-    SubmitResult attempt = server.try_submit(
-        last_candidate ? std::move(image) : Tensor(image), task, config,
-        deadline_us);
-    if (attempt.admitted()) {
+    // A rejected server submit consumes what it was handed, so only the
+    // last candidate replica may take the request's tensors by move —
+    // earlier attempts get a copy to keep failover possible. (Single-replica
+    // fleets, the default, never copy.)
+    auto submitted = attempt(server, /*last_candidate=*/k + 1 == r);
+    if (submitted.admitted()) {
       if (options_.tenant_quota > 0) ++window_admissions_[tenant];
       admitted_.increment();
-      result.future = std::move(attempt.future);
+      result.future = std::move(submitted.future);
       result.shard = shard_index;
       return result;
     }
     failovers_.increment();
-    if (attempt.reject == RejectReason::kShuttingDown) {
+    if (submitted.reject == RejectReason::kShuttingDown) {
       shutdown_rejected_.increment();
       result.reject = RejectReason::kShuttingDown;
       return result;
@@ -151,7 +152,7 @@ FleetSubmitResult InferenceFleet::try_submit(
   if (!any_servable) {
     invalid_.increment();
     ITASK_CHECK(false,
-                std::string("InferenceFleet::try_submit: configuration ") +
+                std::string("InferenceFleet::") + surface + ": configuration " +
                     core::config_kind_name(config) + " cannot serve " +
                     kg::task_id_to_string(task) +
                     " on any of its replica shards (publish and roll out a "
@@ -162,82 +163,30 @@ FleetSubmitResult InferenceFleet::try_submit(
   return result;
 }
 
+FleetSubmitResult InferenceFleet::try_submit(
+    Tensor image, kg::TaskId task, core::ConfigKind config, int64_t tenant,
+    std::optional<int64_t> deadline_us) {
+  return admit<FleetSubmitResult>(
+      task, config, tenant, "try_submit",
+      [&](InferenceServer& server, bool last_candidate) {
+        return server.try_submit(
+            last_candidate ? std::move(image) : Tensor(image), task, config,
+            deadline_us);
+      });
+}
+
 FleetGroupSubmitResult InferenceFleet::try_submit_group(
     std::vector<Tensor> views, kg::TaskId task, core::ConfigKind config,
     int64_t tenant, std::optional<int64_t> deadline_us) {
   ITASK_CHECK(!views.empty(),
               "InferenceFleet::try_submit_group: need at least one view");
-  std::lock_guard<std::mutex> lock(mu_);
-  FleetGroupSubmitResult result;
-  submitted_.increment();
-  if (stopped_) {
-    shutdown_rejected_.increment();
-    result.reject = RejectReason::kShuttingDown;
-    return result;
-  }
-  // A group is ONE logical request: it advances the fairness window and
-  // consumes quota once, regardless of K — a tenant cannot stretch its
-  // bounded share by inflating view counts into admission concurrency.
-  if (options_.tenant_quota > 0) {
-    if (++window_attempts_ > options_.quota_window) {
-      window_attempts_ = 1;
-      window_admissions_.clear();
-      window_resets_.increment();
-    }
-    if (window_admissions_[tenant] >= options_.tenant_quota) {
-      quota_rejected_.increment();
-      result.reject = RejectReason::kTenantQuota;
-      return result;
-    }
-  }
-  // Same rotation + failover walk as try_submit, but the whole group moves
-  // as a unit: the views share one scene, so splitting them across shards
-  // would buy nothing and cost a cross-registry gather.
-  const std::vector<int64_t> replicas = router_.replicas(task);
-  const int64_t seq = route_seq_[task]++;
-  const int64_t r = static_cast<int64_t>(replicas.size());
-  bool any_servable = false;
-  for (int64_t k = 0; k < r; ++k) {
-    const int64_t shard_index = replicas[static_cast<size_t>((seq + k) % r)];
-    InferenceServer& server = *shards_[static_cast<size_t>(shard_index)];
-    if (!server.current_snapshot()->servable(task, config)) {
-      failovers_.increment();
-      continue;
-    }
-    any_servable = true;
-    // As in try_submit: a rejected attempt consumes its argument, so only
-    // the last candidate replica may take the views by move.
-    const bool last_candidate = k + 1 == r;
-    GroupSubmitResult attempt = server.try_submit_group(
-        last_candidate ? std::move(views) : std::vector<Tensor>(views), task,
-        config, deadline_us);
-    if (attempt.admitted()) {
-      if (options_.tenant_quota > 0) ++window_admissions_[tenant];
-      admitted_.increment();
-      result.future = std::move(attempt.future);
-      result.shard = shard_index;
-      return result;
-    }
-    failovers_.increment();
-    if (attempt.reject == RejectReason::kShuttingDown) {
-      shutdown_rejected_.increment();
-      result.reject = RejectReason::kShuttingDown;
-      return result;
-    }
-  }
-  if (!any_servable) {
-    invalid_.increment();
-    ITASK_CHECK(
-        false,
-        std::string("InferenceFleet::try_submit_group: configuration ") +
-            core::config_kind_name(config) + " cannot serve " +
-            kg::task_id_to_string(task) +
-            " on any of its replica shards (publish and roll out a "
-            "snapshot containing it first)");
-  }
-  queue_full_rejected_.increment();
-  result.reject = RejectReason::kQueueFull;
-  return result;
+  return admit<FleetGroupSubmitResult>(
+      task, config, tenant, "try_submit_group",
+      [&](InferenceServer& server, bool last_candidate) {
+        return server.try_submit_group(
+            last_candidate ? std::move(views) : std::vector<Tensor>(views),
+            task, config, deadline_us);
+      });
 }
 
 RolloutResult InferenceFleet::install_snapshot(

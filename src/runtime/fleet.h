@@ -96,7 +96,7 @@ struct FleetOptions {
   /// Fairness window length, counted in try_submit attempts fleet-wide.
   int64_t quota_window = 64;
   /// Options every shard's InferenceServer is built with (workers per
-  /// shard, batching, queue depth, arena, …).
+  /// shard, batching, queue depth, deadlines, …).
   RuntimeOptions shard_options;
   /// Rollout fault hook, consulted just before each shard's install during
   /// install_snapshot (staged, shard index order). Anything it throws
@@ -234,6 +234,14 @@ class InferenceFleet {
   const FleetOptions& options() const { return options_; }
 
  private:
+  /// The one admission walk behind try_submit and try_submit_group, in
+  /// order: shutdown, tenant quota window, then the task's replica set in
+  /// rotation order with failover. `attempt(server, last_candidate)` submits
+  /// the request to one shard and returns that server's submit result.
+  template <typename FleetResult, typename Attempt>
+  FleetResult admit(kg::TaskId task, core::ConfigKind config, int64_t tenant,
+                    const char* surface, Attempt&& attempt);
+
   FleetOptions options_;
   FleetRouter router_;
   MetricsRegistry metrics_;

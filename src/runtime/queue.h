@@ -1,9 +1,9 @@
 // Bounded MPMC queue with admission control and micro-batch draining — the
 // spine of the inference runtime.
 //
-// Producers call try_push(), which REJECTS (returns false) when the queue is
-// full instead of blocking: admission control pushes backpressure to the
-// client rather than letting latency grow without bound. Consumers call
+// Producers call push_all(), which REJECTS (kFull) when the items do not fit
+// instead of blocking: admission control pushes backpressure to the client
+// rather than letting latency grow without bound. Consumers call
 // pop_batch(), which blocks for the first item, then keeps gathering until
 // either `max_items` are in hand or `max_wait` has elapsed since the batch
 // opened — the dynamic micro-batching rule (close at size OR deadline,
@@ -22,6 +22,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <mutex>
+#include <span>
 #include <vector>
 
 #include "tensor/tensor.h"
@@ -38,31 +39,14 @@ class BoundedQueue {
   explicit BoundedQueue(int64_t capacity)
       : capacity_(capacity), slots_(checked_capacity(capacity)) {}
 
-  /// Admission control: enqueues unless the queue is full or closed, and
-  /// says which of the two refused the item.
-  PushResult push(T item) {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (closed_) return PushResult::kClosed;
-      if (size_ >= capacity_) return PushResult::kFull;
-      slots_[static_cast<size_t>((head_ + size_) % capacity_)] =
-          std::move(item);
-      ++size_;
-    }
-    ready_.notify_one();
-    return PushResult::kOk;
-  }
-
-  /// push() for callers that only need admitted-or-not.
-  bool try_push(T item) { return push(std::move(item)) == PushResult::kOk; }
-
-  /// All-or-nothing multi-push for scatter/gather group requests: either
-  /// every item is admitted under one lock acquisition (so views of one
-  /// group are contiguous and no interleaved producer can split them past
-  /// capacity), or none is and `items` is left untouched. A partial group in
-  /// flight with its siblings rejected would burn worker time on views whose
-  /// gather can never complete — this rules that state out by construction.
-  PushResult push_all(std::vector<T>& items) {
+  /// The one push path — admission control, all-or-nothing: either every
+  /// item is admitted under one lock acquisition (so views of one group are
+  /// contiguous and no interleaved producer can split them past capacity),
+  /// or none is and `items` is left untouched, with the result saying
+  /// whether "full" or "closed" refused them. A partial group in flight with
+  /// its siblings rejected would burn worker time on views whose gather can
+  /// never complete — this rules that state out by construction.
+  PushResult push_all(std::span<T> items) {
     ITASK_CHECK(!items.empty(), "BoundedQueue: push_all needs >= 1 item");
     {
       std::lock_guard<std::mutex> lock(mutex_);
@@ -75,8 +59,18 @@ class BoundedQueue {
         ++size_;
       }
     }
-    ready_.notify_all();
+    // One item can feed only one consumer; more may fill several batches.
+    if (items.size() == 1) {
+      ready_.notify_one();
+    } else {
+      ready_.notify_all();
+    }
     return PushResult::kOk;
+  }
+
+  /// Single-item push for callers that only need admitted-or-not.
+  bool try_push(T item) {
+    return push_all(std::span<T>(&item, 1)) == PushResult::kOk;
   }
 
   /// Drains one micro-batch: blocks until an item arrives (or the queue

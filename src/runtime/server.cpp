@@ -1,12 +1,12 @@
 #include "runtime/server.h"
 
 #include <algorithm>
+#include <limits>
 #include <optional>
 #include <utility>
 
 #include "tensor/arena.h"
 #include "tensor/format.h"
-#include "tensor/kernel_pool.h"
 
 namespace itask::runtime {
 
@@ -52,13 +52,6 @@ InferenceServer::InferenceServer(
               "InferenceServer: max_wait_us must be >= 0");
   ITASK_CHECK(options_.deadline_us >= 0,
               "InferenceServer: deadline_us must be >= 0");
-  ITASK_CHECK(options_.kernel_threads >= 0,
-              "InferenceServer: kernel_threads must be >= 0");
-  // Opt-in multi-core kernels: size the process-wide pool the snapshot
-  // inference GEMMs split slab loops across. Left untouched at the default
-  // (0) so plain servers stay single-core per worker.
-  if (options_.kernel_threads > 0)
-    gemm::KernelPool::instance().configure(options_.kernel_threads);
   // The initial snapshot counts as one publish; its tasks were never
   // *onboarded* live. (The init list above already created every admission
   // counter, so a scrape before the first install/request sees them all.)
@@ -66,10 +59,8 @@ InferenceServer::InferenceServer(
   // Size the per-worker arenas before any worker exists: the snapshot
   // measures its own peak workspace (stacked batch + every inference
   // intermediate) for the largest micro-batch this server forms.
-  if (options_.use_arena) {
-    workspace_bytes_.store(snapshot_->plan_workspace(options_.max_batch),
-                           std::memory_order_relaxed);
-  }
+  workspace_bytes_.store(snapshot_->plan_workspace(options_.max_batch),
+                         std::memory_order_relaxed);
   workers_.reserve(static_cast<size_t>(options_.workers));
   for (int64_t w = 0; w < options_.workers; ++w) {
     workers_.emplace_back([this, w] { worker_loop(w); });
@@ -86,12 +77,10 @@ void InferenceServer::install_snapshot(
   // the lock (the probe runs real inference). The published bound only ever
   // grows: in-flight batches may still serve the old snapshot, and workers
   // grow their arenas lazily at the next micro-batch boundary.
-  if (options_.use_arena) {
-    const int64_t bytes = snapshot->plan_workspace(options_.max_batch);
-    int64_t cur = workspace_bytes_.load(std::memory_order_relaxed);
-    while (bytes > cur && !workspace_bytes_.compare_exchange_weak(
-                              cur, bytes, std::memory_order_relaxed)) {
-    }
+  const int64_t bytes = snapshot->plan_workspace(options_.max_batch);
+  int64_t cur = workspace_bytes_.load(std::memory_order_relaxed);
+  while (bytes > cur && !workspace_bytes_.compare_exchange_weak(
+                            cur, bytes, std::memory_order_relaxed)) {
   }
   int64_t onboarded = 0;
   {
@@ -122,65 +111,99 @@ InferenceServer::current_snapshot() const {
   return snapshot_;
 }
 
-SubmitResult InferenceServer::try_submit(Tensor image, kg::TaskId task,
-                                         core::ConfigKind config,
-                                         std::optional<int64_t> deadline_us) {
-  // Admission-time validation against the *current* snapshot: malformed
-  // requests fail fast at the edge with a clear message, so a worker never
-  // sees an image it cannot stack or a task no snapshot it acquires could
-  // serve (task tables only grow across versions).
+RejectReason InferenceServer::admit(std::span<Pending> members,
+                                    kg::TaskId task, core::ConfigKind config,
+                                    std::optional<int64_t> deadline_us,
+                                    const char* surface) {
+  // Admission-time validation against ONE acquisition of the *current*
+  // snapshot: malformed requests fail fast at the edge with a clear message,
+  // checked before anything is queued, so a worker never sees an image it
+  // cannot stack or a task no snapshot it acquires could serve (task tables
+  // only grow across versions) — and a malformed view rejects its whole
+  // logical request.
   const std::shared_ptr<const core::DeploymentSnapshot> snapshot =
       current_snapshot();
   const Shape& expected = snapshot->expected_input_shape();
-  if (image.shape() != expected) {
-    requests_invalid_.increment();
-    ITASK_CHECK(false, "try_submit: image shape " +
-                           shape_to_string(image.shape()) +
-                           " does not match the deployment's expected "
-                           "[C, H, W] shape " +
-                           shape_to_string(expected));
+  for (size_t v = 0; v < members.size(); ++v) {
+    if (members[v].image.shape() != expected) {
+      requests_invalid_.increment();
+      ITASK_CHECK(false, std::string(surface) + ": view " +
+                             fmt::i64(static_cast<int64_t>(v)) + " shape " +
+                             shape_to_string(members[v].image.shape()) +
+                             " does not match the deployment's expected "
+                             "[C, H, W] shape " +
+                             shape_to_string(expected));
+    }
   }
   if (!snapshot->servable(task, config)) {
     requests_invalid_.increment();
     ITASK_CHECK(false,
-                std::string("try_submit: configuration ") +
+                std::string(surface) + ": configuration " +
                     core::config_kind_name(config) + " cannot serve " +
                     kg::task_id_to_string(task) + " from snapshot v" +
                     fmt::i64(snapshot->version()) +
                     " (publish and install a snapshot containing it first)");
   }
-  const int64_t effective_deadline_us =
+  const int64_t relative_deadline_us =
       deadline_us.value_or(options_.deadline_us);
-  ITASK_CHECK(effective_deadline_us >= 0,
-              "try_submit: deadline_us must be >= 0");
+  ITASK_CHECK(relative_deadline_us >= 0,
+              std::string(surface) + ": deadline_us must be >= 0");
 
-  Pending pending;
-  pending.id = next_id_.fetch_add(1, std::memory_order_relaxed);
-  pending.image = std::move(image);
-  pending.task = task;
-  pending.config = config;
-  pending.admitted_us = clock_();
-  pending.admitted_version = snapshot->version();
-  if (effective_deadline_us > 0) {
-    pending.deadline_us = pending.admitted_us + effective_deadline_us;
+  const int64_t k = static_cast<int64_t>(members.size());
+  const int64_t admitted_us = clock_();
+  // Saturating: a relative deadline past the clock's range means "never
+  // expires", not a wrapped-negative absolute deadline that sheds the
+  // request the moment a worker picks it up.
+  constexpr int64_t kNever = std::numeric_limits<int64_t>::max();
+  int64_t absolute_deadline_us = 0;
+  if (relative_deadline_us > 0) {
+    absolute_deadline_us =
+        admitted_us > 0 && relative_deadline_us > kNever - admitted_us
+            ? kNever
+            : admitted_us + relative_deadline_us;
   }
-  SubmitResult result;
-  result.future = pending.promise.get_future();
-  switch (queue_.push(std::move(pending))) {
+  const int64_t first_id = next_id_.fetch_add(k, std::memory_order_relaxed);
+  for (int64_t v = 0; v < k; ++v) {
+    Pending& p = members[static_cast<size_t>(v)];
+    p.id = first_id + v;
+    p.task = task;
+    p.config = config;
+    p.admitted_us = admitted_us;
+    p.deadline_us = absolute_deadline_us;
+    p.admitted_version = snapshot->version();
+    p.view_index = v;
+  }
+  if (members.front().group) {
+    members.front().group->group_id =
+        next_group_id_.fetch_add(1, std::memory_order_relaxed);
+  }
+  // All-or-nothing: either every view is queued contiguously under one lock
+  // or none is — a partially admitted group (siblings rejected, gather never
+  // completable) cannot exist.
+  switch (queue_.push_all(members)) {
     case PushResult::kFull:
       rejected_queue_full_.increment();
-      result.future.reset();
-      result.reject = RejectReason::kQueueFull;
-      return result;
+      return RejectReason::kQueueFull;
     case PushResult::kClosed:
       rejected_shutdown_.increment();
-      result.future.reset();
-      result.reject = RejectReason::kShuttingDown;
-      return result;
+      return RejectReason::kShuttingDown;
     case PushResult::kOk:
       break;
   }
-  requests_submitted_.increment();
+  requests_submitted_.increment(k);
+  return RejectReason::kNone;
+}
+
+SubmitResult InferenceServer::try_submit(Tensor image, kg::TaskId task,
+                                         core::ConfigKind config,
+                                         std::optional<int64_t> deadline_us) {
+  Pending pending;
+  pending.image = std::move(image);
+  SubmitResult result;
+  result.future = pending.promise.get_future();
+  result.reject = admit(std::span<Pending>(&pending, 1), task, config,
+                        deadline_us, "try_submit");
+  if (result.reject != RejectReason::kNone) result.future.reset();
   return result;
 }
 
@@ -195,84 +218,25 @@ GroupSubmitResult InferenceServer::try_submit_group(
               "try_submit_group: " + fmt::i64(k) +
                   " views can never fit the admission queue (capacity " +
                   fmt::i64(options_.queue_capacity) + ")");
-  // Per-view admission validation, against ONE snapshot acquisition — the
-  // same contract as try_submit, checked before anything is queued so a
-  // malformed view rejects the whole logical request at the edge.
-  const std::shared_ptr<const core::DeploymentSnapshot> snapshot =
-      current_snapshot();
-  const Shape& expected = snapshot->expected_input_shape();
-  for (int64_t v = 0; v < k; ++v) {
-    if (views[static_cast<size_t>(v)].shape() != expected) {
-      requests_invalid_.increment();
-      ITASK_CHECK(
-          false,
-          "try_submit_group: view " + fmt::i64(v) + " shape " +
-              shape_to_string(views[static_cast<size_t>(v)].shape()) +
-              " does not match the deployment's expected [C, H, W] shape " +
-              shape_to_string(expected));
-    }
-  }
-  if (!snapshot->servable(task, config)) {
-    requests_invalid_.increment();
-    ITASK_CHECK(false,
-                std::string("try_submit_group: configuration ") +
-                    core::config_kind_name(config) + " cannot serve " +
-                    kg::task_id_to_string(task) + " from snapshot v" +
-                    fmt::i64(snapshot->version()) +
-                    " (publish and install a snapshot containing it first)");
-  }
-  const int64_t effective_deadline_us =
-      deadline_us.value_or(options_.deadline_us);
-  ITASK_CHECK(effective_deadline_us >= 0,
-              "try_submit_group: deadline_us must be >= 0");
-
   auto gather = std::make_shared<GroupGather>();
-  gather->group_id = next_group_id_.fetch_add(1, std::memory_order_relaxed);
-  gather->admitted_us = clock_();
   gather->fusion = options_.fusion;
   gather->views.resize(static_cast<size_t>(k));
   gather->remaining = k;
-
   // Each view becomes an ordinary Pending riding the ordinary hot path; the
   // gather pointer is the only thing marking it as a group member.
-  std::vector<Pending> members;
-  members.reserve(static_cast<size_t>(k));
-  for (int64_t v = 0; v < k; ++v) {
-    Pending pending;
-    pending.id = next_id_.fetch_add(1, std::memory_order_relaxed);
-    pending.image = std::move(views[static_cast<size_t>(v)]);
-    pending.task = task;
-    pending.config = config;
-    pending.admitted_us = gather->admitted_us;
-    pending.admitted_version = snapshot->version();
-    if (effective_deadline_us > 0) {
-      pending.deadline_us = gather->admitted_us + effective_deadline_us;
-    }
-    pending.group = gather;
-    pending.view_index = v;
-    members.push_back(std::move(pending));
+  std::vector<Pending> members(views.size());
+  for (size_t v = 0; v < views.size(); ++v) {
+    members[v].image = std::move(views[v]);
+    members[v].group = gather;
   }
   GroupSubmitResult result;
   result.future = gather->promise.get_future();
-  // All-or-nothing: either every view is queued contiguously under one lock
-  // or none is — a partially admitted group (siblings rejected, gather never
-  // completable) cannot exist.
-  switch (queue_.push_all(members)) {
-    case PushResult::kFull:
-      rejected_queue_full_.increment();
-      result.future.reset();
-      result.reject = RejectReason::kQueueFull;
-      return result;
-    case PushResult::kClosed:
-      rejected_shutdown_.increment();
-      result.future.reset();
-      result.reject = RejectReason::kShuttingDown;
-      return result;
-    case PushResult::kOk:
-      break;
+  result.reject = admit(members, task, config, deadline_us, "try_submit_group");
+  if (result.reject != RejectReason::kNone) {
+    result.future.reset();
+    return result;
   }
   groups_submitted_.increment();
-  requests_submitted_.increment(k);
   return result;
 }
 
@@ -348,7 +312,9 @@ void InferenceServer::finish_group(
   out.view_count = k;
   const int64_t fuse_end_us = clock_();
   out.fuse_us = span_us(fuse_start_us, fuse_end_us);
-  out.total_us = span_us(gather->admitted_us, fuse_end_us);
+  // Every view shares the group's admission timestamp.
+  out.total_us =
+      span_us(gather->views.front().timeline.admitted_us, fuse_end_us);
   out.views = std::move(gather->views);
   groups_completed_.increment();
   group_fuse_h_.record(out.fuse_us);
@@ -379,9 +345,7 @@ void InferenceServer::worker_loop(int64_t worker_index) {
   // This worker's whole steady state lives in storage hoisted out of the
   // loop: the micro-batch vector and done/group scratch reuse their heap
   // capacity forever, and the arena serves the per-group hot region.
-  Arena arena(options_.use_arena
-                  ? workspace_bytes_.load(std::memory_order_relaxed)
-                  : 0);
+  Arena arena(workspace_bytes_.load(std::memory_order_relaxed));
   int64_t overflow_seen = 0;
   std::vector<Pending> batch;
   std::vector<char> done;
@@ -399,10 +363,8 @@ void InferenceServer::worker_loop(int64_t worker_index) {
     // A newly installed snapshot may have published a larger workspace
     // bound; the arena is empty between groups, so growing here (outside
     // the measured hot region) is legal and rare.
-    if (options_.use_arena) {
-      const int64_t want = workspace_bytes_.load(std::memory_order_relaxed);
-      if (want > arena.capacity()) arena.grow(want);
-    }
+    const int64_t want = workspace_bytes_.load(std::memory_order_relaxed);
+    if (want > arena.capacity()) arena.grow(want);
     const int64_t picked_us = clock_();
     batches.increment();
     batch_h.record(static_cast<double>(batch.size()));
@@ -435,7 +397,7 @@ void InferenceServer::worker_loop(int64_t worker_index) {
       done[i] = 1;
     }
 
-    // Admitted-vs-served version skew: try_submit validated each request
+    // Admitted-vs-served version skew: admission validated each request
     // against the snapshot current at admission, but this batch serves from
     // whatever was installed by pick-up time. Safe by contract (task tables
     // only grow, weights for existing tasks are identical), but counted so
@@ -488,8 +450,7 @@ void InferenceServer::worker_loop(int64_t worker_index) {
         vit::VitOutput raw;
         const int64_t allocs_before = allocdebug::thread_alloc_count();
         {
-          std::optional<ArenaScope> scope;
-          if (options_.use_arena) scope.emplace(arena);
+          ArenaScope scope(arena);
           const Shape& img = batch[i].image.shape();
           if (group.size() == 1) {
             // Singleton group: serve a borrowed [1, C, H, W] view over the
@@ -545,15 +506,13 @@ void InferenceServer::worker_loop(int64_t worker_index) {
       // Per-group arena epilogue, on success and failure alike: record the
       // footprint, surface any undersized-arena overflows, and reset —
       // `raw` is gone, so nothing references arena memory past this point.
-      if (options_.use_arena) {
-        arena_used_h.record(static_cast<double>(arena.used()));
-        const int64_t overflows = arena.overflow_allocs();
-        if (overflows > overflow_seen) {
-          arena_overflow.increment(overflows - overflow_seen);
-          overflow_seen = overflows;
-        }
-        arena.reset();
+      arena_used_h.record(static_cast<double>(arena.used()));
+      const int64_t overflows = arena.overflow_allocs();
+      if (overflows > overflow_seen) {
+        arena_overflow.increment(overflows - overflow_seen);
+        overflow_seen = overflows;
       }
+      arena.reset();
       if (group_failed) continue;
 
       for (size_t g = 0; g < group.size(); ++g) {

@@ -22,22 +22,30 @@
 // configurations — the FP32 task-specific student and the INT8 multi-task
 // student — serve real requests concurrently from one published deployment.
 //
-// Steady-state serving is allocation-free (RuntimeOptions::use_arena): each
-// worker owns a bump arena (tensor/arena.h) sized from the snapshot's own
-// measurement (DeploymentSnapshot::plan_workspace) and binds it around the
-// hot region — a singleton group serves through a borrowed view of the
-// request's tensor, larger groups stack into an arena-backed tensor, and
-// every inference intermediate lands in the arena. The scope ends before
+// Steady-state serving is allocation-free: each worker owns a bump arena
+// (tensor/arena.h) sized from the snapshot's own measurement
+// (DeploymentSnapshot::plan_workspace) and binds it around the hot region —
+// a singleton group serves through a borrowed view of the request's tensor,
+// larger groups stack into an arena-backed tensor, and every inference
+// intermediate lands in the arena. The scope ends before
 // decode (Detections escape into results, so they must stay heap-backed)
 // and the arena resets once per (config, task) group. test_runtime asserts
 // both halves of the contract: zero heap allocations in the scoped region
-// after warmup, and detections element-wise identical to the heap path.
+// after warmup, and detections element-wise identical to the serial path.
 //
 // Determinism contract: inference is cache-free and batch-composition-
 // invariant, so every request's detections are element-wise identical to a
 // serial `Framework::detect_batch` over the same weights, whatever the
 // scheduling or which snapshot version served it — the property test_runtime
 // proves for snapshots before and after each publish.
+//
+// Admission: try_submit is the K = 1 case of try_submit_group. Both run one
+// routine — validate every view against one snapshot acquisition, stamp ids
+// and a saturating deadline, push all K views in one all-or-nothing queue
+// operation — so a single request and a group view enter the same queue
+// through the same code. Only the completion differs: a single request
+// resolves its own promise with its detections unchanged (never through
+// detect::fuse_views), a group view deposits into the group's gather.
 //
 // Fault tolerance contract: one bad request never takes the server down.
 // Malformed requests (wrong image shape, (task, config) not servable from
@@ -55,6 +63,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -137,23 +146,6 @@ struct RuntimeOptions {
   /// FakeClock::fn() for exact stage durations. Micro-batch max_wait
   /// blocking in the queue stays on the real clock regardless.
   ClockFn clock_us;
-  /// Lanes in the process-wide GEMM kernel pool (tensor/kernel_pool.h) that
-  /// snapshot inference may split MC-slab loops across once a micro-batch's
-  /// row count clears gemm::kKernelPoolMinRows. 0 (default) leaves every
-  /// kernel single-core — the repo-wide bench budget; bench_f6_runtime is
-  /// the sanctioned multi-core exception. Applied at server construction via
-  /// KernelPool::configure (the pool is shared process-wide and outlives the
-  /// server). Results are bit-exact at any setting.
-  int64_t kernel_threads = 0;
-  /// Per-worker bump arenas for the inference hot path (tensor/arena.h):
-  /// each worker owns an arena sized from DeploymentSnapshot::
-  /// plan_workspace(max_batch) and binds it around batch stacking + model
-  /// inference, so steady-state serving performs zero heap allocations in
-  /// that region (test_runtime proves it with an instrumented allocator).
-  /// Results are element-wise identical to the heap path — the arena only
-  /// changes where intermediates live, never the arithmetic. Off = every
-  /// intermediate heap-allocates as before (the bench_f6_runtime A/B).
-  bool use_arena = true;
   /// Cross-view fusion parameters for try_submit_group gathers
   /// (detect::fuse_views). Fusion runs on the worker delivering a group's
   /// last view, after that worker's arena epilogue — outside the ArenaScope
@@ -256,7 +248,8 @@ class InferenceServer {
   /// snapshot cannot serve, throws std::invalid_argument (counted as
   /// requests_invalid) — publish-and-install a snapshot containing the task
   /// first. `deadline_us` overrides RuntimeOptions::deadline_us for this
-  /// request (0 = none).
+  /// request (0 = none); a deadline past the clock's range saturates to
+  /// "never expires".
   SubmitResult try_submit(Tensor image, kg::TaskId task,
                           core::ConfigKind config,
                           std::optional<int64_t> deadline_us = std::nullopt);
@@ -307,7 +300,6 @@ class InferenceServer {
   /// chain makes every sibling's deposit visible to the finisher.
   struct GroupGather {
     int64_t group_id = -1;
-    int64_t admitted_us = 0;
     detect::FusionOptions fusion;
     std::mutex mu;
     std::vector<InferenceResult> views;  // indexed by view_index
@@ -326,7 +318,7 @@ class InferenceServer {
     std::promise<InferenceResult> promise;
     int64_t admitted_us = 0;  // clock_us() at admission
     int64_t deadline_us = 0;  // absolute clock_us() deadline; 0 = none
-    /// Snapshot version try_submit validated this request against. The
+    /// Snapshot version admission validated this request against. The
     /// serving worker may acquire a newer snapshot (install_snapshot raced
     /// the queue); that skew is safe — task tables only grow — but no longer
     /// silent: served-version != admitted_version counts snapshot_version_
@@ -338,6 +330,15 @@ class InferenceServer {
     int64_t view_index = 0;
   };
 
+  /// The one admission routine behind try_submit (K = 1) and
+  /// try_submit_group: `members` arrive with their image (and, for a group,
+  /// the gather) set; everything else — validation, ids, admission time,
+  /// deadline — is stamped here before the single all-or-nothing push.
+  /// Throws std::invalid_argument for a malformed request; otherwise returns
+  /// kNone (admitted) or the counted reject reason.
+  RejectReason admit(std::span<Pending> members, kg::TaskId task,
+                     core::ConfigKind config,
+                     std::optional<int64_t> deadline_us, const char* surface);
   void worker_loop(int64_t worker_index);
   /// Fulfillment seams every worker outcome routes through: an ordinary
   /// request resolves its own promise; a group view deposits into the gather

@@ -32,7 +32,6 @@
 #include "runtime/trace.h"
 #include "tensor/arena.h"
 #include "tensor/gemm.h"
-#include "tensor/kernel_pool.h"
 #include "tensor/profile.h"
 
 // ------------------------- instrumented global allocator --------------------
@@ -622,24 +621,6 @@ std::shared_ptr<const core::DeploymentSnapshot>* RuntimeServing::snap_ =
     nullptr;
 data::Dataset* RuntimeServing::eval_ = nullptr;
 
-TEST_F(RuntimeServing, InferBatchMatchesDetectBatchExactly) {
-  // The const thread-safe entry point must agree with the mutable serial
-  // path element-wise, for both deployable configurations.
-  Tensor images({eval_->size(), 3, 24, 24});
-  for (int64_t i = 0; i < eval_->size(); ++i) {
-    images.set_index(i, eval_->scene(i).image);
-  }
-  for (const ConfigKind config :
-       {ConfigKind::kTaskSpecific, ConfigKind::kQuantizedMultiTask}) {
-    const auto serial = fw_->detect_batch(images, *task_, config);
-    const auto concurrent_safe = fw_->infer_batch(images, *task_, config);
-    ASSERT_EQ(serial.size(), concurrent_safe.size());
-    for (size_t i = 0; i < serial.size(); ++i) {
-      expect_same_detections(concurrent_safe[i], serial[i]);
-    }
-  }
-}
-
 TEST_F(RuntimeServing, PublishStampsMonotonicVersionsAndSharesModels) {
   const auto a = fw_->publish();
   const auto b = fw_->publish();
@@ -719,26 +700,21 @@ TEST_F(RuntimeServing, PublishPrepacksServingKernelsWithoutChangingResults) {
   }
 }
 
-TEST_F(RuntimeServing, KernelPoolServingBitExactVsSerial) {
-  // Opt-in multi-core kernels (RuntimeOptions::kernel_threads): big micro-
-  // batches split MC slabs across the pool, and every request must still be
-  // element-wise identical to the single-core serial path — the pool's
-  // determinism contract. This test is part of the TSan suite.
-  struct PoolGuard {
-    ~PoolGuard() { gemm::KernelPool::instance().configure(0); }
-  } guard;
+TEST_F(RuntimeServing, LargeMicroBatchServingBitExactVsSerial) {
+  // Micro-batches of up to 32 images: 32·(T+1) GEMM rows span several MC
+  // slabs of the blocked kernels, and every request must still be
+  // element-wise identical to the serial single-image path. This test is
+  // part of the TSan suite.
   for (const ConfigKind config :
        {ConfigKind::kTaskSpecific, ConfigKind::kQuantizedMultiTask}) {
     std::vector<std::future<InferenceResult>> futures;
     {
       RuntimeOptions opts;
       opts.workers = 2;
-      opts.max_batch = 32;  // 32·(T+1) rows ≥ gemm::kKernelPoolMinRows
+      opts.max_batch = 32;
       opts.max_wait_us = 2000;
       opts.queue_capacity = 128;
-      opts.kernel_threads = 3;
       InferenceServer server(*snap_, opts);
-      EXPECT_EQ(gemm::KernelPool::instance().threads(), 3);
       for (int64_t i = 0; i < 2 * eval_->size(); ++i) {
         auto f = server.try_submit(eval_->scene(i % eval_->size()).image,
                                    *task_, config);
@@ -1132,6 +1108,47 @@ TEST_F(RuntimeServing, ExpiredDeadlinesShedAtBatchFormation) {
             2);
 }
 
+TEST_F(RuntimeServing, DeadlineNearInt64MaxSaturatesInsteadOfShedding) {
+  // A relative deadline near INT64_MAX means "effectively never", for a
+  // single request and for every view of a group: the absolute deadline
+  // saturates instead of wrapping negative, which would shed the request as
+  // DeadlineExceeded the moment a worker picked it up.
+  FakeClock clock(1'000'000);
+  RuntimeOptions opts;
+  opts.workers = 1;
+  opts.max_batch = 4;
+  opts.max_wait_us = 0;
+  opts.queue_capacity = 16;
+  opts.clock_us = clock.fn();
+  InferenceServer server(*snap_, opts);
+  constexpr int64_t kFar = std::numeric_limits<int64_t>::max();
+
+  auto single = server.try_submit(eval_->scene(0).image, *task_,
+                                  ConfigKind::kQuantizedMultiTask, kFar);
+  ASSERT_TRUE(single.admitted());
+  auto group = server.try_submit_group(
+      detect::jittered_views(eval_->scene(1).image, 3, 0.05f, 71), *task_,
+      ConfigKind::kQuantizedMultiTask, kFar - 1);
+  ASSERT_TRUE(group.admitted());
+  server.shutdown();
+
+  try {
+    expect_same_detections(single.future->get().detections,
+                           fw_->detect(eval_->scene(0).image, *task_,
+                                       ConfigKind::kQuantizedMultiTask));
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << "single request failed: " << e.what();
+  }
+  try {
+    EXPECT_EQ(group.future->get().view_count, 3);
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << "group request failed: " << e.what();
+  }
+  EXPECT_EQ(server.metrics().counter("requests_expired").value(), 0);
+  EXPECT_EQ(server.metrics().counter("requests_completed").value(), 4);
+  EXPECT_EQ(server.metrics().counter("groups_completed").value(), 1);
+}
+
 TEST_F(RuntimeServing, FakeClockMakesStageTimelineExact) {
   // With an injected FakeClock every stage duration is an exact number, not
   // a sleep plus tolerance. One worker, batch size 1: request 0 stalls the
@@ -1208,13 +1225,13 @@ TEST_F(RuntimeServing, ProfilingHooksAreTransparent) {
   }
   profile::reset();
   ASSERT_FALSE(profile::enabled());
-  const auto off =
-      fw_->infer_batch(images, *task_, ConfigKind::kQuantizedMultiTask);
+  const auto off = (*snap_)->infer_batch(images, task_->id,
+                                         ConfigKind::kQuantizedMultiTask);
   EXPECT_TRUE(profile::snapshot().empty());
 
   profile::set_enabled(true);
-  const auto on =
-      fw_->infer_batch(images, *task_, ConfigKind::kQuantizedMultiTask);
+  const auto on = (*snap_)->infer_batch(images, task_->id,
+                                        ConfigKind::kQuantizedMultiTask);
   profile::set_enabled(false);
   const auto sections = profile::snapshot();
   ASSERT_FALSE(sections.empty());
@@ -1543,39 +1560,34 @@ TEST_F(RuntimeServing, ArenaZeroSteadyStateAllocationsBothConfigs) {
             static_cast<double>((*snap_)->plan_workspace(opts.max_batch)));
 }
 
-TEST_F(RuntimeServing, ArenaResultsElementWiseIdenticalToHeapPathAndSerial) {
+TEST_F(RuntimeServing, ArenaResultsElementWiseIdenticalToSerial) {
   // The arena only moves where intermediates live, never the arithmetic:
-  // with use_arena on or off, every request's detections are element-wise
-  // identical to the serial path (and therefore to each other). Mixed
-  // configs in one stream exercise multiple groups — and arena resets —
-  // per micro-batch.
+  // every request's detections are element-wise identical to the serial
+  // path. Mixed configs in one stream exercise multiple groups — and arena
+  // resets — per micro-batch.
   const auto config_of = [](int64_t i) {
     return (i % 2 == 0) ? ConfigKind::kTaskSpecific
                         : ConfigKind::kQuantizedMultiTask;
   };
-  for (const bool use_arena : {true, false}) {
-    std::vector<std::future<InferenceResult>> futures;
-    {
-      RuntimeOptions opts;
-      opts.workers = 2;
-      opts.max_batch = 4;
-      opts.max_wait_us = 500;
-      opts.queue_capacity = 64;
-      opts.use_arena = use_arena;
-      InferenceServer server(*snap_, opts);
-      for (int64_t i = 0; i < eval_->size(); ++i) {
-        auto f = server.try_submit(eval_->scene(i).image, *task_,
-                                   config_of(i));
-        ASSERT_TRUE(f.admitted());
-        futures.push_back(std::move(*f.future));
-      }
-    }  // destructor drains: all futures fulfilled
+  std::vector<std::future<InferenceResult>> futures;
+  {
+    RuntimeOptions opts;
+    opts.workers = 2;
+    opts.max_batch = 4;
+    opts.max_wait_us = 500;
+    opts.queue_capacity = 64;
+    InferenceServer server(*snap_, opts);
     for (int64_t i = 0; i < eval_->size(); ++i) {
-      InferenceResult r = futures[static_cast<size_t>(i)].get();
-      const auto serial = fw_->detect(eval_->scene(i).image, *task_,
-                                      config_of(i));
-      expect_same_detections(r.detections, serial);
+      auto f = server.try_submit(eval_->scene(i).image, *task_, config_of(i));
+      ASSERT_TRUE(f.admitted());
+      futures.push_back(std::move(*f.future));
     }
+  }  // destructor drains: all futures fulfilled
+  for (int64_t i = 0; i < eval_->size(); ++i) {
+    InferenceResult r = futures[static_cast<size_t>(i)].get();
+    const auto serial =
+        fw_->detect(eval_->scene(i).image, *task_, config_of(i));
+    expect_same_detections(r.detections, serial);
   }
 }
 
