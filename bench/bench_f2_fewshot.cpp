@@ -26,7 +26,6 @@ detect::EvalResult eval_student(vit::VitModel& student,
                                 const core::FrameworkOptions& options,
                                 const data::Dataset& eval,
                                 const data::TaskSpec& spec) {
-  student.set_training(false);
   detect::DecoderOptions dec = options.decoder;
   dec.grid = options.generator.grid;
   dec.image_size = options.generator.image_size;

@@ -1,15 +1,18 @@
 // K0 — GEMM kernel layer: old (naive triple-loop) vs new (blocked, packed)
 // vs prepacked (weights packed once, as Framework::publish() does for every
-// serving model) GFLOP/s on the exact shapes the deployable models emit —
-// qkv/proj/fc1/fc2/patch-embed/head weight GEMMs and the attention
+// serving FP32 model) GFLOP/s on the exact shapes the deployable models
+// emit — qkv/proj/fc1/fc2/patch-embed/head weight GEMMs and the attention
 // activation bmms at the student (d40) and teacher (d64) widths, batch 1–32,
 // fp32 and INT8. The prepacked column exists only for the weight GEMMs
 // (fp32_bt / int8_bt, one weight matrix per call) — activation bmms have no
-// publish-time weight to prepack.
+// publish-time weight to prepack. INT8 rows have no pack-per-call column:
+// an INT8 weight is packed once, when it is quantized, and the prepacked
+// kernel is its only blocked path.
 //
-// Every case is parity-checked (packed vs naive, and prepacked bit-exact vs
-// packed where it applies) before it is timed; a mismatch fails the run
-// (nonzero exit), which is what the ctest smoke entry exercises. Results are
+// Every case is parity-checked (packed vs naive, prepacked bit-exact vs
+// packed for fp32 and vs naive for int8) before it is timed; a mismatch
+// fails the run (nonzero exit), which is what the ctest smoke entry
+// exercises. Results are
 // also written to BENCH_kernels.json so later PRs have a kernel-perf
 // baseline to regress against.
 #include <chrono>
@@ -52,12 +55,13 @@ struct Case {
 
 struct Result {
   double naive_gflops = 0.0;
+  /// Pack-per-call blocked kernel; 0 for int8 (no such path).
   double packed_gflops = 0.0;
   /// Weights packed once outside the timed region (the serving path after
   /// publish()); 0 when the case has no prepackable weight operand.
   double prepacked_gflops = 0.0;
-  double speedup = 0.0;            // packed vs naive
-  double prepacked_speedup = 0.0;  // prepacked vs packed (pack-per-call)
+  double speedup = 0.0;  // blocked vs naive (prepacked for int8)
+  double prepacked_speedup = 0.0;  // prepacked vs pack-per-call (fp32 only)
 };
 
 double seconds_since(std::chrono::steady_clock::time_point t0) {
@@ -99,29 +103,22 @@ Result run_case(const Case& c, double min_seconds, Rng& rng) {
     std::vector<int32_t> acc(static_cast<size_t>(csz));
     std::vector<int32_t> ref(static_cast<size_t>(csz));
     quant::int8_gemm_bt(a, zp, w, ref, c.m, c.k, c.n);
-    quant::int8_gemm_bt_packed(a, zp, w, sums, acc, c.m, c.k, c.n);
-    if (acc != ref) {
-      std::fprintf(stderr, "PARITY FAILURE: %s (int8)\n", c.name.c_str());
-      std::exit(1);
-    }
-    // Serving path after publish(): the int16 k-pair panels are built once.
+    // The int16 k-pair panels are built once, when the weight is quantized.
     const quant::PackedWeightInt8 pre = quant::pack_weights_int8(w, c.n, c.k);
-    std::vector<int32_t> pacc(static_cast<size_t>(csz));
-    quant::int8_gemm_bt_prepacked(a, zp, pre, sums, pacc, c.m);
-    if (pacc != ref) {
+    quant::int8_gemm_bt_prepacked(a, zp, pre, sums, acc, c.m);
+    if (acc != ref) {
       std::fprintf(stderr, "PARITY FAILURE: %s (int8 prepacked)\n",
                    c.name.c_str());
       std::exit(1);
     }
     r.naive_gflops = time_gflops(c, min_seconds, [&] {
-      quant::int8_gemm_bt(a, zp, w, acc, c.m, c.k, c.n);
-    });
-    r.packed_gflops = time_gflops(c, min_seconds, [&] {
-      quant::int8_gemm_bt_packed(a, zp, w, sums, acc, c.m, c.k, c.n);
+      quant::int8_gemm_bt(a, zp, w, ref, c.m, c.k, c.n);
     });
     r.prepacked_gflops = time_gflops(c, min_seconds, [&] {
-      quant::int8_gemm_bt_prepacked(a, zp, pre, sums, pacc, c.m);
+      quant::int8_gemm_bt_prepacked(a, zp, pre, sums, acc, c.m);
     });
+    r.speedup = r.prepacked_gflops / r.naive_gflops;
+    return r;
   } else {
     const Tensor a = rng.randn({asz});
     const Tensor b = rng.randn({bsz});
@@ -264,20 +261,29 @@ int main() {
         ++pre_count;
       }
     }
+    char pk_gf[16];
     char pre_gf[16];
     char pre_sp[16];
-    if (r.prepacked_gflops > 0.0) {
-      std::snprintf(pre_gf, sizeof(pre_gf), "%11.2f", r.prepacked_gflops);
+    if (r.packed_gflops > 0.0) {
+      std::snprintf(pk_gf, sizeof(pk_gf), "%11.2f", r.packed_gflops);
+    } else {
+      std::snprintf(pk_gf, sizeof(pk_gf), "%11s", "-");
+    }
+    if (r.prepacked_speedup > 0.0) {
       std::snprintf(pre_sp, sizeof(pre_sp), "%7.2fx", r.prepacked_speedup);
     } else {
-      std::snprintf(pre_gf, sizeof(pre_gf), "%11s", "-");
       std::snprintf(pre_sp, sizeof(pre_sp), "%8s", "-");
     }
+    if (r.prepacked_gflops > 0.0) {
+      std::snprintf(pre_gf, sizeof(pre_gf), "%11.2f", r.prepacked_gflops);
+    } else {
+      std::snprintf(pre_gf, sizeof(pre_gf), "%11s", "-");
+    }
     std::printf(
-        "%-22s %-8s %5lld %5lld %5lld %5lld  %11.2f %11.2f %s %6.2fx %s\n",
+        "%-22s %-8s %5lld %5lld %5lld %5lld  %11.2f %s %s %6.2fx %s\n",
         c.name.c_str(), kind_name(c.kind), static_cast<long long>(c.batch),
         static_cast<long long>(c.m), static_cast<long long>(c.k),
-        static_cast<long long>(c.n), r.naive_gflops, r.packed_gflops, pre_gf,
+        static_cast<long long>(c.n), r.naive_gflops, pk_gf, pre_gf,
         r.speedup, pre_sp);
   }
   const double d40_geomean =
@@ -288,7 +294,7 @@ int main() {
   std::printf("\nd40 deployable-shape geomean speedup: %.2fx (%lld cases)\n",
               d40_geomean, static_cast<long long>(d40_count));
   std::printf(
-      "d40 prepacked-over-pack-per-call geomean: %.2fx (%lld weight-GEMM "
+      "d40 prepacked-over-pack-per-call geomean: %.2fx (%lld fp32 weight-GEMM "
       "cases)\n",
       d40_prepacked_geomean, static_cast<long long>(pre_count));
 
@@ -340,6 +346,7 @@ int main() {
     for (auto& v : qa) v = static_cast<int8_t>(rng.randint(-128, 127));
     for (auto& v : qw) v = static_cast<int8_t>(rng.randint(-128, 127));
     const std::vector<int32_t> sums = quant::weight_row_sums(qw, n, k);
+    const quant::PackedWeightInt8 qpre = quant::pack_weights_int8(qw, n, k);
     std::vector<int32_t> acc(static_cast<size_t>(m * n));
     profile::reset();
     profile::set_enabled(true);
@@ -347,7 +354,7 @@ int main() {
     for (int64_t i = 0; i < iters; ++i) {
       gemm::gemm_bt(a.data().data(), b.data().data(), out.data().data(), m, k,
                     n);
-      quant::int8_gemm_bt_packed(qa, /*zero_point=*/7, qw, sums, acc, m, k, n);
+      quant::int8_gemm_bt_prepacked(qa, /*zero_point=*/7, qpre, sums, acc, m);
     }
     profile::set_enabled(false);
     const std::vector<profile::SectionStats> sections = profile::snapshot();
@@ -369,12 +376,14 @@ int main() {
   }
 
   bench::print_footer_note(
-      "expected shape: packed >= 3x naive geomean on the d40 deployable "
-      "weight-GEMM shapes (fp32_bt + int8_bt); prepacked > 1x geomean over "
-      "pack-per-call on the d40 weight GEMMs, largest at the thin serving "
-      "shapes (m = 10..80, where the per-call B-pack dominates) and "
-      "approaching parity by b32 (m = 320 amortizes the pack); bit-exact "
-      "against pack-per-call everywhere. Attention bmms (10x10x10 per-head "
+      "expected shape: blocked >= 3x naive geomean on the d40 deployable "
+      "weight-GEMM shapes (fp32_bt packed + int8_bt prepacked); fp32 "
+      "prepacked > 1x geomean over pack-per-call on the d40 weight GEMMs, "
+      "largest at the thin serving shapes (m = 10..80, where the per-call "
+      "B-pack dominates) and approaching parity by b32 (m = 320 amortizes "
+      "the pack); bit-exact against pack-per-call everywhere. INT8 has no "
+      "pack-per-call column: its weights are packed once, when quantized. "
+      "Attention bmms (10x10x10 per-head "
       "tiles) gain least and have no prepacked column — no publish-time "
       "weight operand. Parity vs the naive kernels is checked before "
       "timing. Attribution: the micro-kernel sections dominate, pack stays "

@@ -91,7 +91,6 @@ detect::EvalResult evaluate_kg_path(ForwardFn&& forward,
 inline detect::EvalResult evaluate_rel_path(
     vit::VitModel& student, const core::FrameworkOptions& options,
     const data::Dataset& eval, const data::TaskSpec& spec) {
-  student.set_training(false);
   detect::DecoderOptions dec = options.decoder;
   dec.grid = options.generator.grid;
   dec.image_size = options.generator.image_size;

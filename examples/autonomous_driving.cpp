@@ -80,7 +80,6 @@ int main() {
     Shape batched = scene.image.shape();
     batched.insert(batched.begin(), 1);
     vit::VitModel& student = fw.student_for(task);
-    student.set_training(false);
     (void)student.forward(scene.image.reshape(batched));
     const Tensor rollout = student.attention_rollout();  // [1, T+1, T+1]
     std::printf("\nattention rollout (token 0 = CLS; cells 1..9 = grid):\n");

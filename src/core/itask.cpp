@@ -168,8 +168,7 @@ std::vector<std::vector<detect::Detection>> Framework::detect_batch(
     auto it = students_.find(task.slot);
     ITASK_CHECK(it != students_.end(),
                 "detect_batch: prepare_task_specific() first");
-    it->second->set_training(false);
-    const vit::VitOutput out = it->second->forward(images);
+    const vit::VitOutput out = it->second->infer(images);
     return decode_and_match(out, task, /*use_rel_head=*/true);
   }
   ITASK_CHECK(quantized_ != nullptr,
@@ -240,16 +239,16 @@ bool Framework::is_prepared(const TaskHandle& task, ConfigKind config) const {
 
 std::shared_ptr<const DeploymentSnapshot> Framework::publish() {
   // Publish-time weight pre-packing: snapshots are immutable and shared, so
-  // every captured model's weights are packed into the kernels' panel
-  // layout once here, and requests served from the snapshot skip the
-  // per-call B/W pack entirely. Safe by construction: a model's first
-  // prepack happens before any snapshot holding it exists, prepack is a
-  // write-free no-op once packed (so re-publishing a model an installed
-  // snapshot already serves races with nothing), and prepare_* replaces
-  // model objects rather than retraining them, so a cache never goes stale
-  // on the serving path.
+  // every captured FP32 student's weights are packed into the kernel's
+  // panel layout once here, and requests served from the snapshot skip the
+  // per-call B pack entirely. (The quantized model needs nothing: its
+  // weights were packed when prepare_quantized() finalized it.) Safe by
+  // construction: a model's first prepack happens before any snapshot
+  // holding it exists, prepack is a write-free no-op once packed (so
+  // re-publishing a model an installed snapshot already serves races with
+  // nothing), and prepare_* replaces model objects rather than retraining
+  // them, so a cache never goes stale on the serving path.
   for (auto& [slot, student] : students_) student->prepack_for_serving();
-  if (quantized_ != nullptr) quantized_->prepack();
   std::map<kg::TaskId, std::shared_ptr<const vit::VitModel>> students;
   for (const auto& [slot, student] : students_) {
     students.emplace(kg::TaskId{slot}, student);

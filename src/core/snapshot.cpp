@@ -24,7 +24,7 @@ std::vector<std::vector<detect::Detection>> decode_and_match(
             {static_cast<int64_t>(bi), d.cell, 0});
         const float rel = 1.0f / (1.0f + std::exp(-rel_logit));
         d.task_score = rel;
-        if (rel < pipeline.relevance_threshold) continue;
+        if (!(rel >= pipeline.relevance_threshold)) continue;  // drops NaN
         d.confidence = d.objectness * rel;
       } else {
         d.task_score = matcher.score(d.attr_probs, d.class_probs);

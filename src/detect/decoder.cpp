@@ -28,7 +28,9 @@ std::vector<std::vector<Detection>> decode(const vit::VitOutput& output,
     for (int64_t cell = 0; cell < t; ++cell) {
       const float logit = obj.at({bi, cell, 0});
       const float p_obj = 1.0f / (1.0f + std::exp(-logit));
-      if (p_obj < options.objectness_threshold) continue;
+      // Written so a NaN logit is rejected, not kept: a NaN confidence
+      // would break nms's strict weak ordering.
+      if (!(p_obj >= options.objectness_threshold)) continue;
       Detection d;
       d.cell = cell;
       d.objectness = p_obj;

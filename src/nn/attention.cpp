@@ -43,10 +43,37 @@ Tensor merge_heads(const Tensor& x, int64_t heads) {
   return out;
 }
 
+AttentionCore attention_core(const Tensor& qkv, int64_t heads) {
+  ITASK_CHECK(qkv.ndim() == 3 && qkv.dim(2) % 3 == 0,
+              "attention_core: need [B, T, 3D]");
+  const int64_t b = qkv.dim(0), t = qkv.dim(1), d = qkv.dim(2) / 3;
+  // Slice out Q, K, V as [B, T, D] each.
+  Tensor q({b, t, d}), k({b, t, d}), v({b, t, d});
+  {
+    auto src = qkv.data();
+    auto qd = q.data(), kd = k.data(), vd = v.data();
+    for (int64_t r = 0; r < b * t; ++r) {
+      const float* row = src.data() + r * 3 * d;
+      std::copy(row, row + d, qd.data() + r * d);
+      std::copy(row + d, row + 2 * d, kd.data() + r * d);
+      std::copy(row + 2 * d, row + 3 * d, vd.data() + r * d);
+    }
+  }
+  AttentionCore core;
+  core.q = split_heads(q, heads);  // [B*H, T, hd]
+  core.k = split_heads(k, heads);
+  core.v = split_heads(v, heads);
+  const float scale = 1.0f / std::sqrt(static_cast<float>(d / heads));
+  Tensor scores =
+      ops::mul_scalar(ops::bmm_bt(core.q, core.k), scale);  // [B*H, T, T]
+  core.attn = ops::softmax_lastdim(scores);
+  core.ctx = merge_heads(ops::bmm(core.attn, core.v), heads);  // [B, T, D]
+  return core;
+}
+
 MultiHeadAttention::MultiHeadAttention(int64_t dim, int64_t heads, Rng& rng)
     : dim_(dim),
       heads_(heads),
-      head_dim_(dim / heads),
       scale_(1.0f / std::sqrt(static_cast<float>(dim / heads))),
       qkv_(dim, 3 * dim, rng),
       proj_(dim, dim, rng) {
@@ -58,53 +85,19 @@ MultiHeadAttention::MultiHeadAttention(int64_t dim, int64_t heads, Rng& rng)
 Tensor MultiHeadAttention::forward(const Tensor& tokens) {
   ITASK_CHECK(tokens.ndim() == 3 && tokens.dim(2) == dim_,
               "MultiHeadAttention: need [B, T, dim]");
-  const int64_t b = tokens.dim(0), t = tokens.dim(1);
-  Tensor qkv = qkv_.forward(tokens);  // [B, T, 3D]
-  // Slice out Q, K, V as [B, T, D] each.
-  Tensor q({b, t, dim_}), k({b, t, dim_}), v({b, t, dim_});
-  {
-    auto src = qkv.data();
-    auto qd = q.data(), kd = k.data(), vd = v.data();
-    for (int64_t r = 0; r < b * t; ++r) {
-      const float* row = src.data() + r * 3 * dim_;
-      std::copy(row, row + dim_, qd.data() + r * dim_);
-      std::copy(row + dim_, row + 2 * dim_, kd.data() + r * dim_);
-      std::copy(row + 2 * dim_, row + 3 * dim_, vd.data() + r * dim_);
-    }
-  }
-  cached_q_ = split_heads(q, heads_);  // [B*H, T, hd]
-  cached_k_ = split_heads(k, heads_);
-  cached_v_ = split_heads(v, heads_);
-  Tensor scores =
-      ops::mul_scalar(ops::bmm_bt(cached_q_, cached_k_), scale_);  // [B*H,T,T]
-  cached_attn_ = ops::softmax_lastdim(scores);
-  Tensor ctx = ops::bmm(cached_attn_, cached_v_);  // [B*H, T, hd]
-  cached_batch_ = b;
-  return proj_.forward(merge_heads(ctx, heads_));
+  AttentionCore core = attention_core(qkv_.forward(tokens), heads_);
+  cached_q_ = std::move(core.q);
+  cached_k_ = std::move(core.k);
+  cached_v_ = std::move(core.v);
+  cached_attn_ = std::move(core.attn);
+  cached_batch_ = tokens.dim(0);
+  return proj_.forward(core.ctx);
 }
 
 Tensor MultiHeadAttention::infer(const Tensor& tokens) const {
   ITASK_CHECK(tokens.ndim() == 3 && tokens.dim(2) == dim_,
               "MultiHeadAttention: need [B, T, dim]");
-  const int64_t b = tokens.dim(0), t = tokens.dim(1);
-  Tensor qkv = qkv_.infer(tokens);  // [B, T, 3D]
-  Tensor q({b, t, dim_}), k({b, t, dim_}), v({b, t, dim_});
-  {
-    auto src = qkv.data();
-    auto qd = q.data(), kd = k.data(), vd = v.data();
-    for (int64_t r = 0; r < b * t; ++r) {
-      const float* row = src.data() + r * 3 * dim_;
-      std::copy(row, row + dim_, qd.data() + r * dim_);
-      std::copy(row + dim_, row + 2 * dim_, kd.data() + r * dim_);
-      std::copy(row + 2 * dim_, row + 3 * dim_, vd.data() + r * dim_);
-    }
-  }
-  const Tensor qh = split_heads(q, heads_);  // [B*H, T, hd]
-  const Tensor kh = split_heads(k, heads_);
-  const Tensor vh = split_heads(v, heads_);
-  Tensor scores = ops::mul_scalar(ops::bmm_bt(qh, kh), scale_);  // [B*H,T,T]
-  Tensor ctx = ops::bmm(ops::softmax_lastdim(scores), vh);  // [B*H, T, hd]
-  return proj_.infer(merge_heads(ctx, heads_));
+  return proj_.infer(attention_core(qkv_.infer(tokens), heads_).ctx);
 }
 
 Tensor MultiHeadAttention::backward(const Tensor& grad_out) {

@@ -62,6 +62,45 @@ Tensor unpatchify_grad(const Tensor& grad_patches, int64_t patch, int64_t c,
   return out;
 }
 
+Tensor assemble_tokens(const Tensor& projected, const Tensor& cls,
+                       const Tensor& pos) {
+  ITASK_CHECK(projected.ndim() == 3, "assemble_tokens: need [B, T, D]");
+  const int64_t b = projected.dim(0), t = projected.dim(1),
+                d = projected.dim(2);
+  ITASK_CHECK(cls.shape() == (Shape{d}) && pos.shape() == (Shape{t + 1, d}),
+              "assemble_tokens: cls/pos shape mismatch");
+  Tensor out({b, t + 1, d});
+  auto o = out.data();
+  auto pd = projected.data();
+  auto cd = cls.data();
+  auto pp = pos.data();
+  for (int64_t bi = 0; bi < b; ++bi) {
+    float* base = o.data() + bi * (t + 1) * d;
+    for (int64_t j = 0; j < d; ++j) base[j] = cd[j] + pp[j];
+    for (int64_t ti = 0; ti < t; ++ti) {
+      const float* src = pd.data() + (bi * t + ti) * d;
+      float* dst = base + (ti + 1) * d;
+      const float* prow = pp.data() + (ti + 1) * d;
+      for (int64_t j = 0; j < d; ++j) dst[j] = src[j] + prow[j];
+    }
+  }
+  return out;
+}
+
+Tensor patch_tokens(const Tensor& tokens) {
+  ITASK_CHECK(tokens.ndim() == 3 && tokens.dim(1) >= 1,
+              "patch_tokens: need [B, T+1, D]");
+  const int64_t b = tokens.dim(0), t = tokens.dim(1) - 1, d = tokens.dim(2);
+  Tensor out({b, t, d});
+  auto in = tokens.data();
+  auto o = out.data();
+  for (int64_t bi = 0; bi < b; ++bi) {
+    const float* src = in.data() + (bi * (t + 1) + 1) * d;
+    std::copy(src, src + t * d, o.data() + bi * t * d);
+  }
+  return out;
+}
+
 PatchEmbed::PatchEmbed(int64_t image_size, int64_t patch_size,
                        int64_t channels, int64_t dim, Rng& rng)
     : image_size_(image_size),
@@ -79,54 +118,22 @@ PatchEmbed::PatchEmbed(int64_t image_size, int64_t patch_size,
 }
 
 Tensor PatchEmbed::forward(const Tensor& images) {
-  ITASK_CHECK(images.ndim() == 4 && images.dim(1) == channels_ &&
-                  images.dim(2) == image_size_ && images.dim(3) == image_size_,
-              "PatchEmbed: unexpected image shape");
-  const int64_t b = images.dim(0);
-  cached_batch_ = b;
-  Tensor patches = patchify(images, patch_size_);        // [B, T, pv]
-  Tensor projected = proj_.forward(patches);             // [B, T, D]
-  Tensor out({b, tokens_ + 1, dim_});
-  auto o = out.data();
-  auto pd = projected.data();
-  auto cls = cls_.value.data();
-  auto pos = pos_.value.data();
-  for (int64_t bi = 0; bi < b; ++bi) {
-    float* base = o.data() + bi * (tokens_ + 1) * dim_;
-    for (int64_t j = 0; j < dim_; ++j) base[j] = cls[j] + pos[j];
-    for (int64_t ti = 0; ti < tokens_; ++ti) {
-      const float* src = pd.data() + (bi * tokens_ + ti) * dim_;
-      float* dst = base + (ti + 1) * dim_;
-      const float* prow = pos.data() + (ti + 1) * dim_;
-      for (int64_t j = 0; j < dim_; ++j) dst[j] = src[j] + prow[j];
-    }
-  }
-  return out;
+  check_images(images);
+  cached_batch_ = images.dim(0);
+  return assemble_tokens(proj_.forward(patchify(images, patch_size_)),
+                         cls_.value, pos_.value);
 }
 
 Tensor PatchEmbed::infer(const Tensor& images) const {
+  check_images(images);
+  return assemble_tokens(proj_.infer(patchify(images, patch_size_)),
+                         cls_.value, pos_.value);
+}
+
+void PatchEmbed::check_images(const Tensor& images) const {
   ITASK_CHECK(images.ndim() == 4 && images.dim(1) == channels_ &&
                   images.dim(2) == image_size_ && images.dim(3) == image_size_,
               "PatchEmbed: unexpected image shape");
-  const int64_t b = images.dim(0);
-  Tensor patches = patchify(images, patch_size_);        // [B, T, pv]
-  Tensor projected = proj_.infer(patches);               // [B, T, D]
-  Tensor out({b, tokens_ + 1, dim_});
-  auto o = out.data();
-  auto pd = projected.data();
-  auto cls = cls_.value.data();
-  auto pos = pos_.value.data();
-  for (int64_t bi = 0; bi < b; ++bi) {
-    float* base = o.data() + bi * (tokens_ + 1) * dim_;
-    for (int64_t j = 0; j < dim_; ++j) base[j] = cls[j] + pos[j];
-    for (int64_t ti = 0; ti < tokens_; ++ti) {
-      const float* src = pd.data() + (bi * tokens_ + ti) * dim_;
-      float* dst = base + (ti + 1) * dim_;
-      const float* prow = pos.data() + (ti + 1) * dim_;
-      for (int64_t j = 0; j < dim_; ++j) dst[j] = src[j] + prow[j];
-    }
-  }
-  return out;
 }
 
 Tensor PatchEmbed::backward(const Tensor& grad_tokens) {

@@ -15,6 +15,18 @@ Tensor patchify(const Tensor& images, int64_t patch);
 Tensor unpatchify_grad(const Tensor& grad_patches, int64_t patch, int64_t c,
                        int64_t h, int64_t w);
 
+/// Token assembly: projected patches [B, T, D] -> tokens [B, T+1, D], with
+/// token 0 = cls + pos[0] and token t+1 = patch t + pos[t+1]. `cls` is [D],
+/// `pos` is [T+1, D]. The one definition shared by PatchEmbed::forward/infer
+/// and the quantized runtime.
+Tensor assemble_tokens(const Tensor& projected, const Tensor& cls,
+                       const Tensor& pos);
+
+/// Inverse split of assemble_tokens' layout: drops the CLS token of an
+/// encoder output [B, T+1, D], returning the patch tokens [B, T, D] that
+/// the detection heads read.
+Tensor patch_tokens(const Tensor& tokens);
+
 /// Linear patch projection with a learned CLS token and positional embedding.
 /// Output is [B, T+1, dim]; token 0 is the CLS token.
 class PatchEmbed : public Module {
@@ -36,6 +48,8 @@ class PatchEmbed : public Module {
   int64_t patch_size() const { return patch_size_; }
 
  private:
+  void check_images(const Tensor& images) const;
+
   int64_t image_size_;
   int64_t patch_size_;
   int64_t channels_;

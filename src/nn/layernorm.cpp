@@ -6,6 +6,34 @@
 
 namespace itask::nn {
 
+namespace {
+
+/// The one definition of LayerNorm's per-row arithmetic: normalises the `c`
+/// values at `x`, writes the normalised row to `xhat` and xhat·γ + β to `y`,
+/// and returns 1/sqrt(var + eps). `xhat` and `y` may alias each other and
+/// `x` (every element is read before it is written), which is how the
+/// serving path runs it in place without materialising xhat.
+float layernorm_row(const float* x, const float* g, const float* b, int64_t c,
+                    float eps, float* xhat, float* y) {
+  float mean = 0.0f;
+  for (int64_t j = 0; j < c; ++j) mean += x[j];
+  mean /= static_cast<float>(c);
+  float var = 0.0f;
+  for (int64_t j = 0; j < c; ++j) {
+    const float d = x[j] - mean;
+    var += d * d;
+  }
+  var /= static_cast<float>(c);
+  const float rstd = 1.0f / std::sqrt(var + eps);
+  for (int64_t j = 0; j < c; ++j) {
+    xhat[j] = (x[j] - mean) * rstd;
+    y[j] = xhat[j] * g[j] + b[j];
+  }
+  return rstd;
+}
+
+}  // namespace
+
 Tensor layernorm_affine(const Tensor& x, const Tensor& gamma,
                         const Tensor& beta, float eps) {
   ITASK_CHECK(gamma.ndim() == 1 && gamma.shape() == beta.shape(),
@@ -20,22 +48,7 @@ Tensor layernorm_affine(const Tensor& x, const Tensor& gamma,
   auto b = beta.data();
   for (int64_t r = 0; r < rows; ++r) {
     float* row = o.data() + r * c;
-    float mean = 0.0f;
-    for (int64_t j = 0; j < c; ++j) mean += row[j];
-    mean /= static_cast<float>(c);
-    float var = 0.0f;
-    for (int64_t j = 0; j < c; ++j) {
-      const float d = row[j] - mean;
-      var += d * d;
-    }
-    var /= static_cast<float>(c);
-    const float rstd = 1.0f / std::sqrt(var + eps);
-    // Statement structure mirrors LayerNorm::forward so infer stays
-    // element-wise identical under fp contraction (asserted in test_runtime).
-    for (int64_t j = 0; j < c; ++j) {
-      const float xhat = (row[j] - mean) * rstd;
-      row[j] = xhat * g[j] + b[j];
-    }
+    (void)layernorm_row(row, g.data(), b.data(), c, eps, row, row);
   }
   return out;
 }
@@ -61,24 +74,8 @@ Tensor LayerNorm::forward(const Tensor& input) {
   auto g = gamma_.value.data();
   auto b = beta_.value.data();
   for (int64_t r = 0; r < rows; ++r) {
-    const float* row = in.data() + r * c;
-    float mean = 0.0f;
-    for (int64_t j = 0; j < c; ++j) mean += row[j];
-    mean /= static_cast<float>(c);
-    float var = 0.0f;
-    for (int64_t j = 0; j < c; ++j) {
-      const float d = row[j] - mean;
-      var += d * d;
-    }
-    var /= static_cast<float>(c);
-    const float r_std = 1.0f / std::sqrt(var + eps_);
-    rs[r] = r_std;
-    float* xrow = xh.data() + r * c;
-    float* orow = o.data() + r * c;
-    for (int64_t j = 0; j < c; ++j) {
-      xrow[j] = (row[j] - mean) * r_std;
-      orow[j] = xrow[j] * g[j] + b[j];
-    }
+    rs[r] = layernorm_row(in.data() + r * c, g.data(), b.data(), c, eps_,
+                          xh.data() + r * c, o.data() + r * c);
   }
   cached_xhat_ = std::move(xhat);
   cached_rstd_ = std::move(rstd);

@@ -5,9 +5,10 @@
 
 namespace itask::nn {
 
-/// Stateless affine layernorm over the trailing axis — the single fp32
-/// implementation shared by LayerNorm::infer and the quantized runtime
-/// (which keeps LayerNorm in fp32, see quant/qvit.h).
+/// Stateless affine layernorm over the trailing axis, used by
+/// LayerNorm::infer and the quantized runtime (which keeps LayerNorm in
+/// fp32, see quant/qvit.h). It runs the same per-row routine as
+/// LayerNorm::forward, without keeping the normalised rows.
 Tensor layernorm_affine(const Tensor& x, const Tensor& gamma,
                         const Tensor& beta, float eps = 1e-5f);
 

@@ -22,11 +22,6 @@ void Module::zero_grad() {
   for (Parameter* p : parameters()) p->zero_grad();
 }
 
-void Module::set_training(bool training) {
-  training_ = training;
-  for (auto& c : children_) c.module->set_training(training);
-}
-
 io::StateDict Module::state_dict() {
   io::StateDict state;
   for (auto& p : params_) state.emplace(p->name, p->value);

@@ -52,10 +52,10 @@ constexpr int64_t kMC = 128;
 constexpr int64_t kNC = 128;
 
 // Bounded like the fp32 workspaces (tensor/gemm.cpp): exact reservation, no
-// geometric overshoot, capacity ≤ one KC slab of panels per operand, storage
-// released on thread exit by the thread_local destructors.
+// geometric overshoot, capacity ≤ one KC×MC slab of activation panels,
+// storage released on thread exit by the thread_local destructor. Weights
+// never need one: they are packed once, when quantized.
 thread_local std::vector<int16_t> tl_apack;
-thread_local std::vector<int16_t> tl_wpack;
 
 int16_t* pack_workspace_i16(std::vector<int16_t>& ws, int64_t elems) {
   const auto n = static_cast<size_t>(elems);
@@ -208,47 +208,6 @@ void run_mc_slab_i8(const int8_t* a, int64_t k, int64_t ic, int64_t m,
 
 }  // namespace
 
-void int8_gemm_bt_packed(std::span<const int8_t> a, int32_t a_zero_point,
-                         std::span<const int8_t> w,
-                         std::span<const int32_t> w_row_sums,
-                         std::span<int32_t> acc, int64_t m, int64_t k,
-                         int64_t n) {
-  ITASK_CHECK(static_cast<int64_t>(a.size()) == m * k, "int8_gemm: a size");
-  ITASK_CHECK(static_cast<int64_t>(w.size()) == n * k, "int8_gemm: w size");
-  ITASK_CHECK(static_cast<int64_t>(acc.size()) == m * n, "int8_gemm: acc size");
-  ITASK_CHECK(static_cast<int64_t>(w_row_sums.size()) == n,
-              "int8_gemm: row_sums size");
-  if (m <= 0 || n <= 0) return;
-  if (k <= 0) {
-    std::fill(acc.begin(), acc.end(), 0);
-    return;
-  }
-  // zp·Σw correction per output column, applied while writing the first slab.
-  ScratchVec<int32_t> corr(n, /*zero_fill=*/false);
-  for (int64_t j = 0; j < n; ++j) corr[j] = a_zero_point * w_row_sums[j];
-  for (int64_t pc = 0; pc < k; pc += kKC) {
-    const int64_t kc = std::min(kKC, k - pc);
-    const int64_t plen = 2 * pair_steps(kc);  // int16 slots per panel lane
-    const bool first = pc == 0;
-    for (int64_t jc = 0; jc < n; jc += kNC) {
-      const int64_t nc = std::min(kNC, n - jc);
-      const int64_t npanels = (nc + kNR - 1) / kNR;
-      int16_t* wpack = pack_workspace_i16(tl_wpack, npanels * kNR * plen);
-      {
-        // Profiling hooks at cache-block granularity (see tensor/profile.h):
-        // one relaxed atomic load per block when disabled.
-        ITASK_PROFILE_SCOPE(profile::Section::kInt8Pack);
-        // W is [n, k] row-major — the same rows-into-panels pack as A.
-        pack_rows(w.data(), k, jc, nc, pc, kc, kNR, wpack);
-      }
-      for (int64_t ic = 0; ic < m; ic += kMC) {
-        run_mc_slab_i8(a.data(), k, ic, m, pc, kc, jc, npanels, wpack,
-                       acc.data(), n, corr.data(), first);
-      }
-    }
-  }
-}
-
 PackedWeightInt8 pack_weights_int8(std::span<const int8_t> w, int64_t n,
                                    int64_t k) {
   ITASK_CHECK(static_cast<int64_t>(w.size()) == n * k,
@@ -295,8 +254,6 @@ void int8_gemm_bt_prepacked(std::span<const int8_t> a, int32_t a_zero_point,
     std::fill(acc.begin(), acc.end(), 0);
     return;
   }
-  ITASK_PROFILE_COUNT(profile::Counter::kInt8PrepackedCalls, 1);
-  ITASK_PROFILE_COUNT(profile::Counter::kInt8PackBytesAvoided, w.bytes());
   ScratchVec<int32_t> corr(n, /*zero_fill=*/false);
   for (int64_t j = 0; j < n; ++j) corr[j] = a_zero_point * w_row_sums[j];
   const int16_t* block = w.data.data();
@@ -316,10 +273,13 @@ void int8_gemm_bt_prepacked(std::span<const int8_t> a, int32_t a_zero_point,
   }
 }
 
-void QuantizedWeight::prepack() {
-  if (packed != nullptr) return;  // idempotent — no writes once packed
-  packed = std::make_shared<const PackedWeightInt8>(
-      pack_weights_int8(data, out, in));
+QuantizedWeight quantize_weight_packed(const Tensor& weight,
+                                       WeightGranularity granularity,
+                                       int bits) {
+  QuantizedWeight qw = quantize_weight(weight, granularity, bits);
+  qw.packed = std::make_shared<const PackedWeightInt8>(
+      pack_weights_int8(qw.data, qw.out, qw.in));
+  return qw;
 }
 
 Tensor qlinear_forward(const Tensor& x, const QuantParams& act,
@@ -329,6 +289,11 @@ Tensor qlinear_forward(const Tensor& x, const QuantParams& act,
   ITASK_CHECK(x.dim(x.ndim() - 1) == in, "qlinear_forward: trailing dim");
   const int64_t rows = x.numel() / in;
   const int64_t out = weight.out;
+  ITASK_CHECK(weight.packed != nullptr && weight.packed->k == in &&
+                  weight.packed->n == out &&
+                  static_cast<int64_t>(weight.row_sums.size()) == out,
+              "qlinear_forward: weight has no packed panels or row sums "
+              "(build it with quantize_weight_packed)");
   // Scratch comes from the worker's arena under an ArenaScope (the serving
   // hot path) and from the heap otherwise — same values either way.
   ScratchVec<int8_t> qx(rows * in, /*zero_fill=*/false);
@@ -337,29 +302,12 @@ Tensor qlinear_forward(const Tensor& x, const QuantParams& act,
     quantize_tensor_into(x, act, std::span<int8_t>(qx.data(), qx.size()));
   }
   ScratchVec<int32_t> acc(rows * out);
-  std::vector<int32_t> fallback_sums;  // hand-built weight, no finalize table
-  std::span<const int32_t> sums;
-  if (static_cast<int64_t>(weight.row_sums.size()) == out) {
-    sums = weight.row_sums;
-  } else {
-    fallback_sums = weight_row_sums(weight.data, out, in);
-    sums = fallback_sums;
-  }
   const std::span<const int8_t> qx_span(qx.data(),
                                         static_cast<size_t>(qx.size()));
   const std::span<int32_t> acc_span(acc.data(),
                                     static_cast<size_t>(acc.size()));
-  if (weight.packed != nullptr) {
-    // Publish-time pre-packed weight (QuantizedWeight::prepack): skip the
-    // per-call W pack. Bit-identical to the pack-per-call path.
-    ITASK_CHECK(weight.packed->k == in && weight.packed->n == out,
-                "qlinear_forward: packed cache shape mismatch");
-    int8_gemm_bt_prepacked(qx_span, act.zero_point, *weight.packed, sums,
-                           acc_span, rows);
-  } else {
-    int8_gemm_bt_packed(qx_span, act.zero_point, weight.data, sums, acc_span,
-                        rows, in, out);
-  }
+  int8_gemm_bt_prepacked(qx_span, act.zero_point, *weight.packed,
+                         weight.row_sums, acc_span, rows);
   // Dequant scale per output column (activation scale × per-row weight
   // scale), hoisted out of the element loop.
   ScratchVec<float> col_scale(out, /*zero_fill=*/false);

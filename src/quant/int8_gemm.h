@@ -5,9 +5,10 @@
 //  * int8_gemm_bt — the naive triple loop, retained as the parity oracle
 //    (the functional systolic array asserts against it) and the "before"
 //    side of bench_k0_gemm;
-//  * int8_gemm_bt_packed — the deployed kernel: cache-blocked with int16
-//    operand panels and int32 register-tile accumulators, plus a
-//    precomputed per-output-row Σw table for the zero-point correction.
+//  * int8_gemm_bt_prepacked — the deployed kernel: cache-blocked over a
+//    weight packed once into int16 panels when it is quantized, with int32
+//    register-tile accumulators and a precomputed per-output-row Σw table
+//    for the zero-point correction.
 // Integer addition is associative, so both produce bit-identical results.
 #pragma once
 
@@ -25,21 +26,11 @@ void int8_gemm_bt(std::span<const int8_t> a, int32_t a_zero_point,
                   std::span<const int8_t> w, std::span<int32_t> acc,
                   int64_t m, int64_t k, int64_t n);
 
-/// Blocked/packed variant of int8_gemm_bt. `w_row_sums` is the per-output-row
-/// Σw table (QuantizedWeight::row_sums, built once at finalize()); the
-/// zero-point correction acc = a·w − zp·Σw then costs one multiply per
-/// output instead of a weight pass per call. Bit-identical to int8_gemm_bt.
-void int8_gemm_bt_packed(std::span<const int8_t> a, int32_t a_zero_point,
-                         std::span<const int8_t> w,
-                         std::span<const int32_t> w_row_sums,
-                         std::span<int32_t> acc, int64_t m, int64_t k,
-                         int64_t n);
-
-/// A weight matrix widened and packed ONCE into the int16 k-pair NR-lane
-/// panels int8_gemm_bt_packed otherwise builds per call (the vpmaddwd /
-/// AVX512-VNNI operand shape), stored in the (KC-slab, NC-slab) order the
-/// driver visits them. Built at publish time via QuantizedWeight::prepack();
-/// read-only after construction, safe to share across inference workers.
+/// A weight matrix widened and packed ONCE into int16 k-pair NR-lane panels
+/// (the vpmaddwd / AVX512-VNNI operand shape), stored in the (KC-slab,
+/// NC-slab) order the GEMM loop nest visits them. Built by
+/// quantize_weight_packed when a layer is finalized; read-only after
+/// construction, safe to share across inference workers.
 struct PackedWeightInt8 {
   int64_t k = 0;  // inner (reduction) extent
   int64_t n = 0;  // output columns (= weight rows in the [N,K] layout)
@@ -54,17 +45,28 @@ struct PackedWeightInt8 {
 PackedWeightInt8 pack_weights_int8(std::span<const int8_t> w, int64_t n,
                                    int64_t k);
 
-/// int8_gemm_bt_packed with the weight pre-packed. Integer addition is
-/// associative and the panels/loop order are identical, so this is
-/// bit-identical to both packed and naive variants.
+/// The blocked INT8 GEMM over a packed weight: acc[m, n] = (a − zp)·wᵀ.
+/// `w_row_sums` is the per-output-row Σw table (QuantizedWeight::row_sums),
+/// so the zero-point correction acc = a·w − zp·Σw costs one multiply per
+/// output instead of a weight pass per call. Bit-identical to int8_gemm_bt.
 void int8_gemm_bt_prepacked(std::span<const int8_t> a, int32_t a_zero_point,
                             const PackedWeightInt8& w,
                             std::span<const int32_t> w_row_sums,
                             std::span<int32_t> acc, int64_t m);
 
+/// quantize_weight plus the packed panels qlinear_forward runs on — the
+/// serving form of a weight, built once by QLinearLayer::finalize. (QAT's
+/// fake quantization calls plain quantize_weight every step and packs
+/// nothing.)
+QuantizedWeight quantize_weight_packed(const Tensor& weight,
+                                       WeightGranularity granularity,
+                                       int bits = 8);
+
 /// Full quantized linear: quantizes `x` with `act`, runs the packed INT8
 /// GEMM against `weight`, and dequantizes with per-row weight scales, adding
-/// `bias`. x: [rows, in] FP32; returns [rows, out] FP32.
+/// `bias`. x: [rows, in] FP32; returns [rows, out] FP32. `weight` must carry
+/// its packed panels and row sums (quantize_weight_packed); a bare
+/// quantize_weight result is rejected.
 Tensor qlinear_forward(const Tensor& x, const QuantParams& act,
                        const QuantizedWeight& weight, const Tensor* bias);
 

@@ -18,7 +18,6 @@ bool is_quantized_weight(const nn::Parameter& p) {
 QatStats qat_finetune(vit::VitModel& model, const data::Dataset& dataset,
                       const QatOptions& options, const data::TaskSpec* task) {
   ITASK_CHECK(dataset.size() > 0, "qat_finetune: empty dataset");
-  model.set_training(true);
   const auto params = model.parameters();
   nn::Adam optimizer(params, options.lr);
   Rng rng(options.seed);
@@ -67,7 +66,6 @@ QatStats qat_finetune(vit::VitModel& model, const data::Dataset& dataset,
       ++stats.steps;
     }
   }
-  model.set_training(false);
   return stats;
 }
 

@@ -67,22 +67,15 @@ struct QuantizedWeight {
   /// activation zero-point correction (a−zp)·w = a·w − zp·Σw needs no
   /// per-call weight pass.
   std::vector<int32_t> row_sums;  // size `out`
-  /// Serving-time cache: the weight pre-packed into the kernel's int16
-  /// k-pair panels (consumed by qlinear_forward → int8_gemm_bt_prepacked).
-  /// Null until prepack(); shared so snapshots holding the same model share
-  /// one packing.
+  /// The weight packed into the kernel's int16 k-pair panels (consumed by
+  /// qlinear_forward → int8_gemm_bt_prepacked). Set by
+  /// quantize_weight_packed; null in a bare quantize_weight result.
   std::shared_ptr<const PackedWeightInt8> packed;
 
   float scale_for_row(int64_t row) const {
     return scales.size() == 1 ? scales[0]
                               : scales[static_cast<size_t>(row)];
   }
-
-  /// Builds `packed` once (defined in int8_gemm.cpp). Idempotent: once
-  /// packed, later calls are pure reads, so re-publishing a model an
-  /// installed snapshot already serves performs no writes. Publish-time
-  /// only — quantized weights never change after finalize().
-  void prepack();
 };
 
 enum class WeightGranularity { kPerTensor, kPerChannel };

@@ -1,7 +1,5 @@
 #include "quant/qvit.h"
 
-#include <cmath>
-
 #include "nn/attention.h"
 #include "nn/embedding.h"
 #include "nn/layernorm.h"
@@ -53,15 +51,10 @@ Tensor QLinearLayer::forward(const Tensor& x) const {
 void QLinearLayer::finalize(const QuantOptions& options) {
   ITASK_CHECK(calibrator_ != nullptr, "QLinearLayer: double finalize");
   act_ = calibrator_->finalize().with_bits(options.activation_bits);
-  qweight_ =
-      quantize_weight(fp32_weight_, options.granularity, options.weight_bits);
+  qweight_ = quantize_weight_packed(fp32_weight_, options.granularity,
+                                    options.weight_bits);
   calibrator_.reset();
   finalized_ = true;
-}
-
-void QLinearLayer::prepack() {
-  ITASK_CHECK(finalized_, "QLinearLayer: prepack before finalize");
-  qweight_.prepack();
 }
 
 QuantizedVit::QuantizedVit(const vit::ViTConfig& config,
@@ -113,53 +106,13 @@ QuantizedVit QuantizedVit::from_model(vit::VitModel& model,
 template <typename Self, typename Apply>
 vit::VitOutput QuantizedVit::run(Self& self, const Tensor& images,
                                  Apply&& apply) {
-  const int64_t b = images.dim(0);
-  const int64_t t = self.config_.tokens();
-  const int64_t d = self.config_.dim;
-  // Patch embedding.
-  Tensor patches = nn::patchify(images, self.config_.patch_size);
-  Tensor projected = apply(self.patch_proj_, patches);  // [B, T, D]
-  Tensor x({b, t + 1, d});
-  {
-    auto o = x.data();
-    auto pd = projected.data();
-    auto cls = self.cls_.data();
-    auto pos = self.pos_.data();
-    for (int64_t bi = 0; bi < b; ++bi) {
-      float* base = o.data() + bi * (t + 1) * d;
-      for (int64_t j = 0; j < d; ++j) base[j] = cls[j] + pos[j];
-      for (int64_t ti = 0; ti < t; ++ti) {
-        const float* src = pd.data() + (bi * t + ti) * d;
-        float* dst = base + (ti + 1) * d;
-        const float* prow = pos.data() + (ti + 1) * d;
-        for (int64_t j = 0; j < d; ++j) dst[j] = src[j] + prow[j];
-      }
-    }
-  }
-  // Encoder blocks.
-  const float scale =
-      1.0f / std::sqrt(static_cast<float>(d / self.config_.heads));
+  Tensor x = nn::assemble_tokens(
+      apply(self.patch_proj_, nn::patchify(images, self.config_.patch_size)),
+      self.cls_, self.pos_);  // [B, T+1, D]
   for (auto& blk : self.blocks_) {
     Tensor normed = nn::layernorm_affine(x, blk.ln1.gamma, blk.ln1.beta);
-    Tensor qkv = apply(blk.qkv, normed);  // [B, T+1, 3D]
-    const int64_t rows = b * (t + 1);
-    Tensor q({b, t + 1, d}), k({b, t + 1, d}), v({b, t + 1, d});
-    {
-      auto src = qkv.data();
-      auto qd = q.data(), kd = k.data(), vd = v.data();
-      for (int64_t r = 0; r < rows; ++r) {
-        const float* row = src.data() + r * 3 * d;
-        std::copy(row, row + d, qd.data() + r * d);
-        std::copy(row + d, row + 2 * d, kd.data() + r * d);
-        std::copy(row + 2 * d, row + 3 * d, vd.data() + r * d);
-      }
-    }
-    Tensor qh = nn::split_heads(q, self.config_.heads);
-    Tensor kh = nn::split_heads(k, self.config_.heads);
-    Tensor vh = nn::split_heads(v, self.config_.heads);
-    Tensor attn = ops::softmax_lastdim(
-        ops::mul_scalar(ops::bmm_bt(qh, kh), scale));
-    Tensor ctx = nn::merge_heads(ops::bmm(attn, vh), self.config_.heads);
+    Tensor ctx =
+        nn::attention_core(apply(blk.qkv, normed), self.config_.heads).ctx;
     Tensor attn_out = apply(blk.proj, ctx);
     x = ops::add(x, attn_out);
     Tensor normed2 = nn::layernorm_affine(x, blk.ln2.gamma, blk.ln2.beta);
@@ -168,16 +121,7 @@ vit::VitOutput QuantizedVit::run(Self& self, const Tensor& images,
   }
   Tensor tokens =
       nn::layernorm_affine(x, self.final_ln_.gamma, self.final_ln_.beta);
-  // Patch tokens → heads.
-  Tensor patch_feats({b, t, d});
-  {
-    auto in = tokens.data();
-    auto o = patch_feats.data();
-    for (int64_t bi = 0; bi < b; ++bi) {
-      const float* src = in.data() + (bi * (t + 1) + 1) * d;
-      std::copy(src, src + t * d, o.data() + bi * t * d);
-    }
-  }
+  Tensor patch_feats = nn::patch_tokens(tokens);  // [B, T, D]
   vit::VitOutput out;
   out.objectness = apply(self.obj_head_, patch_feats);
   out.class_logits = apply(self.cls_head_, patch_feats);
@@ -212,23 +156,6 @@ void QuantizedVit::finalize() {
   box_fc2_.finalize(options_);
   rel_head_.finalize(options_);
   finalized_ = true;
-}
-
-void QuantizedVit::prepack() {
-  ITASK_CHECK(finalized_, "QuantizedVit: prepack before finalize");
-  patch_proj_.prepack();
-  for (Block& blk : blocks_) {
-    blk.qkv.prepack();
-    blk.proj.prepack();
-    blk.fc1.prepack();
-    blk.fc2.prepack();
-  }
-  obj_head_.prepack();
-  cls_head_.prepack();
-  attr_head_.prepack();
-  box_fc1_.prepack();
-  box_fc2_.prepack();
-  rel_head_.prepack();
 }
 
 vit::VitOutput QuantizedVit::forward(const Tensor& images) const {

@@ -41,14 +41,10 @@ class QLinearLayer {
   /// INT8 path (requires finalize()).
   Tensor forward(const Tensor& x) const;
 
+  /// Freezes the activation range and quantizes the weight into the packed
+  /// panels forward() runs on — the weight's only serving form.
   void finalize(const QuantOptions& options);
   bool finalized() const { return finalized_; }
-
-  /// Builds the int16 k-pair panel cache int8_gemm_bt_prepacked consumes
-  /// (requires finalize()). Publish-time only; idempotent and write-free
-  /// once packed.
-  void prepack();
-  bool prepacked() const { return qweight_.packed != nullptr; }
 
   const QuantizedWeight& quantized_weight() const { return qweight_; }
   const QuantParams& activation_params() const { return act_; }
@@ -75,14 +71,8 @@ class QuantizedVit {
   /// Runs the FP32 path over calibration images, recording activations.
   void calibrate(const Tensor& images);
 
-  /// Freezes activation ranges and quantizes all weights.
+  /// Freezes activation ranges and quantizes (and packs) all weights.
   void finalize();
-
-  /// Pre-packs every quantized layer's weight for the serving kernels
-  /// (requires finalize()). Framework::publish() calls this on the model a
-  /// snapshot captures; idempotent, so re-publishing an already-served
-  /// model performs no writes.
-  void prepack();
 
   /// INT8 inference. Output mirrors VitModel::forward. Const and cache-free
   /// once finalized, so many threads may run it on one model concurrently.

@@ -27,8 +27,6 @@ const char* counter_name(Counter c) {
   switch (c) {
     case Counter::kGemmPrepackedCalls: return "gemm_prepacked_calls";
     case Counter::kGemmPackBytesAvoided: return "gemm_pack_bytes_avoided";
-    case Counter::kInt8PrepackedCalls: return "int8_prepacked_calls";
-    case Counter::kInt8PackBytesAvoided: return "int8_pack_bytes_avoided";
     case Counter::kCounterCount: break;
   }
   return "?";

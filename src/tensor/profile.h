@@ -37,15 +37,15 @@ enum class Section : int {
 
 const char* section_name(Section s);
 
-/// Event counters beside the section timers: the prepacked GEMM entry points
-/// tick these so the attribution tables show the pack work *avoided* by
-/// publish-time weight pre-packing instead of pack time silently vanishing.
-/// Same cost model as the timers: one relaxed load when disabled.
+/// Event counters beside the section timers: the fp32 prepacked GEMM entry
+/// point ticks these so the attribution tables show the pack work *avoided*
+/// by publish-time weight pre-packing instead of pack time silently
+/// vanishing. (INT8 weights have one packed form from quantization on, so
+/// there is no per-call alternative to count against.) Same cost model as
+/// the timers: one relaxed load when disabled.
 enum class Counter : int {
   kGemmPrepackedCalls = 0,  // fp32 gemm_bt_prepacked invocations
   kGemmPackBytesAvoided,    // fp32 B-panel bytes NOT packed thanks to prepack
-  kInt8PrepackedCalls,      // int8_gemm_bt_prepacked invocations
-  kInt8PackBytesAvoided,    // int16 W-panel bytes NOT packed thanks to prepack
   kCounterCount
 };
 

@@ -32,25 +32,11 @@ VitModel::VitModel(const ViTConfig& config, Rng& rng)
   }
 }
 
-Tensor VitModel::patch_tokens(const Tensor& tokens) const {
-  const int64_t b = tokens.dim(0);
-  const int64_t t = config_.tokens();
-  const int64_t d = config_.dim;
-  Tensor out({b, t, d});
-  auto in = tokens.data();
-  auto o = out.data();
-  for (int64_t bi = 0; bi < b; ++bi) {
-    const float* src = in.data() + (bi * (t + 1) + 1) * d;
-    std::copy(src, src + t * d, o.data() + bi * t * d);
-  }
-  return out;
-}
-
 VitOutput VitModel::forward(const Tensor& images) {
   const int64_t b = images.dim(0);
   cached_batch_ = b;
   Tensor tokens = encoder_.forward(embed_.forward(images));  // [B, T+1, D]
-  Tensor patches = patch_tokens(tokens);                     // [B, T, D]
+  Tensor patches = nn::patch_tokens(tokens);                 // [B, T, D]
   VitOutput out;
   out.objectness = obj_head_.forward(patches);
   out.class_logits = cls_head_.forward(patches);
@@ -63,7 +49,7 @@ VitOutput VitModel::forward(const Tensor& images) {
 
 VitOutput VitModel::infer(const Tensor& images) const {
   Tensor tokens = encoder_.infer(embed_.infer(images));  // [B, T+1, D]
-  Tensor patches = patch_tokens(tokens);                 // [B, T, D]
+  Tensor patches = nn::patch_tokens(tokens);             // [B, T, D]
   VitOutput out;
   out.objectness = obj_head_.infer(patches);
   out.class_logits = cls_head_.infer(patches);

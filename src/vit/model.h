@@ -63,9 +63,6 @@ class VitModel : public nn::Module {
   Tensor backward(const VitOutputGrads& grads);
 
  private:
-  /// Splits encoder output into (cls [B,1,D], patches [B,T,D]).
-  Tensor patch_tokens(const Tensor& tokens) const;
-
   ViTConfig config_;
   nn::PatchEmbed embed_;
   nn::TransformerEncoder encoder_;

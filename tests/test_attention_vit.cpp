@@ -1,6 +1,8 @@
 // Attention, transformer, patch embedding, and full-model gradient checks.
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "nn/attention.h"
 #include "nn/embedding.h"
 #include "nn/gradcheck.h"
@@ -224,6 +226,34 @@ TEST(VitModel, DeterministicForward) {
   Tensor img = data.randn({1, 3, 8, 8});
   EXPECT_TRUE(m1.forward(img).objectness.allclose(m2.forward(img).objectness,
                                                   0.0f));
+}
+
+// infer() and forward() run the same shared routines, so every output must
+// match bit for bit — with per-call packing and again after the serving
+// weights are prepacked.
+TEST(VitModel, InferBitIdenticalToForward) {
+  Rng rng(12);
+  vit::VitModel model(vit::ViTConfig::student(), rng);
+  const vit::ViTConfig& c = model.config();
+  const Tensor img = rng.rand({3, c.channels, c.image_size, c.image_size});
+  const vit::VitOutput want = model.forward(img);
+  auto same_bits = [](const Tensor& a, const Tensor& b) {
+    return a.shape() == b.shape() &&
+           std::memcmp(a.data().data(), b.data().data(),
+                       static_cast<size_t>(a.numel()) * sizeof(float)) == 0;
+  };
+  auto expect_identical = [&](const vit::VitOutput& got, const char* when) {
+    SCOPED_TRACE(when);
+    EXPECT_TRUE(same_bits(got.objectness, want.objectness));
+    EXPECT_TRUE(same_bits(got.class_logits, want.class_logits));
+    EXPECT_TRUE(same_bits(got.attr_logits, want.attr_logits));
+    EXPECT_TRUE(same_bits(got.box_deltas, want.box_deltas));
+    EXPECT_TRUE(same_bits(got.relevance, want.relevance));
+    EXPECT_TRUE(same_bits(got.features, want.features));
+  };
+  expect_identical(model.infer(img), "before prepack");
+  model.prepack_for_serving();
+  expect_identical(model.infer(img), "after prepack");
 }
 
 TEST(Workload, OpInventoryMatchesConfig) {

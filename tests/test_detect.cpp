@@ -2,8 +2,10 @@
 // metrics against hand-constructed scenarios, and the output decoder.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
+#include "core/snapshot.h"
 #include "detect/decoder.h"
 #include "detect/metrics.h"
 #include "detect/nms.h"
@@ -275,6 +277,49 @@ TEST(Decoder, GridMismatchThrows) {
   options.grid = 4;  // 16 ≠ 9
   options.image_size = 24;
   EXPECT_THROW(decode(out, options), std::invalid_argument);
+}
+
+TEST(Decoder, NanLogitsNeverYieldNanConfidences) {
+  // Cell 0 has a NaN objectness logit, cell 4 a NaN relevance logit, cell 8
+  // is an ordinary confident detection. A NaN confidence would break
+  // detection_order's strict weak ordering inside nms, so both thresholds
+  // must reject NaN in either configuration.
+  const float nan = std::nanf("");
+  vit::VitOutput out;
+  out.objectness = Tensor({1, 9, 1}, -5.0f);
+  out.objectness.at({0, 0, 0}) = nan;
+  out.objectness.at({0, 4, 0}) = 5.0f;
+  out.objectness.at({0, 8, 0}) = 5.0f;
+  out.class_logits = Tensor({1, 9, 3});
+  out.attr_logits = Tensor({1, 9, 4});
+  for (int64_t cell = 0; cell < 9; ++cell)
+    out.attr_logits.at({0, cell, 0}) = 5.0f;
+  out.box_deltas = Tensor({1, 9, 4});
+  out.relevance = Tensor({1, 9, 1}, 5.0f);
+  out.relevance.at({0, 4, 0}) = nan;
+  kg::CompiledTask task;
+  task.positive = Tensor({4}, {1.0f, 0.0f, 0.0f, 0.0f});
+  task.negative = Tensor({4});
+  task.class_affinity = Tensor({3});
+  task.threshold = 0.1f;  // attribute 0 alone makes every cell relevant
+  core::DetectionPipeline pipeline;
+  pipeline.decoder.grid = 3;
+  pipeline.decoder.image_size = 24;
+  for (const bool use_rel_head : {true, false}) {
+    const auto dets =
+        core::decode_and_match(out, task, use_rel_head, pipeline);
+    ASSERT_EQ(dets.size(), 1u);
+    std::vector<int64_t> cells;
+    for (const Detection& d : dets[0]) {
+      EXPECT_TRUE(std::isfinite(d.confidence)) << "cell " << d.cell;
+      EXPECT_TRUE(std::isfinite(d.task_score)) << "cell " << d.cell;
+      cells.push_back(d.cell);
+    }
+    std::sort(cells.begin(), cells.end());
+    const std::vector<int64_t> want =
+        use_rel_head ? std::vector<int64_t>{8} : std::vector<int64_t>{4, 8};
+    EXPECT_EQ(cells, want) << "use_rel_head=" << use_rel_head;
+  }
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <span>
 #include <tuple>
 #include <vector>
 
@@ -100,8 +101,8 @@ TEST_P(GemmKernelParity, Int8PackedBitExactVsNaive) {
   std::vector<int32_t> want(static_cast<size_t>(m * n));
   std::vector<int32_t> got(static_cast<size_t>(m * n), -1);
   quant::int8_gemm_bt(a, zp, w, want, m, k, n);
-  quant::int8_gemm_bt_packed(a, zp, w, quant::weight_row_sums(w, n, k), got,
-                             m, k, n);
+  quant::int8_gemm_bt_prepacked(a, zp, quant::pack_weights_int8(w, n, k),
+                                quant::weight_row_sums(w, n, k), got, m);
   EXPECT_EQ(got, want);
 }
 
@@ -140,24 +141,29 @@ TEST_P(GemmPrepackParity, Fp32BitExactVsPackPerCallAndCloseToReference) {
   expect_close(prepacked.data(), naive.data(), "prepacked vs naive");
 }
 
+// One packed weight serves every batch size: the panels are built once and
+// reused for m and for a 2m-row batch, each bit-exact vs the naive oracle.
 TEST_P(GemmPrepackParity, Int8BitExactVsPackedAndNaive) {
   const auto [m, k, n] = GetParam();
   Rng rng(static_cast<uint64_t>(m * 13 + k * 29 + n) + 11);
-  std::vector<int8_t> a(static_cast<size_t>(m * k));
+  std::vector<int8_t> a(static_cast<size_t>(2 * m * k));
   std::vector<int8_t> w(static_cast<size_t>(n * k));
   for (auto& v : a) v = static_cast<int8_t>(rng.randint(-128, 127));
   for (auto& v : w) v = static_cast<int8_t>(rng.randint(-128, 127));
   const int32_t zp = static_cast<int32_t>(rng.randint(-50, 50));
   const std::vector<int32_t> sums = quant::weight_row_sums(w, n, k);
-  std::vector<int32_t> naive(static_cast<size_t>(m * n));
-  std::vector<int32_t> packed(static_cast<size_t>(m * n), -1);
-  std::vector<int32_t> prepacked(static_cast<size_t>(m * n), -2);
-  quant::int8_gemm_bt(a, zp, w, naive, m, k, n);
-  quant::int8_gemm_bt_packed(a, zp, w, sums, packed, m, k, n);
   const quant::PackedWeightInt8 pw = quant::pack_weights_int8(w, n, k);
-  quant::int8_gemm_bt_prepacked(a, zp, pw, sums, prepacked, m);
-  EXPECT_EQ(prepacked, packed);
-  EXPECT_EQ(prepacked, naive);
+  EXPECT_EQ(pw.k, k);
+  EXPECT_EQ(pw.n, n);
+  for (const int64_t rows : {m, 2 * m}) {
+    const std::span<const int8_t> a_rows(a.data(),
+                                         static_cast<size_t>(rows * k));
+    std::vector<int32_t> naive(static_cast<size_t>(rows * n));
+    std::vector<int32_t> prepacked(static_cast<size_t>(rows * n), -2);
+    quant::int8_gemm_bt(a_rows, zp, w, naive, rows, k, n);
+    quant::int8_gemm_bt_prepacked(a_rows, zp, pw, sums, prepacked, rows);
+    EXPECT_EQ(prepacked, naive) << rows << " rows";
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -181,25 +187,31 @@ TEST(GemmPrepack, LinearInferUnchangedByPrepack) {
   // infer() must stay arithmetically identical to forward() — the prepacked
   // kernel is bit-identical, not merely close.
   EXPECT_TRUE(after.allclose(before, 0.0f));
-  layer.set_training(false);
   EXPECT_TRUE(layer.forward(x).allclose(before, 0.0f));
 }
 
+// qlinear_forward runs on the panels built when the weight was quantized;
+// its output must equal the naive oracle's integer GEMM, dequantized.
 TEST(GemmPrepack, QlinearForwardUnchangedByPrepack) {
   Rng rng(77);
   const Tensor w = rng.randn({40, 24});
-  quant::QuantizedWeight qw =
-      quant::quantize_weight(w, quant::WeightGranularity::kPerChannel);
+  const quant::QuantizedWeight qw =
+      quant::quantize_weight_packed(w, quant::WeightGranularity::kPerChannel);
+  ASSERT_NE(qw.packed, nullptr);
   const Tensor x = rng.randn({9, 24});
   const quant::QuantParams act = quant::QuantParams::asymmetric(-3.0f, 3.0f);
-  const Tensor before = quant::qlinear_forward(x, act, qw, nullptr);
-  qw.prepack();
-  ASSERT_NE(qw.packed, nullptr);
-  const auto* first = qw.packed.get();
-  qw.prepack();  // idempotent — the cache object is not rebuilt
-  EXPECT_EQ(qw.packed.get(), first);
-  const Tensor after = quant::qlinear_forward(x, act, qw, nullptr);
-  EXPECT_TRUE(after.allclose(before, 0.0f));  // int8 path is bit-exact
+  const Tensor got = quant::qlinear_forward(x, act, qw, nullptr);
+  const std::vector<int8_t> qx = quant::quantize_tensor(x, act);
+  std::vector<int32_t> acc(9 * 40);
+  quant::int8_gemm_bt(qx, act.zero_point, qw.data, acc, 9, 24, 40);
+  Tensor want({9, 40});
+  for (int64_t r = 0; r < 9; ++r)
+    for (int64_t j = 0; j < 40; ++j) {
+      const auto i = static_cast<size_t>(r * 40 + j);
+      want.at({r, j}) =
+          static_cast<float>(acc[i]) * (act.scale * qw.scale_for_row(j));
+    }
+  EXPECT_TRUE(got.allclose(want, 0.0f));  // int8 path is bit-exact
 }
 
 // Satellite: the per-thread pack workspaces must stay bounded by one slab
@@ -252,14 +264,19 @@ TEST(GemmKernel, RowSumsTableMatchesOnTheFly) {
   const quant::QuantizedWeight qw =
       quant::quantize_weight(w, quant::WeightGranularity::kPerChannel);
   EXPECT_EQ(qw.row_sums, quant::weight_row_sums(qw.data, qw.out, qw.in));
-  // qlinear_forward must accept a hand-built weight with no table.
-  quant::QuantizedWeight bare = qw;
-  bare.row_sums.clear();
+  // qlinear_forward runs only on the packed form: a weight missing its
+  // panels or its row-sum table is rejected, not silently re-derived.
+  quant::QuantizedWeight packed =
+      quant::quantize_weight_packed(w, quant::WeightGranularity::kPerChannel);
+  EXPECT_EQ(packed.row_sums, qw.row_sums);
   const Tensor x = rng.randn({4, 13});
   const quant::QuantParams act = quant::QuantParams::asymmetric(-3.0f, 3.0f);
-  const Tensor with_table = quant::qlinear_forward(x, act, qw, nullptr);
-  const Tensor without = quant::qlinear_forward(x, act, bare, nullptr);
-  EXPECT_TRUE(with_table.allclose(without, 0.0f));
+  EXPECT_NO_THROW(quant::qlinear_forward(x, act, packed, nullptr));
+  EXPECT_THROW(quant::qlinear_forward(x, act, qw, nullptr),
+               std::invalid_argument);  // bare quantize_weight: no panels
+  packed.row_sums.clear();
+  EXPECT_THROW(quant::qlinear_forward(x, act, packed, nullptr),
+               std::invalid_argument);
 }
 
 }  // namespace

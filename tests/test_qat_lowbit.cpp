@@ -102,7 +102,6 @@ TEST(Qat, ImprovesLowBitDeploymentAccuracy) {
         fake_quantize_weight(p->value, WeightGranularity::kPerChannel, 4);
     const auto idx = ds.all_indices();
     const data::Batch batch = ds.make_batch(idx);
-    m.set_training(false);
     const vit::VitOutput out = m.forward(batch.images);
     vit::VitOutputGrads grads;
     const auto losses =

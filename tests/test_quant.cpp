@@ -102,7 +102,7 @@ TEST(Int8Gemm, MatchesFp32Reference) {
   }
   const QuantParams act = QuantParams::asymmetric(lo, hi);
   const QuantizedWeight qw =
-      quantize_weight(w, WeightGranularity::kPerChannel);
+      quantize_weight_packed(w, WeightGranularity::kPerChannel);
   const Tensor out = qlinear_forward(x, act, qw, nullptr);
   // Error bound: per output ≈ k × (act quant err × |w| + x × w quant err).
   for (int64_t i = 0; i < ref.numel(); ++i)
@@ -213,7 +213,6 @@ vit::ViTConfig small_config() {
 TEST(QuantizedVit, TracksFp32ModelClosely) {
   Rng rng(9);
   vit::VitModel model(small_config(), rng);
-  model.set_training(false);
   Tensor images = rng.rand({4, 3, 8, 8});
   const vit::VitOutput ref = model.forward(images);
 
@@ -276,7 +275,6 @@ class CalibMethodSweep : public ::testing::TestWithParam<CalibMethod> {};
 TEST_P(CalibMethodSweep, AllMethodsProduceWorkingRuntime) {
   Rng rng(13);
   vit::VitModel model(small_config(), rng);
-  model.set_training(false);
   Tensor images = rng.rand({4, 3, 8, 8});
   QuantOptions options;
   options.method = GetParam();
