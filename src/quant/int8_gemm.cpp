@@ -40,40 +40,28 @@ namespace {
 
 // Same blocking scheme as the fp32 kernel layer (tensor/gemm.cpp): MR×NR
 // int32 register accumulators over KC-slab panels. Operands are widened to
-// int16 at pack time and laid out in adjacent k-PAIRS per lane, which is
-// exactly the operand shape of the x86 int16 pair-dot instructions
-// (vpmaddwd / AVX512-VNNI vpdpwssd): one instruction per accumulator row
-// retires two k steps. int8·int8 products (≤ 127²) summed over any
-// practical k fit int32 with no overflow.
+// int16 and laid out in adjacent k-PAIRS per lane, which is exactly the
+// operand shape of the x86 int16 pair-dot instructions (vpmaddwd /
+// AVX512-VNNI vpdpwssd): one instruction per accumulator row retires two k
+// steps. int8·int8 products (≤ 127²) summed over any practical k fit int32
+// with no overflow. Both operands arrive packed whole before the loop nest
+// runs: weights once, when quantized; activations once per call, by one of
+// the two A producers below.
 constexpr int64_t kMR = 8;
 constexpr int64_t kNR = 16;
 constexpr int64_t kKC = 256;
-constexpr int64_t kMC = 128;
 constexpr int64_t kNC = 128;
-
-// Bounded like the fp32 workspaces (tensor/gemm.cpp): exact reservation, no
-// geometric overshoot, capacity ≤ one KC×MC slab of activation panels,
-// storage released on thread exit by the thread_local destructor. Weights
-// never need one: they are packed once, when quantized.
-thread_local std::vector<int16_t> tl_apack;
-
-int16_t* pack_workspace_i16(std::vector<int16_t>& ws, int64_t elems) {
-  const auto n = static_cast<size_t>(elems);
-  if (ws.capacity() < n) {
-    ws.clear();
-    ws.reserve(n);
-  }
-  ws.resize(n);
-  return ws.data();
-}
 
 inline int64_t pair_steps(int64_t kc) { return (kc + 1) / 2; }
 
-/// Packs rows [i0, i0+mc) × k [p0, p0+kc) of the row-major [m, k] activation
-/// matrix into `tile`-row panels of int16 k-pairs, zero-padded in both the
-/// row tail and the odd-k slot: panel[p2·tile·2 + i·2 + s] = src(i, 2p2+s).
-void pack_rows(const int8_t* src, int64_t ld, int64_t i0, int64_t mc,
-               int64_t p0, int64_t kc, int64_t tile, int16_t* out) {
+constexpr auto widen = [](int8_t v) -> int16_t { return v; };
+
+/// Packs rows [i0, i0+mc) × k [p0, p0+kc) of a row-major matrix into
+/// `tile`-row panels of int16 k-pairs, zero-padded in both the row tail and
+/// the odd-k slot: panel[p2·tile·2 + i·2 + s] = code(src(i, 2p2+s)).
+template <typename T, typename Code>
+void pack_rows(const T* src, int64_t ld, int64_t i0, int64_t mc, int64_t p0,
+               int64_t kc, int64_t tile, int16_t* out, Code code) {
   const int64_t panels = (mc + tile - 1) / tile;
   const int64_t steps = pair_steps(kc);
   for (int64_t pan = 0; pan < panels; ++pan) {
@@ -82,9 +70,9 @@ void pack_rows(const int8_t* src, int64_t ld, int64_t i0, int64_t mc,
     int16_t* dst = out + pan * tile * 2 * steps;
     // Walk each source row sequentially; strided writes stay panel-resident.
     for (int64_t i = 0; i < rows; ++i) {
-      const int8_t* row = src + (ibase + i) * ld + p0;
+      const T* row = src + (ibase + i) * ld + p0;
       for (int64_t p = 0; p < kc; ++p)
-        dst[(p / 2) * tile * 2 + i * 2 + (p & 1)] = row[p];
+        dst[(p / 2) * tile * 2 + i * 2 + (p & 1)] = code(row[p]);
       if (kc & 1) dst[(kc / 2) * tile * 2 + i * 2 + 1] = 0;
     }
     for (int64_t i = rows; i < tile; ++i)
@@ -97,7 +85,7 @@ void pack_rows(const int8_t* src, int64_t ld, int64_t i0, int64_t mc,
 
 /// acc_tile[mr × nr] (+)= Apanel · Wpanel over kc steps; `first` selects
 /// overwrite-with-correction vs accumulate for later k slabs. Panels are in
-/// the k-pair layout produced by pack_rows.
+/// the k-pair layout pack_rows defines.
 void micro_kernel_i8(const int16_t* __restrict ap, const int16_t* __restrict wp,
                      int64_t kc, int32_t* __restrict c, int64_t ldc,
                      const int32_t* __restrict corr, int64_t mr, int64_t nr,
@@ -178,31 +166,105 @@ void micro_kernel_i8(const int16_t* __restrict ap, const int16_t* __restrict wp,
 #endif
 }
 
-/// One MC slab of one (KC, NC) block: packs the slab's A panels into the
-/// calling thread's workspace and runs the int8 micro-kernel grid against an
-/// already-packed W block.
-void run_mc_slab_i8(const int8_t* a, int64_t k, int64_t ic, int64_t m,
-                    int64_t pc, int64_t kc, int64_t jc, int64_t npanels,
-                    const int16_t* wpack, int32_t* acc, int64_t n,
-                    const int32_t* corr, bool first) {
-  const int64_t plen = 2 * pair_steps(kc);
-  const int64_t mc = std::min(kMC, m - ic);
-  const int64_t mpanels = (mc + kMR - 1) / kMR;
-  int16_t* apack = pack_workspace_i16(tl_apack, mpanels * kMR * plen);
-  {
-    ITASK_PROFILE_SCOPE(profile::Section::kInt8Pack);
-    pack_rows(a, k, ic, mc, pc, kc, kMR, apack);
+/// The whole [m, k] activation operand as panels: for each KC slab, every
+/// kMR-row panel of that slab's k-pairs, in row order — the order the loop
+/// nest reads them. `fill(panel, i0, rows, p0, kc)` writes one panel.
+template <typename Fill>
+void produce_a_panels(int64_t m, int64_t k, int16_t* out, Fill fill) {
+  const int64_t mpanels = (m + kMR - 1) / kMR;
+  for (int64_t pc = 0; pc < k; pc += kKC) {
+    const int64_t kc = std::min(kKC, k - pc);
+    const int64_t plen = 2 * pair_steps(kc);
+    for (int64_t pi = 0; pi < mpanels; ++pi)
+      fill(out + pi * kMR * plen, pi * kMR, std::min(kMR, m - pi * kMR), pc,
+           kc);
+    out += mpanels * kMR * plen;
   }
-  ITASK_PROFILE_SCOPE(profile::Section::kInt8Kernel);
-  for (int64_t pi = 0; pi < mpanels; ++pi) {
-    const int64_t i = ic + pi * kMR;
-    const int64_t mr = std::min(kMR, m - i);
-    for (int64_t pj = 0; pj < npanels; ++pj) {
-      const int64_t j = jc + pj * kNR;
-      micro_kernel_i8(apack + pi * kMR * plen, wpack + pj * kNR * plen, kc,
-                      acc + i * n + j, n, corr + j, mr, std::min(kNR, n - j),
-                      first);
+}
+
+#if defined(__AVX2__)
+/// Quantizes rows × cols (≤ 8 × 8) of `x` into the ⌈cols/2⌉ k-pair steps of
+/// one panel they cover. Missing rows and columns become 0, the padding
+/// pack_rows writes.
+void quantize_block(const float* x, int64_t ld, int64_t rows, int64_t cols,
+                    const QuantizeLanes& lanes, int16_t* dst) {
+  static_assert(kMR == 8, "one 256-bit store holds a k-pair of 8 rows");
+  if (rows < kMR || cols < 8) {
+    // Panel edge: zero the steps, then scatter each row's int16 pairs.
+    const int64_t steps = pair_steps(cols);
+    std::memset(dst, 0, static_cast<size_t>(steps * kMR * 2) * sizeof(int16_t));
+    const __m256i colmask = _mm256_cmpgt_epi32(
+        _mm256_set1_epi32(static_cast<int32_t>(cols)),
+        _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+    for (int64_t i = 0; i < rows; ++i) {
+      const __m256i q = _mm256_and_si256(
+          lanes(_mm256_maskload_ps(x + i * ld, colmask)), colmask);
+      __m128i pairs = _mm_packs_epi32(_mm256_castsi256_si128(q),
+                                      _mm256_extracti128_si256(q, 1));
+      for (int64_t p2 = 0; p2 < steps; ++p2) {
+        _mm_storeu_si32(dst + p2 * kMR * 2 + i * 2, pairs);
+        pairs = _mm_srli_si128(pairs, 4);
+      }
     }
+    return;
+  }
+  // A full 8 × 8 block: packs(q_i, q_i+1) holds, as 32-bit words, rows
+  // i/i+1 × pairs 0,1 in the low half and pairs 2,3 in the high half; the
+  // shuffles and unpacks gather four rows per pair, the permutes join rows
+  // 0-3 with rows 4-7, so each store writes one k-pair of all eight rows.
+  __m256i q[kMR];
+  for (int64_t i = 0; i < kMR; ++i) q[i] = lanes(_mm256_loadu_ps(x + i * ld));
+  __m256i r[4];
+  for (int64_t i = 0; i < 4; ++i)
+    r[i] = _mm256_shuffle_epi32(_mm256_packs_epi32(q[2 * i], q[2 * i + 1]),
+                                _MM_SHUFFLE(3, 1, 2, 0));
+  const __m256i lo03 = _mm256_unpacklo_epi64(r[0], r[1]);
+  const __m256i hi03 = _mm256_unpackhi_epi64(r[0], r[1]);
+  const __m256i lo47 = _mm256_unpacklo_epi64(r[2], r[3]);
+  const __m256i hi47 = _mm256_unpackhi_epi64(r[2], r[3]);
+  auto* out = reinterpret_cast<__m256i*>(dst);
+  _mm256_storeu_si256(out, _mm256_permute2x128_si256(lo03, lo47, 0x20));
+  _mm256_storeu_si256(out + 1, _mm256_permute2x128_si256(hi03, hi47, 0x20));
+  _mm256_storeu_si256(out + 2, _mm256_permute2x128_si256(lo03, lo47, 0x31));
+  _mm256_storeu_si256(out + 3, _mm256_permute2x128_si256(hi03, hi47, 0x31));
+}
+#endif
+
+/// The loop nest over packed operands: acc = A·Wᵀ − zp·Σw, the correction
+/// folded into the first k slab's writeback.
+void gemm_panels(const int16_t* apanels, int64_t m, int32_t a_zero_point,
+                 const PackedWeightInt8& w, std::span<const int32_t> w_row_sums,
+                 int32_t* acc) {
+  const int64_t k = w.k;
+  const int64_t n = w.n;
+  if (m <= 0 || n <= 0) return;
+  if (k <= 0) {
+    std::fill(acc, acc + m * n, 0);
+    return;
+  }
+  ScratchVec<int32_t> corr(n, /*zero_fill=*/false);
+  for (int64_t j = 0; j < n; ++j) corr[j] = a_zero_point * w_row_sums[j];
+  ITASK_PROFILE_SCOPE(profile::Section::kInt8Kernel);
+  const int64_t mpanels = (m + kMR - 1) / kMR;
+  const int16_t* block = w.data.data();
+  for (int64_t pc = 0; pc < k; pc += kKC) {
+    const int64_t kc = std::min(kKC, k - pc);
+    const int64_t plen = 2 * pair_steps(kc);
+    const bool first = pc == 0;
+    for (int64_t jc = 0; jc < n; jc += kNC) {
+      const int64_t npanels = (std::min(kNC, n - jc) + kNR - 1) / kNR;
+      for (int64_t pi = 0; pi < mpanels; ++pi) {
+        const int64_t i = pi * kMR;
+        for (int64_t pj = 0; pj < npanels; ++pj) {
+          const int64_t j = jc + pj * kNR;
+          micro_kernel_i8(apanels + pi * kMR * plen, block + pj * kNR * plen,
+                          kc, acc + i * n + j, n, corr.data() + j,
+                          std::min(kMR, m - i), std::min(kNR, n - j), first);
+        }
+      }
+      block += npanels * kNR * plen;
+    }
+    apanels += mpanels * kMR * plen;
   }
 }
 
@@ -232,45 +294,75 @@ PackedWeightInt8 pack_weights_int8(std::span<const int8_t> w, int64_t n,
     for (int64_t jc = 0; jc < n; jc += kNC) {
       const int64_t nc = std::min(kNC, n - jc);
       const int64_t npanels = (nc + kNR - 1) / kNR;
-      pack_rows(w.data(), k, jc, nc, pc, kc, kNR, dst);
+      pack_rows(w.data(), k, jc, nc, pc, kc, kNR, dst, widen);
       dst += npanels * kNR * plen;
     }
   }
   return out;
 }
 
+int64_t activation_panel_size(int64_t m, int64_t k) {
+  if (m <= 0 || k <= 0) return 0;
+  int64_t steps = 0;
+  for (int64_t pc = 0; pc < k; pc += kKC)
+    steps += pair_steps(std::min(kKC, k - pc));
+  return (m + kMR - 1) / kMR * kMR * 2 * steps;
+}
+
+void pack_activations_int8(std::span<const int8_t> a, int64_t m, int64_t k,
+                           std::span<int16_t> panels) {
+  ITASK_CHECK(static_cast<int64_t>(a.size()) == m * k, "int8_gemm: a size");
+  ITASK_CHECK(static_cast<int64_t>(panels.size()) ==
+                  activation_panel_size(m, k),
+              "pack_activations_int8: panel size");
+  produce_a_panels(
+      m, k, panels.data(),
+      [&](int16_t* dst, int64_t i0, int64_t rows, int64_t p0, int64_t kc) {
+        pack_rows(a.data(), k, i0, rows, p0, kc, kMR, dst, widen);
+      });
+}
+
+void quantize_activations_packed(std::span<const float> x,
+                                 const QuantParams& p, int64_t m, int64_t k,
+                                 std::span<int16_t> panels) {
+  ITASK_CHECK(static_cast<int64_t>(x.size()) == m * k,
+              "quantize_activations_packed: x size");
+  ITASK_CHECK(static_cast<int64_t>(panels.size()) ==
+                  activation_panel_size(m, k),
+              "quantize_activations_packed: panel size");
+#if defined(__AVX2__)
+  const QuantizeLanes lanes(p);
+#endif
+  produce_a_panels(
+      m, k, panels.data(),
+      [&](int16_t* dst, int64_t i0, int64_t rows, int64_t p0, int64_t kc) {
+#if defined(__AVX2__)
+        for (int64_t c = 0; c < kc; c += 8)
+          quantize_block(x.data() + i0 * k + p0 + c, k, rows,
+                         std::min<int64_t>(8, kc - c), lanes, dst + c * kMR);
+#else
+        pack_rows(x.data(), k, i0, rows, p0, kc, kMR, dst, [&](float v) {
+          return static_cast<int16_t>(p.quantize(v));
+        });
+#endif
+      });
+}
+
 void int8_gemm_bt_prepacked(std::span<const int8_t> a, int32_t a_zero_point,
                             const PackedWeightInt8& w,
                             std::span<const int32_t> w_row_sums,
                             std::span<int32_t> acc, int64_t m) {
-  const int64_t k = w.k;
-  const int64_t n = w.n;
-  ITASK_CHECK(static_cast<int64_t>(a.size()) == m * k, "int8_gemm: a size");
-  ITASK_CHECK(static_cast<int64_t>(acc.size()) == m * n, "int8_gemm: acc size");
-  ITASK_CHECK(static_cast<int64_t>(w_row_sums.size()) == n,
+  ITASK_CHECK(static_cast<int64_t>(acc.size()) == m * w.n,
+              "int8_gemm: acc size");
+  ITASK_CHECK(static_cast<int64_t>(w_row_sums.size()) == w.n,
               "int8_gemm: row_sums size");
-  if (m <= 0 || n <= 0) return;
-  if (k <= 0) {
-    std::fill(acc.begin(), acc.end(), 0);
-    return;
+  ScratchVec<int16_t> apanels(activation_panel_size(m, w.k),
+                              /*zero_fill=*/false);
+  {
+    ITASK_PROFILE_SCOPE(profile::Section::kInt8Pack);
+    pack_activations_int8(a, m, w.k, {apanels.data(), apanels.end()});
   }
-  ScratchVec<int32_t> corr(n, /*zero_fill=*/false);
-  for (int64_t j = 0; j < n; ++j) corr[j] = a_zero_point * w_row_sums[j];
-  const int16_t* block = w.data.data();
-  for (int64_t pc = 0; pc < k; pc += kKC) {
-    const int64_t kc = std::min(kKC, k - pc);
-    const int64_t plen = 2 * pair_steps(kc);
-    const bool first = pc == 0;
-    for (int64_t jc = 0; jc < n; jc += kNC) {
-      const int64_t nc = std::min(kNC, n - jc);
-      const int64_t npanels = (nc + kNR - 1) / kNR;
-      for (int64_t ic = 0; ic < m; ic += kMC) {
-        run_mc_slab_i8(a.data(), k, ic, m, pc, kc, jc, npanels, block,
-                       acc.data(), n, corr.data(), first);
-      }
-      block += npanels * kNR * plen;
-    }
-  }
+  gemm_panels(apanels.data(), m, a_zero_point, w, w_row_sums, acc.data());
 }
 
 QuantizedWeight quantize_weight_packed(const Tensor& weight,
@@ -295,19 +387,18 @@ Tensor qlinear_forward(const Tensor& x, const QuantParams& act,
               "qlinear_forward: weight has no packed panels or row sums "
               "(build it with quantize_weight_packed)");
   // Scratch comes from the worker's arena under an ArenaScope (the serving
-  // hot path) and from the heap otherwise — same values either way.
-  ScratchVec<int8_t> qx(rows * in, /*zero_fill=*/false);
+  // hot path) and from the heap otherwise — same values either way. The FP32
+  // input is quantized straight into the kernel's A panels, in one pass.
+  ScratchVec<int16_t> apanels(activation_panel_size(rows, in),
+                              /*zero_fill=*/false);
   {
     ITASK_PROFILE_SCOPE(profile::Section::kInt8Quantize);
-    quantize_tensor_into(x, act, std::span<int8_t>(qx.data(), qx.size()));
+    quantize_activations_packed(x.data(), act, rows, in,
+                                {apanels.data(), apanels.end()});
   }
   ScratchVec<int32_t> acc(rows * out);
-  const std::span<const int8_t> qx_span(qx.data(),
-                                        static_cast<size_t>(qx.size()));
-  const std::span<int32_t> acc_span(acc.data(),
-                                    static_cast<size_t>(acc.size()));
-  int8_gemm_bt_prepacked(qx_span, act.zero_point, *weight.packed,
-                         weight.row_sums, acc_span, rows);
+  gemm_panels(apanels.data(), rows, act.zero_point, *weight.packed,
+              weight.row_sums, acc.data());
   // Dequant scale per output column (activation scale × per-row weight
   // scale), hoisted out of the element loop.
   ScratchVec<float> col_scale(out, /*zero_fill=*/false);

@@ -5,10 +5,14 @@
 //  * int8_gemm_bt — the naive triple loop, retained as the parity oracle
 //    (the functional systolic array asserts against it) and the "before"
 //    side of bench_k0_gemm;
-//  * int8_gemm_bt_prepacked — the deployed kernel: cache-blocked over a
-//    weight packed once into int16 panels when it is quantized, with int32
-//    register-tile accumulators and a precomputed per-output-row Σw table
-//    for the zero-point correction.
+//  * the blocked kernel: one loop nest over a weight packed once into int16
+//    panels when it is quantized and an activation operand packed whole per
+//    call, with int32 register-tile accumulators and a precomputed
+//    per-output-row Σw table for the zero-point correction. Two producers
+//    build the activation panels: qlinear_forward quantizes its FP32 input
+//    straight into them (quantize_activations_packed), and
+//    int8_gemm_bt_prepacked widens an int8 input into them
+//    (pack_activations_int8).
 // Integer addition is associative, so both produce bit-identical results.
 #pragma once
 
@@ -45,8 +49,26 @@ struct PackedWeightInt8 {
 PackedWeightInt8 pack_weights_int8(std::span<const int8_t> w, int64_t n,
                                    int64_t k);
 
-/// The blocked INT8 GEMM over a packed weight: acc[m, n] = (a − zp)·wᵀ.
-/// `w_row_sums` is the per-output-row Σw table (QuantizedWeight::row_sums),
+/// int16 elements of an [m, k] activation operand in the kernel's panel
+/// layout: per 256-deep k slab, 8-row panels of int16 k-pairs, zero-padded
+/// in the row tail and the odd-k slot.
+int64_t activation_panel_size(int64_t m, int64_t k);
+
+/// Widening A producer: row-major int8 [m, k] → panels
+/// (`panels.size()` == activation_panel_size(m, k)).
+void pack_activations_int8(std::span<const int8_t> a, int64_t m, int64_t k,
+                           std::span<int16_t> panels);
+
+/// Quantizing A producer: row-major FP32 [m, k] → the panels of
+/// quantize_tensor(x, p), in one pass (QuantizeLanes on AVX2 builds,
+/// QuantParams::quantize otherwise).
+void quantize_activations_packed(std::span<const float> x,
+                                 const QuantParams& p, int64_t m, int64_t k,
+                                 std::span<int16_t> panels);
+
+/// The blocked INT8 GEMM over a packed weight: acc[m, n] = (a − zp)·wᵀ, with
+/// `a` widened into panels first (pack_activations_int8). `w_row_sums` is
+/// the per-output-row Σw table (QuantizedWeight::row_sums),
 /// so the zero-point correction acc = a·w − zp·Σw costs one multiply per
 /// output instead of a weight pass per call. Bit-identical to int8_gemm_bt.
 void int8_gemm_bt_prepacked(std::span<const int8_t> a, int32_t a_zero_point,
@@ -62,9 +84,10 @@ QuantizedWeight quantize_weight_packed(const Tensor& weight,
                                        WeightGranularity granularity,
                                        int bits = 8);
 
-/// Full quantized linear: quantizes `x` with `act`, runs the packed INT8
-/// GEMM against `weight`, and dequantizes with per-row weight scales, adding
-/// `bias`. x: [rows, in] FP32; returns [rows, out] FP32. `weight` must carry
+/// Full quantized linear: quantizes `x` with `act` straight into A panels
+/// (quantize_activations_packed), runs the INT8 loop nest against `weight`,
+/// and dequantizes with per-row weight scales, adding `bias`. x: [rows, in]
+/// FP32; returns [rows, out] FP32. `weight` must carry
 /// its packed panels and row sums (quantize_weight_packed); a bare
 /// quantize_weight result is rejected.
 Tensor qlinear_forward(const Tensor& x, const QuantParams& act,

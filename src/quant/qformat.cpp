@@ -47,12 +47,6 @@ QuantParams QuantParams::with_bits(int bits) const {
                          : asymmetric(lo, hi, bits);
 }
 
-int8_t QuantParams::quantize(float x) const {
-  const int32_t q =
-      static_cast<int32_t>(std::lround(x / scale)) + zero_point;
-  return static_cast<int8_t>(std::clamp(q, qmin, qmax));
-}
-
 std::vector<int8_t> quantize_tensor(const Tensor& t, const QuantParams& p) {
   std::vector<int8_t> out(static_cast<size_t>(t.numel()));
   quantize_tensor_into(t, p, out);
@@ -63,8 +57,20 @@ void quantize_tensor_into(const Tensor& t, const QuantParams& p,
                           std::span<int8_t> out) {
   ITASK_CHECK(static_cast<int64_t>(out.size()) == t.numel(),
               "quantize_tensor_into: size mismatch");
-  auto d = t.data();
-  for (size_t i = 0; i < out.size(); ++i) out[i] = p.quantize(d[i]);
+  const float* d = t.data().data();
+  const size_t n = out.size();
+  size_t i = 0;
+#if defined(__AVX2__)
+  const QuantizeLanes lanes(p);
+  for (; i + 8 <= n; i += 8) {
+    const __m256i q = lanes(_mm256_loadu_ps(d + i));
+    const __m128i q16 = _mm_packs_epi32(_mm256_castsi256_si128(q),
+                                        _mm256_extracti128_si256(q, 1));
+    _mm_storel_epi64(reinterpret_cast<__m128i*>(out.data() + i),
+                     _mm_packs_epi16(q16, q16));
+  }
+#endif
+  for (; i < n; ++i) out[i] = p.quantize(d[i]);
 }
 
 Tensor dequantize_tensor(const std::vector<int8_t>& q, const Shape& shape,

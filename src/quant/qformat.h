@@ -5,12 +5,18 @@
 //  * activations: asymmetric per-tensor with a calibrated [min, max] range.
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <span>
 #include <vector>
 
 #include "tensor/tensor.h"
+
+#if defined(__AVX2__)
+#include <immintrin.h>
+#endif
 
 namespace itask::quant {
 
@@ -37,18 +43,64 @@ struct QuantParams {
   /// representable range (used to lower calibrated 8-bit ranges to 4/6 bit).
   QuantParams with_bits(int bits) const;
 
-  int8_t quantize(float x) const;
+  /// The one quantize arithmetic, saturating: y = x/scale, clamped in float
+  /// to [qmin−zp, qmax−zp], rounded half away from zero (trunc, then ±1 when
+  /// |y − trunc(y)| ≥ 0.5), plus zero_point. ±inf saturate; NaN maps to
+  /// zero_point. QuantizeLanes applies the same steps eight lanes at a time.
+  int8_t quantize(float x) const {
+    float y = x / scale;
+    if (std::isnan(y)) y = 0.0f;
+    y = std::clamp(y, static_cast<float>(qmin - zero_point),
+                   static_cast<float>(qmax - zero_point));
+    const float r = std::trunc(y);
+    // floor(2·|y − r|) is 1 exactly when |y − r| ≥ 0.5 (doubling is exact),
+    // which keeps the step branch-free.
+    const float away = std::copysign(std::floor(2.0f * std::abs(y - r)), y);
+    return static_cast<int8_t>(static_cast<int32_t>(r + away) + zero_point);
+  }
   float dequantize(int8_t q) const {
     return (static_cast<int32_t>(q) - zero_point) * scale;
   }
 };
 
+#if defined(__AVX2__)
+/// QuantParams::quantize on eight FP32 lanes, bit for bit: the kernel behind
+/// quantize_tensor_into and the INT8 GEMM's activation-panel producer.
+/// Returns the codes as int32 lanes in [qmin, qmax].
+class QuantizeLanes {
+ public:
+  explicit QuantizeLanes(const QuantParams& p)
+      : scale_(_mm256_set1_ps(p.scale)),
+        lo_(_mm256_set1_ps(static_cast<float>(p.qmin - p.zero_point))),
+        hi_(_mm256_set1_ps(static_cast<float>(p.qmax - p.zero_point))),
+        zp_(_mm256_set1_epi32(p.zero_point)) {}
+
+  __m256i operator()(__m256 x) const {
+    __m256 y = _mm256_div_ps(x, scale_);
+    y = _mm256_and_ps(y, _mm256_cmp_ps(y, y, _CMP_ORD_Q));  // NaN → 0
+    y = _mm256_min_ps(_mm256_max_ps(y, lo_), hi_);
+    const __m256 r =
+        _mm256_round_ps(y, _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC);
+    const __m256 sign = _mm256_set1_ps(-0.0f);
+    const __m256 frac = _mm256_andnot_ps(sign, _mm256_sub_ps(y, r));
+    const __m256 away = _mm256_and_ps(
+        _mm256_cmp_ps(frac, _mm256_set1_ps(0.5f), _CMP_GE_OQ),
+        _mm256_or_ps(_mm256_set1_ps(1.0f), _mm256_and_ps(sign, y)));
+    return _mm256_add_epi32(_mm256_cvttps_epi32(_mm256_add_ps(r, away)),
+                            zp_);
+  }
+
+ private:
+  __m256 scale_, lo_, hi_;
+  __m256i zp_;
+};
+#endif
+
 /// Quantizes a tensor with per-tensor params.
 std::vector<int8_t> quantize_tensor(const Tensor& t, const QuantParams& p);
 
-/// Same, writing into caller storage (`out.size()` must equal `t.numel()`).
-/// The serving hot path uses this with arena-backed scratch so the per-call
-/// activation quantize allocates nothing.
+/// Same, writing into caller storage (`out.size()` must equal `t.numel()`):
+/// QuantizeLanes over eight elements at a time, scalar quantize on the tail.
 void quantize_tensor_into(const Tensor& t, const QuantParams& p,
                           std::span<int8_t> out);
 

@@ -8,9 +8,11 @@
 namespace itask::runtime {
 
 FleetRouter::FleetRouter(int64_t shards, int64_t replication)
-    : shards_(shards), replication_(std::clamp<int64_t>(replication, 1, shards)) {
+    : shards_(shards) {
   ITASK_CHECK(shards >= 1, "FleetRouter: shards must be >= 1");
   ITASK_CHECK(replication >= 1, "FleetRouter: replication must be >= 1");
+  // After the checks: with shards < 1 the clamp range would be empty.
+  replication_ = std::min(replication, shards);
 }
 
 std::vector<int64_t> FleetRouter::replicas(kg::TaskId task) const {

@@ -1,6 +1,7 @@
 #include "runtime/server.h"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <optional>
 #include <utility>
@@ -133,6 +134,16 @@ RejectReason InferenceServer::admit(std::span<Pending> members,
                              " does not match the deployment's expected "
                              "[C, H, W] shape " +
                              shape_to_string(expected));
+    }
+    // A NaN or inf pixel would reach the INT8 activation quantize (and every
+    // FP32 layer) as garbage; it is rejected here like a bad shape.
+    const std::span<const float> pixels = members[v].image.data();
+    if (!std::all_of(pixels.begin(), pixels.end(),
+                     [](float x) { return std::isfinite(x); })) {
+      requests_invalid_.increment();
+      ITASK_CHECK(false, std::string(surface) + ": view " +
+                             fmt::i64(static_cast<int64_t>(v)) +
+                             " has a non-finite pixel");
     }
   }
   if (!snapshot->servable(task, config)) {

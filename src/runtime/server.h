@@ -48,13 +48,13 @@
 // detect::fuse_views), a group view deposits into the group's gather.
 //
 // Fault tolerance contract: one bad request never takes the server down.
-// Malformed requests (wrong image shape, (task, config) not servable from
-// the current snapshot) throw at admission; an inference fault inside a
-// worker is delivered on exactly the affected group's futures while the
-// worker keeps draining; requests whose deadline passed before a worker
-// picked them are shed with DeadlineExceeded. Every admitted request's
-// future is always fulfilled — with a value or an exception, never
-// abandoned.
+// Malformed requests (wrong image shape, a NaN or inf pixel in any view,
+// (task, config) not servable from the current snapshot) throw at
+// admission; an inference fault inside a worker is delivered on exactly the
+// affected group's futures while the worker keeps draining; requests whose
+// deadline passed before a worker picked them are shed with
+// DeadlineExceeded. Every admitted request's future is always fulfilled —
+// with a value or an exception, never abandoned.
 #pragma once
 
 #include <cstdint>

@@ -214,6 +214,39 @@ TEST(GemmPrepack, QlinearForwardUnchangedByPrepack) {
   EXPECT_TRUE(got.allclose(want, 0.0f));  // int8 path is bit-exact
 }
 
+// qlinear_forward's producer quantizes FP32 straight into the A panels; they
+// must equal, element for element and padding included, the widening
+// producer's panels of quantize_tensor(x, p). Shapes cover odd k, m not a
+// multiple of the 8-row panel, m past 128 rows and k past the 256 KC slab.
+TEST(Int8Panels, QuantizingProducerMatchesWideningProducer) {
+  const std::vector<std::pair<int64_t, int64_t>> shapes = {
+      {1, 1},  {3, 7},    {13, 40},   {8, 16},   {10, 48},
+      {9, 257}, {88, 160}, {137, 263}, {200, 513}};
+  for (const auto& [m, k] : shapes) {
+    for (const quant::QuantParams& p :
+         {quant::QuantParams::asymmetric(-2.0f, 3.0f),
+          quant::QuantParams::asymmetric(-1.0f, 0.5f, 4),
+          quant::QuantParams::symmetric(2.5f, 6)}) {
+      Rng rng(static_cast<uint64_t>(m * 1009 + k));
+      const Tensor x = rng.randn({m, k}, 0.0f, 2.0f);
+      const int64_t size = quant::activation_panel_size(m, k);
+      ASSERT_GE(size, m * k);
+      std::vector<int16_t> fused(static_cast<size_t>(size), 0x5555);
+      std::vector<int16_t> widened(static_cast<size_t>(size), -7);
+      quant::quantize_activations_packed(x.data(), p, m, k, fused);
+      quant::pack_activations_int8(quant::quantize_tensor(x, p), m, k,
+                                   widened);
+      ASSERT_EQ(fused, widened) << "m" << m << " k" << k << " zp "
+                                << p.zero_point;
+    }
+  }
+  std::vector<int16_t> wrong(3);
+  EXPECT_THROW(quant::quantize_activations_packed(Tensor({2, 2}).data(),
+                                                  quant::QuantParams{}, 2, 2,
+                                                  wrong),
+               std::invalid_argument);
+}
+
 // Satellite: the per-thread pack workspaces must stay bounded by one slab
 // per operand (exact reservation, no geometric overshoot) however large the
 // GEMM — and the bound is the documented cap.

@@ -3,7 +3,10 @@
 // quantized-ViT runtime against its FP32 source model.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <vector>
 
 #include "nn/linear.h"
 #include "quant/calibrate.h"
@@ -53,6 +56,91 @@ TEST(QuantParams, ClampsOutOfRange) {
   const QuantParams p = QuantParams::asymmetric(0.0f, 1.0f);
   EXPECT_EQ(p.quantize(100.0f), 127);
   EXPECT_EQ(p.quantize(-100.0f), -128);
+}
+
+// Every grid the system builds: bit widths 2–8, symmetric and with a nonzero
+// zero point; plus power-of-two scales, on which x = (j + 0.5)·scale divides
+// back to an exact .5 tie.
+std::vector<QuantParams> all_grids() {
+  std::vector<QuantParams> grids;
+  for (int bits = 2; bits <= 8; ++bits) {
+    grids.push_back(QuantParams::symmetric(1.0f, bits));
+    grids.push_back(QuantParams::asymmetric(-0.7f, 2.3f, bits));
+  }
+  grids.push_back({0.25f, 5, -8, 7});
+  grids.push_back({0.5f, -3, -128, 127});
+  return grids;
+}
+
+TEST(QuantParams, SaturatesFarOutOfRange) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const QuantParams p = QuantParams::symmetric(1.0f);
+  EXPECT_EQ(p.quantize(3e7f), 127);
+  EXPECT_EQ(p.quantize(-3e7f), -128);
+  EXPECT_EQ(p.quantize(1e30f), 127);
+  EXPECT_EQ(p.quantize(inf), 127);
+  EXPECT_EQ(p.quantize(-inf), -128);
+  for (const QuantParams& g : all_grids()) {
+    for (const float x : {3e7f, 1e30f, 3e38f, inf})
+      EXPECT_EQ(g.quantize(x), g.qmax) << x << " zp " << g.zero_point;
+    for (const float x : {-3e7f, -1e30f, -3e38f, -inf})
+      EXPECT_EQ(g.quantize(x), g.qmin) << x << " zp " << g.zero_point;
+    EXPECT_EQ(g.quantize(std::numeric_limits<float>::quiet_NaN()),
+              g.zero_point);
+  }
+}
+
+// The reference the kernel must match: the lround formula, valid wherever
+// |x/scale| < 2³¹ (every input below).
+int8_t lround_reference(const QuantParams& p, float x) {
+  const int32_t q =
+      static_cast<int32_t>(std::lround(x / p.scale)) + p.zero_point;
+  return static_cast<int8_t>(std::clamp(q, p.qmin, p.qmax));
+}
+
+TEST(QuantizeKernel, MatchesLroundReferenceBitForBit) {
+  Rng rng(19);
+  for (const QuantParams& p : all_grids()) {
+    std::vector<float> xs = {0.0f, -0.0f};
+    // Exact .5 ties and their neighbours, in and beyond the grid.
+    for (int32_t j = -300; j <= 300; ++j) {
+      const float tie = (static_cast<float>(j) + 0.5f) * p.scale;
+      xs.push_back(tie);
+      xs.push_back(std::nextafter(tie, -INFINITY));
+      xs.push_back(std::nextafter(tie, INFINITY));
+    }
+    // The clamp edges qmin−zp and qmax−zp: at, just inside, just outside.
+    for (const int32_t edge : {p.qmin - p.zero_point, p.qmax - p.zero_point})
+      for (const float d : {-1.0f, -0.5f, 0.0f, 0.5f, 1.0f}) {
+        const float x = (static_cast<float>(edge) + d) * p.scale;
+        xs.push_back(x);
+        xs.push_back(std::nextafter(x, -INFINITY));
+        xs.push_back(std::nextafter(x, INFINITY));
+      }
+    for (int i = 0; i < 2000; ++i)
+      xs.push_back(rng.normal() * 200.0f * p.scale);
+    const auto check = [&](size_t start, int64_t len) {
+      Tensor t({len});
+      for (int64_t i = 0; i < len; ++i)
+        t.data()[static_cast<size_t>(i)] = xs[start + static_cast<size_t>(i)];
+      std::vector<int8_t> got(static_cast<size_t>(len));
+      quantize_tensor_into(t, p, got);
+      for (int64_t i = 0; i < len; ++i) {
+        const float x = t.data()[static_cast<size_t>(i)];
+        ASSERT_EQ(got[static_cast<size_t>(i)], lround_reference(p, x))
+            << "x=" << x << " scale=" << p.scale << " zp=" << p.zero_point
+            << " len=" << len;
+        ASSERT_EQ(p.quantize(x), lround_reference(p, x)) << "x=" << x;
+      }
+    };
+    // Every value through the 8-lane body, then every length 0..17 so each
+    // tail length runs, at offsets that shift values across lanes.
+    check(0, static_cast<int64_t>(xs.size()));
+    for (int64_t len = 0; len <= 17; ++len)
+      for (size_t start = 0; start + static_cast<size_t>(len) <= xs.size();
+           start += 37)
+        check(start, len);
+  }
 }
 
 TEST(QuantizeWeight, PerChannelNeverWorseThanPerTensor) {

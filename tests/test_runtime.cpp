@@ -876,6 +876,44 @@ TEST_F(RuntimeServing, AdmissionRejectsMisshapedImage) {
   f.future->get();  // completes
 }
 
+// A copy of `image` with its middle pixel replaced by `bad`.
+Tensor with_bad_pixel(const Tensor& image, float bad) {
+  Tensor out = image;
+  out.data()[out.numel() / 2] = bad;
+  return out;
+}
+
+TEST_F(RuntimeServing, AdmissionRejectsNonFinitePixels) {
+  RuntimeOptions opts;
+  opts.workers = 1;
+  InferenceServer server(*snap_, opts);
+  const Tensor& good = eval_->scene(0).image;
+  int64_t invalid = 0;
+  for (const float bad : {std::numeric_limits<float>::quiet_NaN(),
+                          std::numeric_limits<float>::infinity()}) {
+    try {
+      server.try_submit(with_bad_pixel(good, bad), *task_,
+                        ConfigKind::kQuantizedMultiTask);
+      FAIL() << "a non-finite pixel must be rejected at admission";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("non-finite"), std::string::npos)
+          << e.what();
+    }
+    // One bad view rejects its whole group; no view is queued.
+    std::vector<Tensor> views = {good, with_bad_pixel(good, bad), good};
+    EXPECT_THROW(server.try_submit_group(std::move(views), *task_,
+                                         ConfigKind::kTaskSpecific),
+                 std::invalid_argument);
+    invalid += 2;
+    EXPECT_EQ(server.metrics().counter("requests_invalid").value(), invalid);
+  }
+  EXPECT_EQ(server.metrics().counter("requests_submitted").value(), 0);
+  // The server keeps serving valid traffic afterwards.
+  auto f = server.try_submit(good, *task_, ConfigKind::kQuantizedMultiTask);
+  ASSERT_TRUE(f.admitted());
+  f.future->get();
+}
+
 TEST_F(RuntimeServing, AdmissionGatesOnCurrentSnapshotUntilInstall) {
   // A task defined *after* the server's snapshot was published is not
   // servable — under either configuration — until a snapshot containing it
@@ -1550,6 +1588,35 @@ TEST_F(RuntimeServing, ArenaZeroSteadyStateAllocationsBothConfigs) {
             static_cast<double>((*snap_)->plan_workspace(opts.max_batch)));
 }
 
+TEST_F(RuntimeServing, ArenaInt8ZeroAllocationsWhenTheBatchGrows) {
+  // INT8 scratch (the activation panels included) lives in the worker's
+  // arena, which plan_workspace() sized for max_batch at install: a worker
+  // warmed only at batch 1 must serve its first full batch without a heap
+  // allocation. A per-thread pack buffer would grow here instead.
+  RuntimeOptions opts;
+  opts.workers = 1;
+  opts.max_batch = 8;
+  opts.max_wait_us = 50000;  // a max_batch burst closes as ONE batch
+  opts.queue_capacity = 64;
+  InferenceServer server(*snap_, opts);
+  const auto serve = [&](int64_t n) {
+    std::vector<std::future<InferenceResult>> futures;
+    for (int64_t i = 0; i < n; ++i) {
+      auto f = server.try_submit(eval_->scene(i).image, *task_,
+                                 ConfigKind::kQuantizedMultiTask);
+      ASSERT_TRUE(f.admitted());
+      futures.push_back(std::move(*f.future));
+    }
+    for (auto& f : futures) EXPECT_EQ(f.get().batch_size, n);
+  };
+  for (int round = 0; round < 2; ++round) serve(1);  // warmup at batch 1
+  const int64_t warm = server.metrics().counter("hot_path_allocs").value();
+  serve(opts.max_batch);
+  EXPECT_EQ(server.metrics().counter("hot_path_allocs").value(), warm)
+      << "the INT8 hot path heap-allocated when the batch grew";
+  EXPECT_EQ(server.metrics().counter("arena_overflow_allocs").value(), 0);
+}
+
 TEST_F(RuntimeServing, ArenaResultsElementWiseIdenticalToSerial) {
   // The arena only moves where intermediates live, never the arithmetic:
   // every request's detections are element-wise identical to the serial
@@ -2061,6 +2128,38 @@ TEST_F(RuntimeServing, FleetDetectionsIdenticalToSerialAtAnyShardCount) {
     EXPECT_EQ(fleet.metrics().counter("fleet_admitted").value(),
               eval_->size());
   }
+}
+
+TEST_F(RuntimeServing, FleetRejectsNonFinitePixelsThroughItsShard) {
+  FleetOptions fo;
+  fo.shards = 2;
+  fo.shard_options.workers = 1;
+  InferenceFleet fleet(fw_->publish(), fo);
+  const Tensor& good = eval_->scene(0).image;
+  for (const float bad : {std::numeric_limits<float>::quiet_NaN(),
+                          std::numeric_limits<float>::infinity()}) {
+    EXPECT_THROW(fleet.try_submit(with_bad_pixel(good, bad), task_->id,
+                                  ConfigKind::kQuantizedMultiTask),
+                 std::invalid_argument);
+    std::vector<Tensor> views = {with_bad_pixel(good, bad), good};
+    EXPECT_THROW(fleet.try_submit_group(std::move(views), task_->id,
+                                        ConfigKind::kTaskSpecific),
+                 std::invalid_argument);
+  }
+  int64_t invalid = 0;
+  int64_t submitted = 0;
+  for (int64_t s = 0; s < fo.shards; ++s) {
+    invalid += fleet.shard(s).metrics().counter("requests_invalid").value();
+    submitted +=
+        fleet.shard(s).metrics().counter("requests_submitted").value();
+  }
+  EXPECT_EQ(invalid, 4);
+  EXPECT_EQ(submitted, 0);
+  EXPECT_EQ(fleet.metrics().counter("fleet_admitted").value(), 0);
+  const FleetSubmitResult ok = fleet.try_submit(
+      good, task_->id, ConfigKind::kQuantizedMultiTask);
+  ASSERT_TRUE(ok.admitted());
+  fleet.shutdown();
 }
 
 TEST_F(RuntimeServing, FleetQuotaRejectionAccountingAndWindowReset) {
