@@ -87,9 +87,10 @@ int main() {
                 weight_kb);
   }
   bench::print_footer_note(
-      "shape: INT8/INT6 PTQ is free; INT4 PTQ degrades sharply and QAT "
-      "recovers the gap at a 2x smaller footprint. Caveat: QAT rows include "
-      "its extra fine-tuning epochs, which also lift the 8-bit point — "
+      "shape: INT8 PTQ is free and INT6 nearly so; INT4 PTQ loses the most "
+      "and QAT recovers the gap at a 2x smaller footprint. Caveat: QAT rows "
+      "include its extra fine-tuning epochs, which can also move the 8-bit "
+      "point — "
       "compare QAT rows against each other and PTQ rows against FP32.");
   return 0;
 }

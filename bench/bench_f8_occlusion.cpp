@@ -244,15 +244,16 @@ int main() {
               identical ? "PASS" : "FAIL");
 
   bench::print_footer_note(
-      "shape: [A] both configurations degrade monotonically with severity "
-      "(truncation + overlap erase the pixel cues attributes ground to). "
+      "shape: [A] both configurations degrade with severity (truncation "
+      "+ overlap erase the pixel cues attributes ground to); adjacent "
+      "severities may swap by a few hundredths of F1. "
       "[B] each view hides a DIFFERENT part of each object (independent "
       "occlusion seeds), so fusion with 2-view agreement recovers the "
       "TASK-SPECIFIC configuration substantially at K=3 (an object lost in "
       "one view survives in another; phantoms rarely repeat across views) "
-      "— but DEGRADES the quantized configuration, whose per-view recall "
-      "under heavy occlusion is too low for the same object to clear the "
-      "threshold in two views. Multi-view agreement needs per-view "
+      "— but not the quantized configuration (K=3 is no better than one "
+      "view), whose per-view recall under heavy occlusion is too low for "
+      "the same object to clear the threshold in two views. Multi-view agreement needs per-view "
       "competence; same-image-plus-noise views would show no recovery at "
       "all (fusion cannot de-occlude without vantage diversity). [C] a K=3 "
       "group costs far less than 3x a single request (its views share one "

@@ -13,6 +13,10 @@
 // 1600 and 13 824 elements), in ns per element: scalar QuantParams::quantize
 // vs the vector kernel vs the fused producer that writes the GEMM's panels.
 //
+// GELU gets rows at its served sizes (360, 800 and 6 400 elements), in ns
+// per element: ops::gelu vs the libm tanhf form it replaced, kept here as
+// the "before" reference.
+//
 // Every case is parity-checked (packed vs naive, prepacked bit-exact vs
 // packed for fp32 and vs naive for int8) before it is timed; a mismatch
 // fails the run (nonzero exit), which is what the ctest smoke entry
@@ -32,6 +36,7 @@
 #include "quant/int8_gemm.h"
 #include "tensor/format.h"
 #include "tensor/gemm.h"
+#include "tensor/ops.h"
 #include "tensor/profile.h"
 #include "tensor/rng.h"
 
@@ -134,6 +139,47 @@ QuantizeRow run_quantize_row(int64_t rows, int64_t k, double min_seconds,
   r.panels_ns = seconds_per_call(min_seconds, [&] {
                   quant::quantize_activations_packed(xd, p, rows, k, panels);
                 }) * 1e9 / elems;
+  return r;
+}
+
+/// GELU at one served [rows, cols] shape, in ns per element: ops::gelu and
+/// the libm form it replaced, 0.5·x·(1 + tanhf(u)). Both copy the input
+/// into a fresh tensor, as the op does.
+struct GeluRow {
+  int64_t rows = 0, cols = 0;
+  double libm_ns = 0.0, ops_ns = 0.0;
+};
+
+Tensor gelu_libm(const Tensor& a) {
+  Tensor out = a;
+  for (float& v : out.data()) {
+    const float inner = 0.7978845608028654f * (v + 0.044715f * v * v * v);
+    v = 0.5f * v * (1.0f + std::tanh(inner));
+  }
+  return out;
+}
+
+GeluRow run_gelu_row(int64_t rows, int64_t cols, double min_seconds,
+                     Rng& rng) {
+  GeluRow r{rows, cols};
+  const Tensor x = rng.randn({rows, cols}, 0.0f, 1.5f);
+  const Tensor before = gelu_libm(x);
+  const Tensor after = ops::gelu(x);
+  // Each form is within 2.5e-7·(1 + |ref|) of a long double reference
+  // (test_ops), so the two differ by at most twice that.
+  for (int64_t i = 0; i < x.numel(); ++i) {
+    if (std::abs(after[i] - before[i]) > 5e-7f * (1.0f + std::abs(before[i]))) {
+      std::fprintf(stderr, "PARITY FAILURE: gelu %lldx%lld at %lld\n",
+                   static_cast<long long>(rows), static_cast<long long>(cols),
+                   static_cast<long long>(i));
+      std::exit(1);
+    }
+  }
+  const double elems = static_cast<double>(rows * cols);
+  r.libm_ns = seconds_per_call(min_seconds, [&] { (void)gelu_libm(x); }) *
+              1e9 / elems;
+  r.ops_ns = seconds_per_call(min_seconds, [&] { (void)ops::gelu(x); }) *
+             1e9 / elems;
   return r;
 }
 
@@ -365,6 +411,22 @@ int main() {
                 q.panels_ns, q.scalar_ns / q.kernel_ns);
   }
 
+  // GELU at the served sizes: 360 (b1 box head, 9 × 40), 800 (b1 fc1,
+  // 10 × 80) and 6 400 elements (b8 fc1, 80 × 80).
+  std::printf("\n%-18s %8s %11s %11s %8s\n", "gelu", "elems", "libm ns/e",
+              "ops ns/e", "lb/ops");
+  std::vector<GeluRow> grows;
+  for (const auto& [rows, cols] :
+       {std::pair<int64_t, int64_t>{9, 40}, {10, 80}, {80, 80}}) {
+    const GeluRow g = run_gelu_row(rows, cols, min_seconds, rng);
+    grows.push_back(g);
+    std::printf("%-18s %8lld %11.3f %11.3f %7.1fx\n",
+                ("gelu_" + std::to_string(rows) + "x" + std::to_string(cols))
+                    .c_str(),
+                static_cast<long long>(rows * cols), g.libm_ns, g.ops_ns,
+                g.libm_ns / g.ops_ns);
+  }
+
   FILE* json = std::fopen("BENCH_kernels.json", "w");
   if (json == nullptr) {
     std::fprintf(stderr, "cannot write BENCH_kernels.json\n");
@@ -403,6 +465,16 @@ int main() {
                  static_cast<long long>(q.rows), static_cast<long long>(q.k),
                  static_cast<long long>(q.rows * q.k), q.scalar_ns,
                  q.kernel_ns, q.panels_ns, i + 1 < qrows.size() ? "," : "");
+  }
+  std::fprintf(json, "  ],\n  \"gelu\": [\n");
+  for (size_t i = 0; i < grows.size(); ++i) {
+    const GeluRow& g = grows[i];
+    std::fprintf(json,
+                 "    {\"rows\": %lld, \"cols\": %lld, \"elements\": %lld, "
+                 "\"libm_ns_per_elem\": %.3f, \"ops_ns_per_elem\": %.3f}%s\n",
+                 static_cast<long long>(g.rows), static_cast<long long>(g.cols),
+                 static_cast<long long>(g.rows * g.cols), g.libm_ns, g.ops_ns,
+                 i + 1 < grows.size() ? "," : "");
   }
   std::fprintf(json, "  ]\n}\n");
   std::fclose(json);
@@ -466,7 +538,9 @@ int main() {
       "weight operand. Parity vs the naive kernels is checked before "
       "timing. INT8 quantize: the vector kernel and the fused panel "
       "producer run several times faster per element than the scalar "
-      "loop, bit-identical to it. Attribution: the micro-kernel sections "
+      "loop, bit-identical to it. GELU: ops::gelu (vector exp) runs "
+      "many times faster per element than the libm tanhf form, within "
+      "5e-7 of it. Attribution: the micro-kernel sections "
       "dominate, pack and quantize stay minority shares at these shapes "
       "(int8_pack reads nothing: the served INT8 path quantizes into its "
       "panels); GFLOP/s numbers are hooks-off.");

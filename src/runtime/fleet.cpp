@@ -1,6 +1,7 @@
 #include "runtime/fleet.h"
 
 #include <algorithm>
+#include <stdexcept>
 #include <utility>
 
 #include "tensor/format.h"
@@ -136,7 +137,16 @@ FleetResult InferenceFleet::admit(kg::TaskId task, core::ConfigKind config,
     // last candidate replica may take the request's tensors by move —
     // earlier attempts get a copy to keep failover possible. (Single-replica
     // fleets, the default, never copy.)
-    auto submitted = attempt(server, /*last_candidate=*/k + 1 == r);
+    // A malformed request (bad shape, non-finite pixel) throws from the
+    // shard's validation: count it here too, then let it propagate as is.
+    auto submitted = [&] {
+      try {
+        return attempt(server, /*last_candidate=*/k + 1 == r);
+      } catch (const std::invalid_argument&) {
+        invalid_.increment();
+        throw;
+      }
+    }();
     if (submitted.admitted()) {
       if (options_.tenant_quota > 0) ++window_admissions_[tenant];
       admitted_.increment();

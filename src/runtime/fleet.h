@@ -159,7 +159,9 @@ class InferenceFleet {
   /// past full replicas. Throws std::invalid_argument (like the underlying
   /// server) when NO replica's current snapshot can serve (task, config) —
   /// mid-rollout, a task only the new version knows is admitted as soon as
-  /// one of its replicas has been updated.
+  /// one of its replicas has been updated — and rethrows the shard's
+  /// std::invalid_argument for a malformed request (bad shape, non-finite
+  /// pixel). Both count in `fleet_requests_invalid`.
   FleetSubmitResult try_submit(Tensor image, kg::TaskId task,
                                core::ConfigKind config, int64_t tenant = 0,
                                std::optional<int64_t> deadline_us =

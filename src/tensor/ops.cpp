@@ -2,8 +2,15 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <iterator>
 
 #include "tensor/gemm.h"
+
+#if defined(__AVX2__) && defined(__FMA__)
+#include <immintrin.h>
+#endif
 
 namespace itask::ops {
 
@@ -193,15 +200,122 @@ Tensor relu_grad(const Tensor& input, const Tensor& grad_out) {
 }
 
 namespace {
-constexpr float kGeluC = 0.7978845608028654f;  // sqrt(2/pi)
+
+// GELU has ONE arithmetic, the tanh approximation written as a logistic:
+// 0.5·x·(1 + tanh u) = x·σ(2u) = x / (1 + exp(−2u)), u = √(2/π)(x + k·x³),
+// on one exp routine below. It has a scalar form and an 8-lane AVX2 form
+// that must stay bit-identical: every multiply-add is an explicit fma (so
+// the compiler's contraction setting cannot make the two drift), and each
+// lane function repeats its scalar twin op for op. The scalar form runs the
+// tail and the whole tensor on builds without AVX2/FMA.
+//
+// Edge values: NaN → NaN, +inf → +inf and −inf → −inf; finite x never
+// gives NaN, because exp's argument is clamped, so σ stays in
+// [1/FLT_MAX, 1] even when x³ overflows.
+
+constexpr float kGeluC = 0.7978845608028654f;  // √(2/π)
+constexpr float kGeluK = 0.044715f;
+
+// exp(x) to ≤ 1.06 ulp against a double exp on [−87, 88]. The argument is
+// clamped to [ln FLT_MIN, ln FLT_MAX], so the result is always a finite,
+// normal float, and NaN maps to 0 first (clamping NaN returns NaN, and
+// converting that to an integer is undefined). n = nearest(x·log2 e);
+// r = x − n·ln 2 in two Cody–Waite steps, |r| ≤ ln2/2; e^r by a degree-6
+// minimax polynomial; 2^n by adding n to the exponent bits.
+constexpr float kExpLo = -87.33654f;
+constexpr float kExpHi = 88.72283f;
+constexpr float kLog2e = 1.44269504f;
+constexpr float kLn2Hi = 0.693359375f;  // ln 2 = kLn2Hi + kLn2Lo
+constexpr float kLn2Lo = -2.12194440e-4f;
+constexpr float kExpP[] = {1.383654540e-3f, 8.375054225e-3f, 4.166824371e-2f,
+                           1.666641682e-1f, 4.999999106e-1f, 1.0f, 1.0f};
+
+float exp_clamped(float x) {
+  if (std::isnan(x)) x = 0.0f;
+  x = std::clamp(x, kExpLo, kExpHi);
+  const float n = std::nearbyint(x * kLog2e);
+  float r = std::fma(n, -kLn2Hi, x);
+  r = std::fma(n, -kLn2Lo, r);
+  float p = kExpP[0];
+  for (size_t i = 1; i < std::size(kExpP); ++i) p = std::fma(p, r, kExpP[i]);
+  int32_t bits = 0;
+  std::memcpy(&bits, &p, sizeof bits);
+  bits += static_cast<int32_t>(n) * (1 << 23);
+  std::memcpy(&p, &bits, sizeof p);
+  return p;
 }
+
+// exp(−2u): the logistic's denominator term, shared by gelu and gelu_grad,
+// with u = √(2/π)·((k·x)·x·x + x) and that last add fused.
+float gelu_exp(float x) {
+  const float u = kGeluC * std::fma(kGeluK * x * x, x, x);
+  return exp_clamped(-2.0f * u);
+}
+
+float gelu_scalar(float x) { return x / (1.0f + gelu_exp(x)); }
+
+// d/dx x·σ(2u) = σ + x·σ(1−σ)·2u′, 2u′ = 2√(2/π)(1 + 3k·x²). 1 − σ is
+// taken as e·σ (e = exp(−2u)), which does not cancel as σ → 1.
+float gelu_slope_scalar(float x) {
+  const float e = gelu_exp(x);
+  const float s = 1.0f / (1.0f + e);
+  const float du2 = (2.0f * kGeluC) * std::fma(x * x, 3.0f * kGeluK, 1.0f);
+  return std::fma(x * (s * (e * s)), du2, s);
+}
+
+#if defined(__AVX2__) && defined(__FMA__)
+__m256 exp_clamped(__m256 x) {
+  x = _mm256_and_ps(x, _mm256_cmp_ps(x, x, _CMP_ORD_Q));  // NaN → 0
+  x = _mm256_min_ps(_mm256_max_ps(x, _mm256_set1_ps(kExpLo)),
+                    _mm256_set1_ps(kExpHi));
+  const __m256 n =
+      _mm256_round_ps(_mm256_mul_ps(x, _mm256_set1_ps(kLog2e)),
+                      _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
+  __m256 r = _mm256_fmadd_ps(n, _mm256_set1_ps(-kLn2Hi), x);
+  r = _mm256_fmadd_ps(n, _mm256_set1_ps(-kLn2Lo), r);
+  __m256 p = _mm256_set1_ps(kExpP[0]);
+  for (size_t i = 1; i < std::size(kExpP); ++i)
+    p = _mm256_fmadd_ps(p, r, _mm256_set1_ps(kExpP[i]));
+  const __m256i scale = _mm256_slli_epi32(_mm256_cvtps_epi32(n), 23);
+  return _mm256_castsi256_ps(
+      _mm256_add_epi32(_mm256_castps_si256(p), scale));
+}
+
+__m256 gelu_exp(__m256 x) {
+  const __m256 kx = _mm256_mul_ps(_mm256_set1_ps(kGeluK), x);
+  const __m256 u = _mm256_mul_ps(_mm256_set1_ps(kGeluC),
+                                 _mm256_fmadd_ps(_mm256_mul_ps(kx, x), x, x));
+  return exp_clamped(_mm256_mul_ps(_mm256_set1_ps(-2.0f), u));
+}
+
+__m256 gelu_lanes(__m256 x) {
+  return _mm256_div_ps(x, _mm256_add_ps(_mm256_set1_ps(1.0f), gelu_exp(x)));
+}
+
+__m256 gelu_slope_lanes(__m256 x) {
+  const __m256 one = _mm256_set1_ps(1.0f);
+  const __m256 e = gelu_exp(x);
+  const __m256 s = _mm256_div_ps(one, _mm256_add_ps(one, e));
+  const __m256 du2 = _mm256_mul_ps(
+      _mm256_set1_ps(2.0f * kGeluC),
+      _mm256_fmadd_ps(_mm256_mul_ps(x, x), _mm256_set1_ps(3.0f * kGeluK),
+                      one));
+  return _mm256_fmadd_ps(
+      _mm256_mul_ps(x, _mm256_mul_ps(s, _mm256_mul_ps(e, s))), du2, s);
+}
+#endif
+
+}  // namespace
 
 Tensor gelu(const Tensor& a) {
   Tensor out = a;
-  for (float& v : out.data()) {
-    const float inner = kGeluC * (v + 0.044715f * v * v * v);
-    v = 0.5f * v * (1.0f + std::tanh(inner));
-  }
+  auto o = out.data();
+  size_t i = 0;
+#if defined(__AVX2__) && defined(__FMA__)
+  for (; i + 8 <= o.size(); i += 8)
+    _mm256_storeu_ps(&o[i], gelu_lanes(_mm256_loadu_ps(&o[i])));
+#endif
+  for (; i < o.size(); ++i) o[i] = gelu_scalar(o[i]);
   return out;
 }
 
@@ -210,14 +324,14 @@ Tensor gelu_grad(const Tensor& input, const Tensor& grad_out) {
   Tensor out = grad_out;
   auto o = out.data();
   auto in = input.data();
-  for (size_t i = 0; i < o.size(); ++i) {
-    const float x = in[i];
-    const float inner = kGeluC * (x + 0.044715f * x * x * x);
-    const float t = std::tanh(inner);
-    const float dinner = kGeluC * (1.0f + 3.0f * 0.044715f * x * x);
-    const float dgelu = 0.5f * (1.0f + t) + 0.5f * x * (1.0f - t * t) * dinner;
-    o[i] *= dgelu;
+  size_t i = 0;
+#if defined(__AVX2__) && defined(__FMA__)
+  for (; i + 8 <= o.size(); i += 8) {
+    const __m256 slope = gelu_slope_lanes(_mm256_loadu_ps(&in[i]));
+    _mm256_storeu_ps(&o[i], _mm256_mul_ps(_mm256_loadu_ps(&o[i]), slope));
   }
+#endif
+  for (; i < o.size(); ++i) o[i] *= gelu_slope_scalar(in[i]);
   return out;
 }
 

@@ -2,8 +2,13 @@
 // softmax family, reductions. Property sweeps use TEST_P over random shapes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <tuple>
+#include <utility>
+#include <vector>
 
 #include "tensor/ops.h"
 #include "tensor/rng.h"
@@ -186,6 +191,152 @@ TEST(Ops, GeluValuesAndGradFiniteDiff) {
     const float numeric =
         (ops::gelu(xp)[i] - ops::gelu(xm)[i]) / (2.0f * eps);
     EXPECT_NEAR(dx[i], numeric, 1e-3f);
+  }
+}
+
+// ops::gelu/gelu_grad run eight-lane blocks (AVX2 + FMA builds) and a
+// scalar tail; a length-1 tensor always takes the scalar form.
+Tensor one_element(float x) { return Tensor({1}, {x}); }
+
+bool same_float(float a, float b) {
+  return (std::isnan(a) && std::isnan(b)) ||
+         std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+// Values that stress the exp arithmetic under GELU: random normals, ±0,
+// denormals, exp arguments around both clamp edges (−2u crosses
+// ln FLT_MAX near x ≈ −10.4 and ln FLT_MIN near x ≈ 10.3), |x| whose cube
+// overflows, ±inf and NaN.
+std::vector<float> gelu_probe_values() {
+  std::vector<float> v = {0.0f,
+                          -0.0f,
+                          std::numeric_limits<float>::denorm_min(),
+                          -std::numeric_limits<float>::denorm_min(),
+                          1e-40f,
+                          -1e-40f,
+                          std::numeric_limits<float>::min(),
+                          1e13f,
+                          -1e13f,
+                          1e20f,
+                          -1e20f,
+                          std::numeric_limits<float>::max(),
+                          std::numeric_limits<float>::lowest(),
+                          std::numeric_limits<float>::infinity(),
+                          -std::numeric_limits<float>::infinity(),
+                          std::numeric_limits<float>::quiet_NaN()};
+  for (float x = 9.5f; x <= 11.0f; x += 1e-3f) {
+    v.push_back(x);
+    v.push_back(-x);
+  }
+  Rng rng(17);
+  for (int i = 0; i < 4000; ++i) v.push_back(rng.normal(0.0f, 1.5f));
+  return v;
+}
+
+TEST(GeluKernel, LanesMatchScalarBitForBit) {
+  const std::vector<float> values = gelu_probe_values();
+  Rng rng(3);
+  EXPECT_EQ(ops::gelu(Tensor({0})).numel(), 0);
+  EXPECT_EQ(ops::gelu_grad(Tensor({0}), Tensor({0})).numel(), 0);
+  for (int64_t n = 1; n <= 17; ++n) {
+    const size_t len = static_cast<size_t>(n);
+    for (size_t start = 0; start + len <= values.size(); start += len) {
+      Tensor x({n});
+      Tensor g({n});
+      for (int64_t i = 0; i < n; ++i) {
+        x[i] = values[start + static_cast<size_t>(i)];
+        g[i] = rng.normal();
+      }
+      const Tensor y = ops::gelu(x);
+      const Tensor dx = ops::gelu_grad(x, g);
+      for (int64_t i = 0; i < n; ++i) {
+        const Tensor xi = one_element(x[i]);
+        ASSERT_TRUE(same_float(y[i], ops::gelu(xi)[0]))
+            << "gelu, x = " << x[i] << ", slot " << i << " of " << n;
+        ASSERT_TRUE(
+            same_float(dx[i], ops::gelu_grad(xi, one_element(g[i]))[0]))
+            << "gelu_grad, x = " << x[i] << ", slot " << i << " of " << n;
+      }
+    }
+  }
+}
+
+TEST(GeluKernel, EdgeValues) {
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  // Run every value at a lane slot and at a tail slot.
+  for (const int64_t n : {int64_t{1}, int64_t{9}}) {
+    const auto at = [n](float x) {
+      return ops::gelu(Tensor({n}, std::vector<float>(n, x)));
+    };
+    EXPECT_TRUE(std::isnan(at(std::numeric_limits<float>::quiet_NaN())[0]));
+    EXPECT_EQ(at(kInf)[0], kInf);
+    // exp's clamped argument keeps σ(2u) ≥ 1/FLT_MAX, so −inf stays −inf.
+    EXPECT_EQ(at(-kInf)[0], -kInf);
+    EXPECT_EQ(at(0.0f)[0], 0.0f);
+    EXPECT_TRUE(std::signbit(at(-0.0f)[0]));
+    for (const float x : gelu_probe_values()) {
+      if (!std::isfinite(x)) continue;
+      const Tensor y = at(x);
+      for (int64_t i = 0; i < n; ++i) {
+        ASSERT_FALSE(std::isnan(y[i])) << "x = " << x;
+      }
+    }
+  }
+}
+
+// GELU and its slope within 2.5e-7·(1 + |ref|) of the same tanh form in
+// long double, on [−12, 12] and on random normals: about two float ulps
+// near |ref| = 1, the sum of the exp routine's ≤ 1.06 ulp and the
+// rounding of u, the denominator and the quotient.
+TEST(GeluKernel, AccuracyAgainstLongDouble) {
+  const auto ref = [](long double x) {
+    const long double c = std::sqrt(2.0L / 3.14159265358979323846264L);
+    const long double u = c * (x + 0.044715L * x * x * x);
+    const long double t = std::tanh(u);
+    const long double du = c * (1.0L + 3.0L * 0.044715L * x * x);
+    return std::pair{0.5L * x * (1.0L + t),
+                     0.5L * (1.0L + t) + 0.5L * x * (1.0L - t * t) * du};
+  };
+  std::vector<float> xs;
+  for (int i = -120000; i <= 120000; ++i) xs.push_back(i * 1e-4f);
+  Rng rng(5);
+  for (int i = 0; i < 20000; ++i) xs.push_back(rng.normal(0.0f, 1.5f));
+  const int64_t n = static_cast<int64_t>(xs.size());
+  const Tensor x({n}, xs);
+  const Tensor y = ops::gelu(x);
+  const Tensor dy = ops::gelu_grad(x, Tensor({n}, 1.0f));
+  double worst_y = 0.0;
+  double worst_dy = 0.0;
+  for (int64_t i = 0; i < n; ++i) {
+    const auto [ry, rdy] = ref(x[i]);
+    worst_y = std::max(worst_y, static_cast<double>(std::abs(y[i] - ry) /
+                                                    (1.0L + std::abs(ry))));
+    worst_dy = std::max(
+        worst_dy, static_cast<double>(std::abs(dy[i] - rdy) /
+                                      (1.0L + std::abs(rdy))));
+  }
+  EXPECT_LE(worst_y, 2.5e-7);
+  EXPECT_LE(worst_dy, 2.5e-7);
+}
+
+TEST(GeluKernel, GradFiniteDiffOnLanes) {
+  Rng rng(11);
+  const int64_t n = 19;  // two lane blocks and a three-element tail
+  Tensor x({n});
+  for (int64_t i = 0; i < n; ++i) x[i] = rng.normal(0.0f, 1.5f);
+  const Tensor dx = ops::gelu_grad(x, Tensor({n}, 1.0f));
+  const float eps = 1e-3f;
+  Tensor xp = x;
+  Tensor xm = x;
+  for (int64_t i = 0; i < n; ++i) {
+    xp[i] += eps;
+    xm[i] -= eps;
+  }
+  const Tensor yp = ops::gelu(xp);
+  const Tensor ym = ops::gelu(xm);
+  for (int64_t i = 0; i < n; ++i) {
+    const float numeric = (yp[i] - ym[i]) / (xp[i] - xm[i]);
+    EXPECT_NEAR(dx[i], numeric, 1e-3f) << "x = " << x[i];
   }
 }
 

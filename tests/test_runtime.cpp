@@ -2162,6 +2162,33 @@ TEST_F(RuntimeServing, FleetRejectsNonFinitePixelsThroughItsShard) {
   fleet.shutdown();
 }
 
+TEST_F(RuntimeServing, FleetCountsShardRejectedMalformedRequests) {
+  FleetOptions fo;
+  fo.shards = 2;
+  fo.shard_options.workers = 1;
+  InferenceFleet fleet(fw_->publish(), fo);
+  const Tensor& good = eval_->scene(0).image;
+  const Tensor nan_pixel =
+      with_bad_pixel(good, std::numeric_limits<float>::quiet_NaN());
+  const Tensor bad_shape({3, 2, 2});
+  for (const Tensor* bad : {&nan_pixel, &bad_shape}) {
+    EXPECT_THROW(fleet.try_submit(*bad, task_->id,
+                                  ConfigKind::kQuantizedMultiTask),
+                 std::invalid_argument);
+    EXPECT_THROW(fleet.try_submit_group({good, *bad}, task_->id,
+                                        ConfigKind::kTaskSpecific),
+                 std::invalid_argument);
+  }
+  EXPECT_EQ(fleet.metrics().counter("fleet_requests_invalid").value(), 4);
+  EXPECT_EQ(fleet.metrics().counter("fleet_submitted").value(), 4);
+  EXPECT_EQ(fleet.metrics().counter("fleet_admitted").value(), 0);
+  const FleetSubmitResult ok = fleet.try_submit(
+      good, task_->id, ConfigKind::kQuantizedMultiTask);
+  ASSERT_TRUE(ok.admitted());
+  EXPECT_EQ(fleet.metrics().counter("fleet_requests_invalid").value(), 4);
+  fleet.shutdown();
+}
+
 TEST_F(RuntimeServing, FleetQuotaRejectionAccountingAndWindowReset) {
   FleetOptions fo;
   fo.shards = 2;
