@@ -1,8 +1,15 @@
 #include "nn/attention.h"
 
+#include <algorithm>
 #include <cmath>
 
+#include "tensor/arena.h"
+#include "tensor/gemm.h"
 #include "tensor/ops.h"
+
+#if defined(__AVX2__) && defined(__FMA__)
+#include <immintrin.h>
+#endif
 
 namespace itask::nn {
 
@@ -43,31 +50,115 @@ Tensor merge_heads(const Tensor& x, int64_t heads) {
   return out;
 }
 
+namespace {
+
+// attention_core repeats, per output element, the arithmetic the packed GEMM
+// (tensor/gemm.cpp) and ops::softmax_lastdim gave the composed path, so its
+// bits match it: a dot product is an fma chain from 0 in ascending k per
+// kKC slab, each slab added to a total that starts at 0 (the micro-kernel's
+// `acc += a·b` contracts to an fma under -march=native; the explicit fma
+// repeats it). The 8-lane form repeats the scalar form op for op; the
+// scalar form runs the tails and everything on builds without AVX2/FMA.
+
+/// Σ_p a[p]·b[p·ldb], p ∈ [0, k), summed as the GEMM micro-kernel sums it.
+float gemm_dot(const float* a, const float* b, int64_t ldb, int64_t k) {
+  float total = 0.0f;
+  for (int64_t p0 = 0; p0 < k; p0 += gemm::kKC) {
+    const int64_t p1 = std::min(k, p0 + gemm::kKC);
+    float acc = 0.0f;
+    for (int64_t p = p0; p < p1; ++p) acc = std::fma(a[p], b[p * ldb], acc);
+    total += acc;
+  }
+  return total;
+}
+
+/// Rows of Q (or of probabilities) handled together: their fma chains are
+/// independent, so they overlap in the pipeline.
+constexpr int64_t kRows = 4;
+
+#if defined(__AVX2__) && defined(__FMA__)
+/// out[r·ldo + l] = gemm_dot(a + r·lda, b + l, ldb, k)·scale for the
+/// n ≤ kRows rows r and the eight lanes l (scale 1 leaves a value as is).
+void gemm_dot8_rows(const float* a, int64_t lda, int64_t n, const float* b,
+                    int64_t ldb, int64_t k, float scale, float* out,
+                    int64_t ldo) {
+  const float* ar[kRows];  // rows past n repeat the last one, unstored
+  for (int64_t r = 0; r < kRows; ++r) ar[r] = a + std::min(r, n - 1) * lda;
+  __m256 total[kRows], acc[kRows];
+  for (__m256& x : total) x = _mm256_setzero_ps();
+  for (int64_t p0 = 0; p0 < k; p0 += gemm::kKC) {
+    const int64_t p1 = std::min(k, p0 + gemm::kKC);
+    for (__m256& x : acc) x = _mm256_setzero_ps();
+    for (int64_t p = p0; p < p1; ++p) {
+      const __m256 bv = _mm256_loadu_ps(b + p * ldb);
+      for (int64_t r = 0; r < kRows; ++r)
+        acc[r] = _mm256_fmadd_ps(_mm256_set1_ps(ar[r][p]), bv, acc[r]);
+    }
+    for (int64_t r = 0; r < kRows; ++r)
+      total[r] = _mm256_add_ps(total[r], acc[r]);
+  }
+  for (int64_t r = 0; r < n; ++r)
+    _mm256_storeu_ps(out + r * ldo,
+                     _mm256_mul_ps(total[r], _mm256_set1_ps(scale)));
+}
+#endif
+
+}  // namespace
+
 AttentionCore attention_core(const Tensor& qkv, int64_t heads) {
   ITASK_CHECK(qkv.ndim() == 3 && qkv.dim(2) % 3 == 0,
               "attention_core: need [B, T, 3D]");
   const int64_t b = qkv.dim(0), t = qkv.dim(1), d = qkv.dim(2) / 3;
-  // Slice out Q, K, V as [B, T, D] each.
-  Tensor q({b, t, d}), k({b, t, d}), v({b, t, d});
-  {
-    auto src = qkv.data();
-    auto qd = q.data(), kd = k.data(), vd = v.data();
-    for (int64_t r = 0; r < b * t; ++r) {
-      const float* row = src.data() + r * 3 * d;
-      std::copy(row, row + d, qd.data() + r * d);
-      std::copy(row + d, row + 2 * d, kd.data() + r * d);
-      std::copy(row + 2 * d, row + 3 * d, vd.data() + r * d);
-    }
-  }
+  ITASK_CHECK(heads >= 1 && d % heads == 0,
+              "attention_core: dim not divisible by heads");
+  const int64_t hd = d / heads;
+  const int64_t ld = 3 * d;  // token stride of Q, K and V inside qkv
+  const float scale = 1.0f / std::sqrt(static_cast<float>(hd));
   AttentionCore core;
-  core.q = split_heads(q, heads);  // [B*H, T, hd]
-  core.k = split_heads(k, heads);
-  core.v = split_heads(v, heads);
-  const float scale = 1.0f / std::sqrt(static_cast<float>(d / heads));
-  Tensor scores =
-      ops::mul_scalar(ops::bmm_bt(core.q, core.k), scale);  // [B*H, T, T]
-  core.attn = ops::softmax_lastdim(scores);
-  core.ctx = merge_heads(ops::bmm(core.attn, core.v), heads);  // [B, T, D]
+  core.attn = Tensor({b * heads, t, t});
+  core.ctx = Tensor({b, t, d});
+  int64_t t8 = 0, hd8 = 0;  // the token and feature extents the lanes cover
+#if defined(__AVX2__) && defined(__FMA__)
+  t8 = t / 8 * 8;
+  hd8 = hd / 8 * 8;
+  // Kᵀ panel, kt[c·t8 + j] = K[j][c], rebuilt per (image, head).
+  ScratchVec<float> kt(hd * t8, /*zero_fill=*/false);
+#endif
+  for (int64_t bi = 0; bi < b; ++bi)
+    for (int64_t h = 0; h < heads; ++h) {
+      const float* q = qkv.data().data() + bi * t * ld + h * hd;
+      const float* k = q + d;
+      const float* v = q + 2 * d;
+      float* attn = core.attn.data().data() + (bi * heads + h) * t * t;
+      float* ctx = core.ctx.data().data() + bi * t * d + h * hd;
+#if defined(__AVX2__) && defined(__FMA__)
+      for (int64_t j = 0; j < t8; ++j)
+        for (int64_t c = 0; c < hd; ++c) kt[c * t8 + j] = k[j * ld + c];
+#endif
+      for (int64_t i = 0; i < t; i += kRows) {
+        const int64_t n = std::min(kRows, t - i);
+        const float* qi = q + i * ld;
+        float* ai = attn + i * t;
+        float* ci = ctx + i * d;
+        // ai = softmax((qi·Kᵀ)·scale)
+#if defined(__AVX2__) && defined(__FMA__)
+        for (int64_t j = 0; j < t8; j += 8)
+          gemm_dot8_rows(qi, ld, n, &kt[j], t8, hd, scale, ai + j, t);
+#endif
+        for (int64_t r = 0; r < n; ++r)
+          for (int64_t j = t8; j < t; ++j)
+            ai[r * t + j] = gemm_dot(qi + r * ld, k + j * ld, 1, hd) * scale;
+        for (int64_t r = 0; r < n; ++r) ops::softmax_row(ai + r * t, t);
+        // ci = ai·V
+#if defined(__AVX2__) && defined(__FMA__)
+        for (int64_t c = 0; c < hd8; c += 8)
+          gemm_dot8_rows(ai, t, n, v + c, ld, t, 1.0f, ci + c, d);
+#endif
+        for (int64_t r = 0; r < n; ++r)
+          for (int64_t c = hd8; c < hd; ++c)
+            ci[r * d + c] = gemm_dot(ai + r * t, v + c, ld, t);
+      }
+    }
   return core;
 }
 
@@ -85,12 +176,9 @@ MultiHeadAttention::MultiHeadAttention(int64_t dim, int64_t heads, Rng& rng)
 Tensor MultiHeadAttention::forward(const Tensor& tokens) {
   ITASK_CHECK(tokens.ndim() == 3 && tokens.dim(2) == dim_,
               "MultiHeadAttention: need [B, T, dim]");
-  AttentionCore core = attention_core(qkv_.forward(tokens), heads_);
-  cached_q_ = std::move(core.q);
-  cached_k_ = std::move(core.k);
-  cached_v_ = std::move(core.v);
+  cached_qkv_ = qkv_.forward(tokens);
+  AttentionCore core = attention_core(cached_qkv_, heads_);
   cached_attn_ = std::move(core.attn);
-  cached_batch_ = tokens.dim(0);
   return proj_.forward(core.ctx);
 }
 
@@ -103,19 +191,33 @@ Tensor MultiHeadAttention::infer(const Tensor& tokens) const {
 Tensor MultiHeadAttention::backward(const Tensor& grad_out) {
   ITASK_CHECK(!cached_attn_.empty(),
               "MultiHeadAttention: backward before forward");
-  const int64_t b = cached_batch_;
-  const int64_t t = cached_q_.dim(1);
-  Tensor d_ctx_merged = proj_.backward(grad_out);          // [B, T, D]
-  Tensor d_ctx = split_heads(d_ctx_merged, heads_);        // [B*H, T, hd]
+  const int64_t b = cached_qkv_.dim(0), t = cached_qkv_.dim(1);
+  // Per-head q/k/v [B*H, T, hd], sliced from the cached fused projection.
+  Tensor q({b, t, dim_}), k({b, t, dim_}), v({b, t, dim_});
+  {
+    auto src = cached_qkv_.data();
+    auto qd = q.data(), kd = k.data(), vd = v.data();
+    for (int64_t r = 0; r < b * t; ++r) {
+      const float* row = src.data() + r * 3 * dim_;
+      std::copy(row, row + dim_, qd.data() + r * dim_);
+      std::copy(row + dim_, row + 2 * dim_, kd.data() + r * dim_);
+      std::copy(row + 2 * dim_, row + 3 * dim_, vd.data() + r * dim_);
+    }
+  }
+  q = split_heads(q, heads_);
+  k = split_heads(k, heads_);
+  v = split_heads(v, heads_);
+  Tensor d_ctx_merged = proj_.backward(grad_out);    // [B, T, D]
+  Tensor d_ctx = split_heads(d_ctx_merged, heads_);  // [B*H, T, hd]
   // ctx = attn · v
-  Tensor d_attn = ops::bmm_bt(d_ctx, cached_v_);           // [B*H, T, T]
-  Tensor d_v = ops::bmm_at(cached_attn_, d_ctx);           // [B*H, T, hd]
+  Tensor d_attn = ops::bmm_bt(d_ctx, v);             // [B*H, T, T]
+  Tensor d_v = ops::bmm_at(cached_attn_, d_ctx);     // [B*H, T, hd]
   // attn = softmax(scores)
   Tensor d_scores = ops::softmax_backward_lastdim(cached_attn_, d_attn);
   d_scores = ops::mul_scalar(d_scores, scale_);
   // scores = q · kᵀ
-  Tensor d_q = ops::bmm(d_scores, cached_k_);              // [B*H, T, hd]
-  Tensor d_k = ops::bmm_at(d_scores, cached_q_);           // [B*H, T, hd]
+  Tensor d_q = ops::bmm(d_scores, k);     // [B*H, T, hd]
+  Tensor d_k = ops::bmm_at(d_scores, q);  // [B*H, T, hd]
   // Re-pack [dq|dk|dv] into the qkv gradient layout [B, T, 3D].
   Tensor dq_m = merge_heads(d_q, heads_);
   Tensor dk_m = merge_heads(d_k, heads_);

@@ -12,18 +12,20 @@ Tensor split_heads(const Tensor& x, int64_t heads);
 /// Inverse of split_heads: [B*H, T, hd] -> [B, T, H*hd].
 Tensor merge_heads(const Tensor& x, int64_t heads);
 
-/// What attention_core computes: the per-head operands and probabilities
-/// backward needs, plus the merged context the output projection consumes.
+/// What attention_core computes: the probabilities backward needs and the
+/// merged context the output projection consumes.
 struct AttentionCore {
-  Tensor q, k, v;  // [B*H, T, hd]
-  Tensor attn;     // softmax(scale·QKᵀ), [B*H, T, T]
-  Tensor ctx;      // attn·V with heads merged, [B, T, H*hd]
+  Tensor attn;  // softmax(scale·QKᵀ), [B*H, T, T]
+  Tensor ctx;   // attn·V with heads merged, [B, T, H*hd]
 };
 
 /// The one definition of scaled-dot-product attention over a fused QKV
-/// projection [B, T, 3D]: split Q|K|V, split heads, softmax(QKᵀ/√hd)·V,
-/// merge heads. Shared by MultiHeadAttention::forward/infer and the
-/// quantized runtime, so their arithmetic cannot drift apart.
+/// projection [B, T, 3D]: softmax(QKᵀ/√hd)·V per (image, head), reading Q,
+/// K and V in place and writing ctx straight into the merged layout.
+/// Bit-identical to composing slice, split_heads, bmm_bt, mul_scalar,
+/// softmax_lastdim, bmm and merge_heads. Shared by MultiHeadAttention::
+/// forward/infer and the quantized runtime, so their arithmetic cannot
+/// drift apart. Scratch comes from the bound arena, if any.
 AttentionCore attention_core(const Tensor& qkv, int64_t heads);
 
 /// Scaled-dot-product multi-head self-attention over token sequences
@@ -54,9 +56,9 @@ class MultiHeadAttention : public Module {
   float scale_;
   Linear qkv_;
   Linear proj_;
-  // Cached activations for backward (q/k/v in the [B*H, T, hd] layout).
-  Tensor cached_q_, cached_k_, cached_v_, cached_attn_;
-  int64_t cached_batch_ = 0;
+  // Cached activations for backward: the fused projection [B, T, 3D] and
+  // the probabilities [B*H, T, T].
+  Tensor cached_qkv_, cached_attn_;
 };
 
 }  // namespace itask::nn

@@ -9,10 +9,10 @@ namespace itask::gemm {
 
 namespace {
 
-// Cache-block extents: KC·NR and KC·MR panels stay L1-resident, a full
-// KC×NC packed B slab stays L2-resident. Model GEMMs in this repo are small
-// (K ≤ 256), so most calls see exactly one slab per dimension.
-constexpr int64_t kKC = 256;
+// Cache-block extents (with kKC, gemm.h): KC·NR and KC·MR panels stay
+// L1-resident, a full KC×NC packed B slab stays L2-resident. Model GEMMs in
+// this repo are small (K ≤ 256), so most calls see exactly one slab per
+// dimension.
 constexpr int64_t kMC = 128;
 constexpr int64_t kNC = 128;
 

@@ -31,6 +31,10 @@ namespace itask::gemm {
 inline constexpr int64_t kMR = 8;
 inline constexpr int64_t kNR = 16;
 
+/// Reduction slab extent: the micro-kernel sums k in slabs of kKC, each
+/// an fma chain from 0 that is then added to C.
+inline constexpr int64_t kKC = 256;
+
 /// C[M,N] += A[M,K] · B[K,N] (all row-major).
 void gemm_nn(const float* a, const float* b, float* c, int64_t m, int64_t k,
              int64_t n);

@@ -347,24 +347,25 @@ Tensor tanh_t(const Tensor& a) {
   return out;
 }
 
+void softmax_row(float* row, int64_t n) {
+  float mx = row[0];
+  for (int64_t j = 1; j < n; ++j) mx = std::max(mx, row[j]);
+  float denom = 0.0f;
+  for (int64_t j = 0; j < n; ++j) {
+    row[j] = std::exp(row[j] - mx);
+    denom += row[j];
+  }
+  const float inv = 1.0f / denom;
+  for (int64_t j = 0; j < n; ++j) row[j] *= inv;
+}
+
 Tensor softmax_lastdim(const Tensor& a) {
   ITASK_CHECK(a.ndim() >= 1, "softmax_lastdim: need at least 1-D");
   const int64_t c = a.dim(a.ndim() - 1);
   const int64_t rows = a.numel() / c;
   Tensor out = a;
   auto o = out.data();
-  for (int64_t r = 0; r < rows; ++r) {
-    float* row = o.data() + r * c;
-    float mx = row[0];
-    for (int64_t j = 1; j < c; ++j) mx = std::max(mx, row[j]);
-    float denom = 0.0f;
-    for (int64_t j = 0; j < c; ++j) {
-      row[j] = std::exp(row[j] - mx);
-      denom += row[j];
-    }
-    const float inv = 1.0f / denom;
-    for (int64_t j = 0; j < c; ++j) row[j] *= inv;
-  }
+  for (int64_t r = 0; r < rows; ++r) softmax_row(o.data() + r * c, c);
   return out;
 }
 

@@ -59,6 +59,9 @@ Tensor tanh_t(const Tensor& a);
 // ---- softmax family (over the trailing axis) ------------------------------
 
 Tensor softmax_lastdim(const Tensor& a);
+/// softmax_lastdim's arithmetic on one contiguous row of n > 0 floats, in
+/// place: the row max, std::exp(x − max) summed left to right, then × 1/sum.
+void softmax_row(float* row, int64_t n);
 Tensor log_softmax_lastdim(const Tensor& a);
 
 /// Backward of softmax given its *output* y and upstream gradient g:

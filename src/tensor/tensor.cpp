@@ -13,7 +13,8 @@ int64_t shape_numel(const Shape& shape) {
   int64_t n = 1;
   for (int64_t d : shape) {
     ITASK_CHECK(d >= 0, "negative dimension in shape");
-    n *= d;
+    ITASK_CHECK(!__builtin_mul_overflow(n, d, &n),
+                "shape element count overflows int64");
   }
   return n;
 }

@@ -1,7 +1,9 @@
 // Attention, transformer, patch embedding, and full-model gradient checks.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
+#include <limits>
 
 #include "nn/attention.h"
 #include "nn/embedding.h"
@@ -58,6 +60,86 @@ TEST(Attention, OutputShapeAndGradCheck) {
   const auto result = nn::check_gradients(attn, loss_fn, 1e-2f, 4e-2f, 12);
   EXPECT_TRUE(result.ok) << result.worst_parameter << " rel "
                          << result.max_rel_error;
+}
+
+// The composition attention_core replaced, built from public ops: slice
+// Q|K|V, split heads, bmm_bt, × scale, softmax_lastdim, bmm, merge heads.
+nn::AttentionCore composed_attention(const Tensor& qkv, int64_t heads) {
+  const int64_t b = qkv.dim(0), t = qkv.dim(1), d = qkv.dim(2) / 3;
+  Tensor part[3] = {Tensor({b, t, d}), Tensor({b, t, d}), Tensor({b, t, d})};
+  for (int64_t r = 0; r < b * t; ++r)
+    for (int s = 0; s < 3; ++s)
+      std::memcpy(part[s].data().data() + r * d,
+                  qkv.data().data() + (r * 3 + s) * d, d * sizeof(float));
+  const Tensor q = split_heads(part[0], heads);
+  const Tensor k = split_heads(part[1], heads);
+  const Tensor v = split_heads(part[2], heads);
+  const float scale = 1.0f / std::sqrt(static_cast<float>(d / heads));
+  nn::AttentionCore core;
+  core.attn = ops::softmax_lastdim(ops::mul_scalar(ops::bmm_bt(q, k), scale));
+  core.ctx = merge_heads(ops::bmm(core.attn, v), heads);
+  return core;
+}
+
+// Bitwise equality; NaN matches NaN of any payload.
+::testing::AssertionResult same_bits(const Tensor& got, const Tensor& want) {
+  if (got.shape() != want.shape())
+    return ::testing::AssertionFailure() << "shape mismatch";
+  for (int64_t i = 0; i < got.numel(); ++i) {
+    const float g = got[i], w = want[i];
+    if (std::isnan(g) && std::isnan(w)) continue;
+    if (std::memcmp(&g, &w, sizeof g) != 0)
+      return ::testing::AssertionFailure()
+             << "element " << i << ": " << g << " vs " << w;
+  }
+  return ::testing::AssertionSuccess();
+}
+
+TEST(AttentionCore, MatchesComposedOracleBitForBit) {
+  struct Case {
+    int64_t t, d, heads;
+  };
+  // Student (T 10, D 40, H 4), teacher (D 64, hd 16), T 17 / hd 8, T 1,
+  // hd 5 and 12 (not multiples of 8), and T 300 / hd 260 (more than one
+  // GEMM reduction slab).
+  const Case cases[] = {{10, 40, 4}, {10, 64, 4}, {17, 32, 4}, {1, 40, 4},
+                        {9, 15, 3},  {13, 24, 2}, {300, 8, 1}, {3, 260, 1}};
+  Rng rng(21);
+  for (const Case& c : cases)
+    for (int64_t b : {1, 3, 8}) {
+      SCOPED_TRACE(::testing::Message() << "T " << c.t << " D " << c.d
+                                        << " H " << c.heads << " B " << b);
+      Tensor qkv = rng.randn({b, c.t, 3 * c.d});
+      for (int64_t i = 0; i < qkv.numel(); i += 7) qkv[i] = 0.0f;
+      for (int64_t i = 3; i < qkv.numel(); i += 11) qkv[i] = -0.0f;
+      // The last image of a batch also gets magnitudes whose scores
+      // saturate the softmax or overflow to ±inf (earlier images keep
+      // ordinary values, where the summation order shows in the bits).
+      if (b > 1)
+        for (int64_t i = (b - 1) * c.t * 3 * c.d + 5; i < qkv.numel(); i += 29)
+          qkv[i] *= 1e19f;
+      const nn::AttentionCore got = nn::attention_core(qkv, c.heads);
+      const nn::AttentionCore want = composed_attention(qkv, c.heads);
+      EXPECT_TRUE(same_bits(got.attn, want.attn));
+      EXPECT_TRUE(same_bits(got.ctx, want.ctx));
+    }
+}
+
+TEST(AttentionCore, NanPositionsMatchOracle) {
+  Rng rng(22);
+  for (int64_t t : {1, 10, 17}) {
+    Tensor qkv = rng.randn({3, t, 3 * 40});
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    const float inf = std::numeric_limits<float>::infinity();
+    qkv[2] = nan;                 // a query feature (image 0, head 0)
+    qkv[t * 120 + 50] = inf;      // a key feature (image 1, head 1)
+    qkv[2 * t * 120 + 94] = nan;  // a value feature (image 2, head 1)
+    const nn::AttentionCore got = nn::attention_core(qkv, 4);
+    const nn::AttentionCore want = composed_attention(qkv, 4);
+    EXPECT_TRUE(std::isnan(got.ctx[0]));
+    EXPECT_TRUE(same_bits(got.attn, want.attn)) << "T " << t;
+    EXPECT_TRUE(same_bits(got.ctx, want.ctx)) << "T " << t;
+  }
 }
 
 TEST(Attention, PermutationEquivariance) {

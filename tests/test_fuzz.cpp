@@ -3,12 +3,18 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <string>
 
 #include "data/dataset.h"
 #include "kg/matcher.h"
 #include "kg/logic.h"
 #include "kg/serialize.h"
 #include "llm/oracle.h"
+#include "tensor/io.h"
 #include "tensor/ops.h"
 
 namespace itask {
@@ -108,6 +114,51 @@ TEST(Fuzz, SoftmaxNeverProducesNan) {
     for (float v : ly.data()) EXPECT_TRUE(v <= 0.0f || std::isnan(v)) << v;
     for (float v : ly.data()) EXPECT_FALSE(std::isnan(v));
   }
+}
+
+TEST(Fuzz, CheckpointReaderRejectsTruncationAndBitFlips) {
+  // A corrupt checkpoint either loads or throws std::runtime_error: never
+  // another exception type, never more name and payload bytes than the
+  // file holds. Every strict prefix is missing data, so it must throw; a
+  // flipped bit may land in a payload and still load.
+  Rng rng(31);
+  io::StateDict state;
+  state.emplace("blocks.0.attn.qkv.weight", rng.randn({6, 2}));
+  state.emplace("blocks.0.attn.qkv.bias", rng.randn({6}));
+  state.emplace("cls", rng.randn({1, 1, 2}));
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "itask_fuzz_ckpt.itsk")
+          .string();
+  io::save_state_dict(state, path);
+  std::string good;
+  {
+    std::ifstream is(path, std::ios::binary);
+    good.assign(std::istreambuf_iterator<char>(is), {});
+  }
+  const auto load = [&](const std::string& bytes) {
+    std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+    try {
+      const io::StateDict loaded = io::load_state_dict(path);
+      int64_t held = 0;
+      for (const auto& [name, tensor] : loaded)
+        held += static_cast<int64_t>(name.size()) +
+                tensor.numel() * static_cast<int64_t>(sizeof(float));
+      EXPECT_LE(held, static_cast<int64_t>(bytes.size()));
+      return true;
+    } catch (const std::runtime_error&) {
+      return false;
+    }
+  };
+  ASSERT_TRUE(load(good));
+  for (size_t len = 0; len < good.size(); ++len)
+    EXPECT_FALSE(load(good.substr(0, len))) << "prefix of " << len;
+  for (int trial = 0; trial < 2000; ++trial) {
+    std::string bad = good;
+    const int64_t bit = rng.randint(0, static_cast<int64_t>(bad.size()) * 8 - 1);
+    bad[static_cast<size_t>(bit / 8)] ^= static_cast<char>(1 << (bit % 8));
+    load(bad);
+  }
+  std::remove(path.c_str());
 }
 
 TEST(Fuzz, DatasetBatchingArbitrarySubsets) {

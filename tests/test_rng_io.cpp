@@ -1,9 +1,12 @@
 // Tests for deterministic RNG and state-dict serialization.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <string>
+#include <vector>
 
 #include "tensor/io.h"
 #include "tensor/rng.h"
@@ -139,6 +142,81 @@ TEST(Io, CorruptMagicThrows) {
   }
   EXPECT_THROW(io::load_state_dict(path), std::runtime_error);
   std::remove(path.c_str());
+}
+
+// Raw ITSK bytes (magic, version, count, then name / rank / dims / payload
+// per entry), for headers save_state_dict never writes.
+class ItskBytes {
+ public:
+  explicit ItskBytes(uint64_t count) {
+    pod(uint32_t{0x4954534B});
+    pod(uint32_t{1});
+    pod(count);
+  }
+  ItskBytes& entry(const std::string& name, std::vector<int64_t> dims,
+                   int64_t payload_floats) {
+    pod(static_cast<uint64_t>(name.size()));
+    bytes_ += name;
+    pod(static_cast<uint64_t>(dims.size()));
+    for (int64_t d : dims) pod(d);
+    bytes_.append(static_cast<size_t>(payload_floats) * sizeof(float), '\0');
+    return *this;
+  }
+  template <typename T>
+  ItskBytes& pod(T value) {
+    bytes_.append(reinterpret_cast<const char*>(&value), sizeof value);
+    return *this;
+  }
+  std::string write(const std::string& file) const {
+    const std::string path =
+        (std::filesystem::temp_directory_path() / file).string();
+    std::ofstream(path, std::ios::binary) << bytes_;
+    return path;
+  }
+
+ private:
+  std::string bytes_;
+};
+
+// Loading must fail with std::runtime_error and nothing else.
+void expect_rejected(const std::string& path) {
+  EXPECT_THROW(io::load_state_dict(path), std::runtime_error);
+  std::remove(path.c_str());
+}
+
+TEST(Io, RejectsNameLengthBeyondTheFile) {
+  // A flipped high bit of name_len once built a 2^62-byte zero string.
+  ItskBytes bytes(1);
+  bytes.pod(uint64_t{1} << 62).pod(uint64_t{1}).pod(int64_t{2});
+  expect_rejected(bytes.write("itask_io_name_len.bin"));
+}
+
+TEST(Io, RejectsDimsWhoseProductOverflows) {
+  // 2^32 · 2^32 overflows int64; the product must be checked, not wrapped.
+  ItskBytes bytes(1);
+  bytes.entry("w", {int64_t{1} << 32, int64_t{1} << 32}, 0);
+  expect_rejected(bytes.write("itask_io_overflow.bin"));
+}
+
+TEST(Io, RejectsPayloadBeyondTheFile) {
+  ItskBytes bytes(1);
+  bytes.entry("w", {1 << 16, 1 << 4}, 4);
+  expect_rejected(bytes.write("itask_io_payload.bin"));
+}
+
+TEST(Io, RejectsNegativeDimAndRankAboveMaxRank) {
+  ItskBytes negative(1);
+  negative.entry("w", {2, -1}, 0);
+  expect_rejected(negative.write("itask_io_negative.bin"));
+  ItskBytes deep(1);
+  deep.entry("w", std::vector<int64_t>(Shape::kMaxRank + 1, 1), 1);
+  expect_rejected(deep.write("itask_io_rank.bin"));
+}
+
+TEST(Io, RejectsDuplicateNames) {
+  ItskBytes bytes(2);
+  bytes.entry("w", {2}, 2).entry("w", {3}, 3);
+  expect_rejected(bytes.write("itask_io_duplicate.bin"));
 }
 
 }  // namespace

@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "core/itask.h"
+#include "nn/attention.h"
 #include "runtime/clock.h"
 #include "runtime/exposition.h"
 #include "runtime/fleet.h"
@@ -33,6 +34,7 @@
 #include "tensor/arena.h"
 #include "tensor/gemm.h"
 #include "tensor/profile.h"
+#include "tensor/rng.h"
 
 // ------------------------- instrumented global allocator --------------------
 // This binary replaces the ordinary (and aligned) operator new/delete so that
@@ -1536,6 +1538,28 @@ TEST_F(RuntimeServing, LiveOnboardingServesThroughPublishes) {
 // The allocation-free steady-state serving suite. These tests (plus the
 // Arena*/ArenaScope*/ScratchVec* units in test_tensor and the workspace
 // tests in test_gemm) run first under ASan in CI — filter `*Arena*`.
+
+TEST(AttentionCoreArena, WarmCallAtBatch8MakesNoHeapAllocation) {
+  // attention_core takes its outputs and its Kᵀ panel from the bound arena:
+  // once warm, a batch-8 call at the student shape (T 10, D 40) and at
+  // T 17, D 64 (a token tail) makes no heap allocation and does not
+  // overflow.
+  Rng rng(7);
+  for (const auto& [t, d] : {std::pair<int64_t, int64_t>{10, 40}, {17, 64}}) {
+    const Tensor qkv = rng.randn({8, t, 3 * d});
+    Arena arena(1 << 20);
+    ArenaScope scope(arena);
+    (void)nn::attention_core(qkv, 4);  // warm
+    arena.reset();
+    const int64_t before = allocdebug::thread_alloc_count();
+    {
+      const nn::AttentionCore core = nn::attention_core(qkv, 4);
+      EXPECT_EQ(core.ctx.shape(), (Shape{8, t, d}));
+    }
+    EXPECT_EQ(allocdebug::thread_alloc_count(), before) << "T " << t;
+    EXPECT_EQ(arena.overflow_allocs(), 0);
+  }
+}
 
 TEST_F(RuntimeServing, ArenaZeroSteadyStateAllocationsBothConfigs) {
   // The headline contract: after warmup, a serving worker performs ZERO heap

@@ -42,6 +42,12 @@ TEST(Tensor, ValueCountMismatchThrows) {
   EXPECT_THROW(Tensor({2, 2}, {1.0f, 2.0f}), std::invalid_argument);
 }
 
+TEST(Tensor, ElementCountOverflowThrows) {
+  // 2^32 · 2^32 does not fit int64: refused, not wrapped to 0.
+  EXPECT_THROW(Tensor({int64_t{1} << 32, int64_t{1} << 32}),
+               std::invalid_argument);
+}
+
 TEST(Tensor, FromValues) {
   Tensor t = Tensor::from_values({1.0f, 2.0f, 3.0f});
   EXPECT_EQ(t.ndim(), 1);
