@@ -1,107 +1,34 @@
-// F7 — sharded serving fleet: goodput and tail latency of N InferenceServer
-// shards behind the rendezvous task-affinity router (src/runtime/fleet),
-// driven by the open-loop generator (src/runtime/loadgen). Sweeps shards ×
-// replication under zipf task popularity, shows per-tenant quota fairness, a
-// mission-switch storm, and the staged snapshot rollout with an injected
-// mid-rollout shard failure + resume. All observability flows through the
-// merged Prometheus scrape (per-shard registries + fleet registry).
-//
-// NOTE: F7, like F6, deliberately uses multiple cores — shard scaling is the
-// subject. Everything else in the sweep stays on the single-core budget.
-#include <algorithm>
-#include <chrono>
+// F7 — sharded serving fleet: per-tenant quota fairness and the staged
+// snapshot rollout with an injected mid-rollout shard failure + resume, read
+// back through the merged Prometheus scrape (per-shard registries + fleet
+// registry). Load and latency under open-loop traffic are servebench's
+// (`occluded_groups` runs the fleet); this binary shows what servebench and
+// the tests do not print as a table, and exits nonzero when one of its
+// invariants fails.
 #include <cstdint>
 #include <cstdio>
 #include <future>
-#include <memory>
+#include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench/bench_util.h"
 #include "runtime/exposition.h"
 #include "runtime/fleet.h"
-#include "runtime/loadgen.h"
 #include "tensor/format.h"
-
-namespace itask {
-namespace {
-
-struct FleetLoad {
-  double seconds = 0.0;
-  int64_t offered = 0;
-  int64_t completed = 0;
-  int64_t queue_full = 0;      // shed (open loop: no retry)
-  int64_t quota_rejected = 0;  // shed by per-tenant admission quotas
-  int64_t failovers = 0;       // replica rotations past a full shard
-  int64_t shard_min = 0;       // lightest shard's admitted requests
-  int64_t shard_max = 0;       // heaviest shard's admitted requests
-  runtime::Histogram::Snapshot total_us;  // merged across all shards
-  std::string prometheus;                 // merged fleet scrape
-};
-
-/// Replays an open-loop schedule against a fleet: each request is submitted
-/// at its arrival time and NEVER retried — a rejection is lost goodput, the
-/// honest overload picture. Latency comes from the merged shard histograms,
-/// i.e. the same numbers a monitoring scrape would see.
-FleetLoad drive_fleet(std::shared_ptr<const core::DeploymentSnapshot> snapshot,
-                      const std::vector<core::TaskHandle>& tasks,
-                      runtime::FleetOptions options,
-                      const std::vector<runtime::GeneratedRequest>& schedule,
-                      const data::Dataset& scenes) {
-  runtime::InferenceFleet fleet(std::move(snapshot), std::move(options));
-  std::vector<std::future<runtime::InferenceResult>> futures;
-  futures.reserve(schedule.size());
-  const auto start = std::chrono::steady_clock::now();
-  for (const runtime::GeneratedRequest& req : schedule) {
-    std::this_thread::sleep_until(start +
-                                  std::chrono::microseconds(req.arrival_us));
-    auto r = fleet.try_submit(
-        scenes.scene(req.scene % scenes.size()).image,
-        tasks[static_cast<size_t>(req.task_index)].id,
-        core::ConfigKind::kQuantizedMultiTask, req.tenant);
-    if (r.admitted()) futures.push_back(std::move(*r.future));
-  }
-  for (auto& f : futures) f.get();
-  const auto end = std::chrono::steady_clock::now();
-  fleet.shutdown();
-
-  const runtime::RegistrySnapshot merged = fleet.merged_metrics();
-  const auto counter = [&merged](const char* name) -> int64_t {
-    for (const auto& [n, v] : merged.counters) {
-      if (n == name) return v;
-    }
-    return 0;
-  };
-  FleetLoad r;
-  r.seconds = std::chrono::duration<double>(end - start).count();
-  r.offered = static_cast<int64_t>(schedule.size());
-  r.completed = counter("requests_completed");
-  r.queue_full = counter("fleet_rejected_queue_full");
-  r.quota_rejected = counter("fleet_quota_rejected");
-  r.failovers = counter("fleet_failovers");
-  for (const auto& [n, s] : merged.histograms) {
-    if (n == "total_us") r.total_us = s;
-  }
-  r.shard_min = INT64_MAX;
-  for (int64_t s = 0; s < fleet.shard_count(); ++s) {
-    const int64_t admitted =
-        fleet.shard(s).metrics().counter("requests_submitted").value();
-    r.shard_min = std::min(r.shard_min, admitted);
-    r.shard_max = std::max(r.shard_max, admitted);
-  }
-  r.prometheus = runtime::to_prometheus(runtime::ExpositionData{merged, {}});
-  return r;
-}
-
-}  // namespace
-}  // namespace itask
 
 int main() {
   using namespace itask;
-  const bool fast = std::getenv("ITASK_BENCH_FAST") != nullptr;
   bench::print_header(
-      "F7", "sharded fleet: goodput/latency vs shards × replication");
+      "F7", "sharded fleet: quota fairness and staged rollout");
+
+  bool ok = true;
+  const auto check = [&ok](bool holds, const char* invariant) {
+    if (!holds) {
+      std::printf("  FAIL: %s\n", invariant);
+      ok = false;
+    }
+  };
 
   core::Framework fw(bench::experiment_options(/*seed=*/43));
   std::printf("[setup] training deployment (quantized configuration, 4 "
@@ -115,75 +42,6 @@ int main() {
   const auto snapshot = fw.publish();
   const data::Dataset scenes =
       bench::make_eval_set(fw.options(), /*scenes=*/32, /*seed=*/2025);
-
-  runtime::LoadGenOptions load;
-  load.requests = fast ? 192 : 768;
-  load.rate_rps = fast ? 800.0 : 1500.0;
-  load.tasks = static_cast<int64_t>(tasks.size());
-  load.zipf_s = 1.1;
-  load.tenants = 4;
-  load.scenes = scenes.size();
-
-  const std::vector<int64_t> shard_sweep =
-      fast ? std::vector<int64_t>{1, 2} : std::vector<int64_t>{1, 2, 4};
-  const std::vector<int64_t> replication_sweep{1, 2};
-  std::printf("\n%d requests open-loop at %.0f req/s (poisson, zipf %.1f "
-              "over %d missions), workers/shard 2, %u hardware threads\n\n",
-              static_cast<int>(load.requests), load.rate_rps, load.zipf_s,
-              static_cast<int>(load.tasks),
-              std::thread::hardware_concurrency());
-  std::printf("shards  repl  goodput(req/s)  shed  p50(us)  p99(us)  "
-              "failovers  shard-load(min..max)\n");
-  FleetLoad last;
-  for (const int64_t shards : shard_sweep) {
-    for (const int64_t replication : replication_sweep) {
-      runtime::FleetOptions fo;
-      fo.shards = shards;
-      fo.replication = replication;  // clamped to shards when it exceeds them
-      fo.shard_options.workers = 2;
-      fo.shard_options.max_batch = 4;
-      fo.shard_options.max_wait_us = 300;
-      fo.shard_options.queue_capacity = 64;
-      // Identical offered traffic for every fleet geometry: same seed, same
-      // options, same schedule.
-      Rng rng(4242);
-      const auto schedule = runtime::generate_schedule(load, rng);
-      const FleetLoad r = drive_fleet(snapshot, tasks, fo, schedule, scenes);
-      std::printf("%6d  %4d  %14.1f  %4d  %7.0f  %7.0f  %9d  %9s..%s\n",
-                  static_cast<int>(shards), static_cast<int>(replication),
-                  static_cast<double>(r.completed) / r.seconds,
-                  static_cast<int>(r.offered - r.completed), r.total_us.p50,
-                  r.total_us.p99, static_cast<int>(r.failovers),
-                  fmt::i64(r.shard_min).c_str(), fmt::i64(r.shard_max).c_str());
-      last = r;
-    }
-  }
-
-  // Mission-switch storm (F4's scenario at fleet scale): the hottest task
-  // rotates every storm period, so the zipf head slams a different shard's
-  // affinity set each window.
-  std::printf("\nmission-switch storm (shards %d, repl 1): hottest mission "
-              "rotates every storm period\n\n",
-              static_cast<int>(shard_sweep.back()));
-  std::printf("storm-period(ms)  goodput(req/s)  shed  p99(us)\n");
-  for (const int64_t storm_ms : {int64_t{0}, int64_t{100}}) {
-    runtime::LoadGenOptions storm = load;
-    storm.zipf_s = 1.5;
-    storm.storm_period_us = storm_ms * 1000;
-    runtime::FleetOptions fo;
-    fo.shards = shard_sweep.back();
-    fo.shard_options.workers = 2;
-    fo.shard_options.max_batch = 4;
-    fo.shard_options.max_wait_us = 300;
-    fo.shard_options.queue_capacity = 64;
-    Rng rng(4242);
-    const auto schedule = runtime::generate_schedule(storm, rng);
-    const FleetLoad r = drive_fleet(snapshot, tasks, fo, schedule, scenes);
-    std::printf("%16s  %14.1f  %4d  %7.0f\n",
-                storm_ms == 0 ? "off" : fmt::i64(storm_ms).c_str(),
-                static_cast<double>(r.completed) / r.seconds,
-                static_cast<int>(r.offered - r.completed), r.total_us.p99);
-  }
 
   // Per-tenant admission quotas: tenant 0 floods (8 attempts per round),
   // tenants 1 and 2 trickle (1 each). With quotas off the flood takes the
@@ -232,6 +90,13 @@ int main() {
                   static_cast<int>(admitted[static_cast<size_t>(tenant)]),
                   static_cast<int>(rejected[static_cast<size_t>(tenant)]));
     }
+    if (quota == 3) {
+      check(attempts[0] == 80 && admitted[0] == 30,
+            "quota 3: tenant 0 admitted 30 of 80");
+      check(attempts[1] == 10 && admitted[1] == 10 && attempts[2] == 10 &&
+                admitted[2] == 10,
+            "quota 3: tenants 1 and 2 admitted 10 of 10");
+    }
   }
 
   // Staged rollout with an injected mid-rollout shard failure: onboarding a
@@ -241,6 +106,7 @@ int main() {
   // snapshot resumes at the failed shard.
   std::printf("\nstaged rollout (shards 3): injected install failure on "
               "shard 1, then resume\n\n");
+  std::string prometheus;
   {
     runtime::FleetOptions fo;
     fo.shards = 3;
@@ -261,11 +127,16 @@ int main() {
       }
       std::printf("\n");
     };
+    const int64_t v1 = snapshot->version();
+    const int64_t v2 = next->version();
     const runtime::RolloutResult first = fleet.install_snapshot(next);
     std::printf("  pass 1: installed %s shard(s), failed at shard %s (%s)\n",
                 fmt::i64(first.installed).c_str(),
                 fmt::i64(first.failed_shard).c_str(), first.error.c_str());
     print_versions();
+    check(first.failed_shard == 1 &&
+              fleet.shard_versions() == std::vector<int64_t>{v2, v1, v1},
+          "pass 1 stops at shard 1 with versions v2 v1 v1");
     // Mid-rollout, mixed versions keep serving: old missions everywhere,
     // the onboarded one wherever its replica already took v2.
     auto old_mission = fleet.try_submit(
@@ -284,59 +155,61 @@ int main() {
                 fmt::i64(second.installed).c_str(),
                 second.complete() ? "yes" : "no");
     print_versions();
+    check(second.complete() &&
+              fleet.shard_versions() == std::vector<int64_t>{v2, v2, v2},
+          "pass 2 completes with every shard on v2");
     auto now_served = fleet.try_submit(
         scenes.scene(0).image, onboarded.id,
         core::ConfigKind::kQuantizedMultiTask);
+    const int64_t served_version = now_served.future->get().snapshot_version;
     std::printf("  onboarded mission [%s] serves on snapshot v%s\n",
-                onboarded.spec.name.c_str(),
-                fmt::i64(now_served.future->get().snapshot_version).c_str());
+                onboarded.spec.name.c_str(), fmt::i64(served_version).c_str());
+    check(served_version == v2, "the onboarded mission serves stamped v2");
     fleet.shutdown();
+
+    // One scrape for the whole fleet: the merged registry (fleet_ counters
+    // + summed shard counters + bucket-merged histograms) through the
+    // existing Prometheus exposition. Each fleet counter must appear in it
+    // with its value.
+    prometheus = runtime::to_prometheus(
+        runtime::ExpositionData{fleet.merged_metrics(), {}});
+    bool scraped = true;
+    for (const auto& [name, value] : fleet.metrics().snapshot().counters) {
+      scraped = scraped && prometheus.find("itask_" + name + " " +
+                                           fmt::i64(value) + "\n") !=
+                               std::string::npos;
+    }
+    check(scraped, "the merged scrape carries every fleet_ counter");
   }
 
-  // One scrape for the whole fleet: the merged registry (fleet_ counters +
-  // summed shard counters + bucket-merged histograms) through the existing
-  // Prometheus exposition (bucket series elided for brevity).
-  std::printf("\nmerged prometheus exposition sample (last sweep point, "
+  std::printf("\nmerged prometheus exposition sample (rollout fleet, "
               "_bucket series elided)\n\n");
   {
     size_t pos = 0;
-    while (pos < last.prometheus.size()) {
-      size_t nl = last.prometheus.find('\n', pos);
-      if (nl == std::string::npos) nl = last.prometheus.size();
-      const std::string line = last.prometheus.substr(pos, nl - pos);
+    while (pos < prometheus.size()) {
+      size_t nl = prometheus.find('\n', pos);
+      if (nl == std::string::npos) nl = prometheus.size();
+      const std::string line = prometheus.substr(pos, nl - pos);
       if (line.find("_bucket{") == std::string::npos) {
         std::printf("  %s\n", line.c_str());
       }
       pos = nl + 1;
     }
   }
+  std::printf("\nF7 invariants (quota, rollout, scrape): %s\n",
+              ok ? "PASS" : "FAIL");
 
   bench::print_footer_note(
-      "shape: goodput tracks the offered rate whenever the fleet has "
-      "headroom; the 1-shard row is the most queue-bound point — highest "
-      "p99, and the first to shed (fleet_rejected_queue_full > 0) once the "
-      "offered rate exceeds single-shard capacity (on a single-core host "
-      "these tiny models keep up, so shed stays 0 and only p99 shows the "
-      "pressure). Replication 2 narrows the shard-load spread under zipf "
-      "popularity (the hot mission's traffic splits across two replicas) and "
-      "absorbs bursts via failover, at the cost of a colder per-shard cache "
-      "— on these tiny models that cost is invisible, so goodput/p99 stays "
-      "comparable to replication 1. The storm row leaves goodput and p99 "
-      "essentially unchanged: rendezvous placement moves each mission's "
-      "traffic wholesale to its replica set, so a rotating hot mission "
-      "changes WHICH shard is busy, not how busy the fleet is. Quota "
-      "table: with quotas off the flooding "
-      "tenant takes every admission slot it asks for; with tenant_quota 3 "
-      "per 10-attempt window its admissions cap at ~3 per window while the "
-      "light tenants' attempts all land (quota-rejected counts the flood's "
-      "excess only). Rollout: pass 1 reports the injected failure with "
-      "earlier shards already on v2 and later shards still on v1 — serving "
-      "never pauses, detections stay element-wise identical on both versions "
-      "(test_runtime asserts this) — and pass 2 skips current shards and "
-      "completes. Fleet detections are element-wise identical to the serial "
-      "pipeline at every geometry (determinism contract; asserted in "
-      "test_runtime, not timed here). F7, like F6, is the multi-core "
-      "exception to the single-core bench budget — shard scaling is the "
-      "subject.");
-  return 0;
+      "shape: quota table: with quotas off the flooding tenant takes every "
+      "admission slot it asks for; with tenant_quota 3 per 10-attempt "
+      "window its admissions cap at 3 per window (30 of 80) while the light "
+      "tenants' attempts all land (quota-rejected counts the flood's excess "
+      "only). Rollout: pass 1 reports the injected failure with shard 0 "
+      "already on v2 and shards 1-2 still on v1 — serving never pauses, "
+      "detections stay element-wise identical on both versions "
+      "(test_runtime asserts this) — and pass 2 skips the current shard and "
+      "completes. The invariants line must PASS; the binary exits nonzero "
+      "otherwise. Fleet load and latency are servebench's occluded_groups "
+      "workload.");
+  return ok ? 0 : 1;
 }

@@ -11,7 +11,7 @@
 // serially outside the runtime, on one InferenceServer, or on a sharded
 // InferenceFleet.
 //
-// Multi-core by design, like F6/F7 (the serving engine is the subject).
+// Multi-core by design (the serving engine is the subject).
 #include <chrono>
 #include <thread>
 

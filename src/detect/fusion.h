@@ -60,8 +60,8 @@ std::vector<Detection> fuse_views(
 /// image, views 1..k-1 add seeded N(0, sigma) sensor jitter — the same
 /// corruption model as F5, so per-view errors decorrelate while every box
 /// stays in the source image's coordinate frame. Pure function of
-/// (image, views, sigma, seed); LoadGen group requests carry the seed so the
-/// serial, single-server, and fleet paths materialize identical views.
+/// (image, views, sigma, seed), so the serial, single-server, and fleet
+/// paths materialize identical views from the same seed.
 std::vector<Tensor> jittered_views(const Tensor& image, int64_t views,
                                    float sigma, uint64_t seed);
 

@@ -190,8 +190,11 @@ FleetSubmitResult InferenceFleet::try_submit(
 FleetGroupSubmitResult InferenceFleet::try_submit_group(
     std::vector<Tensor> views, kg::TaskId task, core::ConfigKind config,
     int64_t tenant, std::optional<int64_t> deadline_us) {
-  ITASK_CHECK(!views.empty(),
-              "InferenceFleet::try_submit_group: need at least one view");
+  if (views.empty()) {
+    invalid_.increment();
+    ITASK_CHECK(false,
+                "InferenceFleet::try_submit_group: need at least one view");
+  }
   return admit<FleetGroupSubmitResult>(
       task, config, tenant, "try_submit_group",
       [&](InferenceServer& server, bool last_candidate) {

@@ -161,7 +161,7 @@ class InferenceFleet {
   /// mid-rollout, a task only the new version knows is admitted as soon as
   /// one of its replicas has been updated — and rethrows the shard's
   /// std::invalid_argument for a malformed request (bad shape, non-finite
-  /// pixel). Both count in `fleet_requests_invalid`.
+  /// pixel, negative deadline). Both count in `fleet_requests_invalid`.
   FleetSubmitResult try_submit(Tensor image, kg::TaskId task,
                                core::ConfigKind config, int64_t tenant = 0,
                                std::optional<int64_t> deadline_us =
@@ -182,7 +182,9 @@ class InferenceFleet {
   /// then replica rotation with failover past full shards); the whole group
   /// is placed on one shard, all-or-nothing, and the returned future
   /// resolves with that shard's fused result. Throws std::invalid_argument
-  /// when no replica can serve (task, config), exactly like try_submit.
+  /// when no replica can serve (task, config), exactly like try_submit, and
+  /// for an empty `views` before any routing; every throw counts in
+  /// `fleet_requests_invalid`.
   FleetGroupSubmitResult try_submit_group(
       std::vector<Tensor> views, kg::TaskId task, core::ConfigKind config,
       int64_t tenant = 0, std::optional<int64_t> deadline_us = std::nullopt);

@@ -157,8 +157,10 @@ RejectReason InferenceServer::admit(std::span<Pending> members,
   }
   const int64_t relative_deadline_us =
       deadline_us.value_or(options_.deadline_us);
-  ITASK_CHECK(relative_deadline_us >= 0,
-              std::string(surface) + ": deadline_us must be >= 0");
+  if (relative_deadline_us < 0) {
+    requests_invalid_.increment();
+    ITASK_CHECK(false, std::string(surface) + ": deadline_us must be >= 0");
+  }
 
   const int64_t k = static_cast<int64_t>(members.size());
   const int64_t admitted_us = clock_();
@@ -222,13 +224,19 @@ GroupSubmitResult InferenceServer::try_submit_group(
     std::vector<Tensor> views, kg::TaskId task, core::ConfigKind config,
     std::optional<int64_t> deadline_us) {
   const int64_t k = static_cast<int64_t>(views.size());
-  ITASK_CHECK(k >= 1, "try_submit_group: need at least one view");
+  if (k < 1) {
+    requests_invalid_.increment();
+    ITASK_CHECK(false, "try_submit_group: need at least one view");
+  }
   // A group larger than the queue could never be admitted whole; that is a
   // configuration error, not transient backpressure.
-  ITASK_CHECK(k <= options_.queue_capacity,
-              "try_submit_group: " + fmt::i64(k) +
-                  " views can never fit the admission queue (capacity " +
-                  fmt::i64(options_.queue_capacity) + ")");
+  if (k > options_.queue_capacity) {
+    requests_invalid_.increment();
+    ITASK_CHECK(false, "try_submit_group: " + fmt::i64(k) +
+                           " views can never fit the admission queue "
+                           "(capacity " +
+                           fmt::i64(options_.queue_capacity) + ")");
+  }
   auto gather = std::make_shared<GroupGather>();
   gather->fusion = options_.fusion;
   gather->views.resize(static_cast<size_t>(k));

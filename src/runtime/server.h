@@ -1,5 +1,5 @@
 // The multi-threaded batched inference runtime (DESIGN.md §2 `runtime`,
-// bench F6): a worker pool serving the paper's deployed dual-configuration
+// measured by servebench): a worker pool serving the paper's deployed dual-configuration
 // models under concurrent load.
 //
 //   client threads ──try_submit──▶ BoundedQueue ──pop_batch──▶ workers
@@ -139,7 +139,7 @@ struct RuntimeOptions {
   /// Fault-injection hook, consulted once per (config, task) group just
   /// before its inference; anything it throws becomes that group's fault
   /// (delivered on every member future, other groups unaffected). Lets tests
-  /// and bench_f6_runtime exercise the degradation paths deterministically.
+  /// exercise the degradation paths deterministically.
   std::function<void(const FaultSite&)> fault_injector;
   /// Time source for request accounting — admission/pick/infer timestamps,
   /// stage histograms, deadlines. Defaults to steady_clock_us; tests inject
@@ -244,10 +244,10 @@ class InferenceServer {
   /// either the future or the explicit reject reason (queue full /
   /// shutting down) — the caller sheds load. Malformed requests fail fast
   /// here instead of inside a worker: an image whose shape differs from the
-  /// snapshot's expected [C, H, W], or a (task, config) the *current*
-  /// snapshot cannot serve, throws std::invalid_argument (counted as
-  /// requests_invalid) — publish-and-install a snapshot containing the task
-  /// first. `deadline_us` overrides RuntimeOptions::deadline_us for this
+  /// snapshot's expected [C, H, W], a non-finite pixel, a negative
+  /// `deadline_us`, or a (task, config) the *current* snapshot cannot serve,
+  /// throws std::invalid_argument (counted as requests_invalid) —
+  /// publish-and-install a snapshot containing the task first. `deadline_us` overrides RuntimeOptions::deadline_us for this
   /// request (0 = none); a deadline past the clock's range saturates to
   /// "never expires".
   SubmitResult try_submit(Tensor image, kg::TaskId task,
@@ -268,9 +268,11 @@ class InferenceServer {
   /// workers are group-oblivious — and the worker completing the LAST view
   /// fuses the per-view detections (RuntimeOptions::fusion, outside its
   /// ArenaScope) and resolves the single future. Validation is per view
-  /// (shape + servable, as try_submit); `deadline_us` applies to every view,
-  /// and any view failing (fault or deadline shed) fails the group with
-  /// GroupViewFault while sibling requests are unaffected.
+  /// (shape + servable, as try_submit), and zero views or more views than
+  /// `queue_capacity` throw too (each counted once as requests_invalid);
+  /// `deadline_us` applies to every view, and any view failing (fault or
+  /// deadline shed) fails the group with GroupViewFault while sibling
+  /// requests are unaffected.
   GroupSubmitResult try_submit_group(
       std::vector<Tensor> views, kg::TaskId task, core::ConfigKind config,
       std::optional<int64_t> deadline_us = std::nullopt);

@@ -8,8 +8,8 @@
 // The span recorder turns the four clock readings into per-stage durations
 // and feeds each stage's own Histogram in the MetricsRegistry
 // (stage_queue_wait_us / stage_batch_formation_us / stage_infer_us /
-// stage_total_us), which is what bench_f6_runtime's per-stage latency
-// breakdown and the exposition formats read. Terminal kind decides which
+// stage_total_us), which is what servebench's per-stage spans and the
+// exposition formats read. Terminal kind decides which
 // spans are real: an expired or failed request never finished inference, so
 // only its queue-wait is recorded — not a garbage end-to-end latency.
 #pragma once

@@ -11,8 +11,8 @@
 // Sections are a fixed enum, not named strings: registration-free, no
 // allocation on the hot path, and snapshot() is a handful of relaxed loads.
 // The snapshot feeds the same exposition formats as the serving metrics
-// (runtime/exposition), which is how bench_k0/bench_f6 attribute wall time
-// to pack vs micro-kernel vs quantize/dequantize.
+// (runtime/exposition), which is how bench_k0 and servebench attribute wall
+// time to pack vs micro-kernel vs quantize/dequantize.
 //
 // ITASK_PROFILE_SCOPE compiles to nothing under -DITASK_NO_PROFILING for
 // builds that want the hooks gone entirely.
