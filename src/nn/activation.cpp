@@ -9,8 +9,6 @@ Tensor Gelu::forward(const Tensor& input) {
   return ops::gelu(input);
 }
 
-Tensor Gelu::infer(const Tensor& input) const { return ops::gelu(input); }
-
 Tensor Gelu::backward(const Tensor& grad_out) {
   ITASK_CHECK(!cached_input_.empty(), "Gelu: backward before forward");
   return ops::gelu_grad(cached_input_, grad_out);

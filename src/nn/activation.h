@@ -8,8 +8,6 @@ namespace itask::nn {
 class Gelu : public Module {
  public:
   Tensor forward(const Tensor& input);
-  /// Cache-free forward for concurrent inference.
-  Tensor infer(const Tensor& input) const;
   Tensor backward(const Tensor& grad_out);
 
  private:

@@ -182,12 +182,6 @@ Tensor MultiHeadAttention::forward(const Tensor& tokens) {
   return proj_.forward(core.ctx);
 }
 
-Tensor MultiHeadAttention::infer(const Tensor& tokens) const {
-  ITASK_CHECK(tokens.ndim() == 3 && tokens.dim(2) == dim_,
-              "MultiHeadAttention: need [B, T, dim]");
-  return proj_.infer(attention_core(qkv_.infer(tokens), heads_).ctx);
-}
-
 Tensor MultiHeadAttention::backward(const Tensor& grad_out) {
   ITASK_CHECK(!cached_attn_.empty(),
               "MultiHeadAttention: backward before forward");

@@ -24,8 +24,9 @@ struct AttentionCore {
 /// K and V in place and writing ctx straight into the merged layout.
 /// Bit-identical to composing slice, split_heads, bmm_bt, mul_scalar,
 /// softmax_lastdim, bmm and merge_heads. Shared by MultiHeadAttention::
-/// forward/infer and the quantized runtime, so their arithmetic cannot
-/// drift apart. Scratch comes from the bound arena, if any.
+/// forward and the serving graph (vit/graph.h), so training and both
+/// served configurations cannot drift apart. Scratch comes from the bound
+/// arena, if any.
 AttentionCore attention_core(const Tensor& qkv, int64_t heads);
 
 /// Scaled-dot-product multi-head self-attention over token sequences
@@ -35,16 +36,12 @@ class MultiHeadAttention : public Module {
   MultiHeadAttention(int64_t dim, int64_t heads, Rng& rng);
 
   Tensor forward(const Tensor& tokens);
-
-  /// Cache-free forward for concurrent inference: numerically identical to
-  /// forward() but does not populate the activation caches (so backward()
-  /// and last_attention() still refer to the last forward() call).
-  Tensor infer(const Tensor& tokens) const;
-
   Tensor backward(const Tensor& grad_out);
 
   int64_t dim() const { return dim_; }
   int64_t heads() const { return heads_; }
+  const Linear& qkv() const { return qkv_; }
+  const Linear& proj() const { return proj_; }
 
   /// Attention probabilities of the most recent forward pass, laid out
   /// [B*H, T, T] (rows sum to 1). Empty before the first forward.

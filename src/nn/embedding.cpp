@@ -118,22 +118,12 @@ PatchEmbed::PatchEmbed(int64_t image_size, int64_t patch_size,
 }
 
 Tensor PatchEmbed::forward(const Tensor& images) {
-  check_images(images);
-  cached_batch_ = images.dim(0);
-  return assemble_tokens(proj_.forward(patchify(images, patch_size_)),
-                         cls_.value, pos_.value);
-}
-
-Tensor PatchEmbed::infer(const Tensor& images) const {
-  check_images(images);
-  return assemble_tokens(proj_.infer(patchify(images, patch_size_)),
-                         cls_.value, pos_.value);
-}
-
-void PatchEmbed::check_images(const Tensor& images) const {
   ITASK_CHECK(images.ndim() == 4 && images.dim(1) == channels_ &&
                   images.dim(2) == image_size_ && images.dim(3) == image_size_,
               "PatchEmbed: unexpected image shape");
+  cached_batch_ = images.dim(0);
+  return assemble_tokens(proj_.forward(patchify(images, patch_size_)),
+                         cls_.value, pos_.value);
 }
 
 Tensor PatchEmbed::backward(const Tensor& grad_tokens) {

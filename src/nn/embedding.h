@@ -17,8 +17,8 @@ Tensor unpatchify_grad(const Tensor& grad_patches, int64_t patch, int64_t c,
 
 /// Token assembly: projected patches [B, T, D] -> tokens [B, T+1, D], with
 /// token 0 = cls + pos[0] and token t+1 = patch t + pos[t+1]. `cls` is [D],
-/// `pos` is [T+1, D]. The one definition shared by PatchEmbed::forward/infer
-/// and the quantized runtime.
+/// `pos` is [T+1, D]. The one definition shared by PatchEmbed::forward and
+/// the serving graph (vit/graph.h).
 Tensor assemble_tokens(const Tensor& projected, const Tensor& cls,
                        const Tensor& pos);
 
@@ -36,9 +36,6 @@ class PatchEmbed : public Module {
 
   Tensor forward(const Tensor& images);
 
-  /// Cache-free forward for concurrent inference.
-  Tensor infer(const Tensor& images) const;
-
   /// Accumulates parameter gradients. Returns the gradient w.r.t. the input
   /// images (rarely needed, but kept for completeness / gradcheck).
   Tensor backward(const Tensor& grad_tokens);
@@ -46,10 +43,11 @@ class PatchEmbed : public Module {
   int64_t tokens() const { return tokens_; }  // excludes CLS
   int64_t dim() const { return dim_; }
   int64_t patch_size() const { return patch_size_; }
+  const Linear& proj() const { return proj_; }
+  const Tensor& cls() const { return cls_.value; }
+  const Tensor& pos() const { return pos_.value; }
 
  private:
-  void check_images(const Tensor& images) const;
-
   int64_t image_size_;
   int64_t patch_size_;
   int64_t channels_;

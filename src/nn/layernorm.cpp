@@ -8,13 +8,15 @@ namespace itask::nn {
 
 namespace {
 
+constexpr float kEps = 1e-5f;
+
 /// The one definition of LayerNorm's per-row arithmetic: normalises the `c`
 /// values at `x`, writes the normalised row to `xhat` and xhat·γ + β to `y`,
-/// and returns 1/sqrt(var + eps). `xhat` and `y` may alias each other and
+/// and returns 1/sqrt(var + kEps). `xhat` and `y` may alias each other and
 /// `x` (every element is read before it is written), which is how the
 /// serving path runs it in place without materialising xhat.
 float layernorm_row(const float* x, const float* g, const float* b, int64_t c,
-                    float eps, float* xhat, float* y) {
+                    float* xhat, float* y) {
   float mean = 0.0f;
   for (int64_t j = 0; j < c; ++j) mean += x[j];
   mean /= static_cast<float>(c);
@@ -24,7 +26,7 @@ float layernorm_row(const float* x, const float* g, const float* b, int64_t c,
     var += d * d;
   }
   var /= static_cast<float>(c);
-  const float rstd = 1.0f / std::sqrt(var + eps);
+  const float rstd = 1.0f / std::sqrt(var + kEps);
   for (int64_t j = 0; j < c; ++j) {
     xhat[j] = (x[j] - mean) * rstd;
     y[j] = xhat[j] * g[j] + b[j];
@@ -35,7 +37,7 @@ float layernorm_row(const float* x, const float* g, const float* b, int64_t c,
 }  // namespace
 
 Tensor layernorm_affine(const Tensor& x, const Tensor& gamma,
-                        const Tensor& beta, float eps) {
+                        const Tensor& beta) {
   ITASK_CHECK(gamma.ndim() == 1 && gamma.shape() == beta.shape(),
               "layernorm_affine: gamma/beta must be matching 1-D");
   const int64_t c = gamma.numel();
@@ -48,14 +50,13 @@ Tensor layernorm_affine(const Tensor& x, const Tensor& gamma,
   auto b = beta.data();
   for (int64_t r = 0; r < rows; ++r) {
     float* row = o.data() + r * c;
-    (void)layernorm_row(row, g.data(), b.data(), c, eps, row, row);
+    (void)layernorm_row(row, g.data(), b.data(), c, row, row);
   }
   return out;
 }
 
-LayerNorm::LayerNorm(int64_t features, float eps)
+LayerNorm::LayerNorm(int64_t features)
     : features_(features),
-      eps_(eps),
       gamma_(register_parameter("gamma", Tensor({features}, 1.0f))),
       beta_(register_parameter("beta", Tensor({features}))) {}
 
@@ -74,19 +75,13 @@ Tensor LayerNorm::forward(const Tensor& input) {
   auto g = gamma_.value.data();
   auto b = beta_.value.data();
   for (int64_t r = 0; r < rows; ++r) {
-    rs[r] = layernorm_row(in.data() + r * c, g.data(), b.data(), c, eps_,
+    rs[r] = layernorm_row(in.data() + r * c, g.data(), b.data(), c,
                           xh.data() + r * c, o.data() + r * c);
   }
   cached_xhat_ = std::move(xhat);
   cached_rstd_ = std::move(rstd);
   cached_shape_ = input.shape();
   return out;
-}
-
-Tensor LayerNorm::infer(const Tensor& input) const {
-  ITASK_CHECK(input.ndim() >= 1 && input.dim(input.ndim() - 1) == features_,
-              "LayerNorm: trailing dim mismatch");
-  return layernorm_affine(input, gamma_.value, beta_.value, eps_);
 }
 
 Tensor LayerNorm::backward(const Tensor& grad_out) {

@@ -5,31 +5,28 @@
 
 namespace itask::nn {
 
-/// Stateless affine layernorm over the trailing axis, used by
-/// LayerNorm::infer and the quantized runtime (which keeps LayerNorm in
-/// fp32, see quant/qvit.h). It runs the same per-row routine as
-/// LayerNorm::forward, without keeping the normalised rows.
+/// Stateless affine layernorm over the trailing axis, used by the serving
+/// graph (vit/graph.h) in both configurations (INT8 keeps LayerNorm in
+/// fp32). It runs the same per-row routine as LayerNorm::forward, without
+/// keeping the normalised rows.
 Tensor layernorm_affine(const Tensor& x, const Tensor& gamma,
-                        const Tensor& beta, float eps = 1e-5f);
+                        const Tensor& beta);
 
-/// y = (x - mean) / sqrt(var + eps) * gamma + beta, normalised per row.
+/// y = (x - mean) / sqrt(var + eps) * gamma + beta, normalised per row
+/// (eps is fixed in layernorm.cpp, shared by training and serving).
 class LayerNorm : public Module {
  public:
-  explicit LayerNorm(int64_t features, float eps = 1e-5f);
+  explicit LayerNorm(int64_t features);
 
   Tensor forward(const Tensor& input);
-
-  /// Cache-free forward for concurrent inference (numerically identical to
-  /// forward(); touches no mutable state).
-  Tensor infer(const Tensor& input) const;
-
   Tensor backward(const Tensor& grad_out);
 
   int64_t features() const { return features_; }
+  const Tensor& gamma() const { return gamma_.value; }
+  const Tensor& beta() const { return beta_.value; }
 
  private:
   int64_t features_;
-  float eps_;
   Parameter& gamma_;
   Parameter& beta_;
   Tensor cached_xhat_;   // normalised input, [rows, C]

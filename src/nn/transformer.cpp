@@ -24,12 +24,6 @@ Tensor TransformerBlock::forward(const Tensor& tokens) {
   return ops::add(x, mlp);
 }
 
-Tensor TransformerBlock::infer(const Tensor& tokens) const {
-  Tensor x = ops::add(tokens, attn_.infer(ln1_.infer(tokens)));
-  Tensor mlp = fc2_.infer(gelu_.infer(fc1_.infer(ln2_.infer(x))));
-  return ops::add(x, mlp);
-}
-
 Tensor TransformerBlock::backward(const Tensor& grad_out) {
   // Through the MLP residual branch.
   Tensor d_mlp = ln2_.backward(
@@ -57,12 +51,6 @@ Tensor TransformerEncoder::forward(const Tensor& tokens) {
   Tensor x = tokens;
   for (auto& block : blocks_) x = block->forward(x);
   return final_ln_.forward(x);
-}
-
-Tensor TransformerEncoder::infer(const Tensor& tokens) const {
-  Tensor x = tokens;
-  for (const auto& block : blocks_) x = block->infer(x);
-  return final_ln_.infer(x);
 }
 
 Tensor TransformerEncoder::backward(const Tensor& grad_out) {

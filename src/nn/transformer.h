@@ -18,11 +18,13 @@ class TransformerBlock : public Module {
   TransformerBlock(int64_t dim, int64_t heads, int64_t mlp_hidden, Rng& rng);
 
   Tensor forward(const Tensor& tokens);
-  /// Cache-free forward for concurrent inference.
-  Tensor infer(const Tensor& tokens) const;
   Tensor backward(const Tensor& grad_out);
 
+  const LayerNorm& ln1() const { return ln1_; }
   const MultiHeadAttention& attention() const { return attn_; }
+  const LayerNorm& ln2() const { return ln2_; }
+  const Linear& fc1() const { return fc1_; }
+  const Linear& fc2() const { return fc2_; }
 
  private:
   LayerNorm ln1_;
@@ -40,8 +42,6 @@ class TransformerEncoder : public Module {
                      int64_t mlp_hidden, Rng& rng);
 
   Tensor forward(const Tensor& tokens);
-  /// Cache-free forward for concurrent inference.
-  Tensor infer(const Tensor& tokens) const;
   Tensor backward(const Tensor& grad_out);
 
   int64_t depth() const { return static_cast<int64_t>(blocks_.size()); }
@@ -49,6 +49,7 @@ class TransformerEncoder : public Module {
     ITASK_CHECK(i >= 0 && i < depth(), "TransformerEncoder: bad block index");
     return *blocks_[static_cast<size_t>(i)];
   }
+  const LayerNorm& final_ln() const { return final_ln_; }
 
  private:
   std::vector<std::unique_ptr<TransformerBlock>> blocks_;

@@ -1,8 +1,5 @@
 #include "quant/qvit.h"
 
-#include "nn/attention.h"
-#include "nn/embedding.h"
-#include "nn/layernorm.h"
 #include "tensor/ops.h"
 
 namespace itask::quant {
@@ -15,9 +12,27 @@ Tensor fetch(const io::StateDict& state, const std::string& key) {
   return it->second;
 }
 
-Tensor fetch_or_empty(const io::StateDict& state, const std::string& key) {
-  const auto it = state.find(key);
-  return it != state.end() ? it->second : Tensor();
+/// The linear layer stored under `key` ("<key>.weight", optional bias).
+QLinearLayer linear(const io::StateDict& state, const std::string& key,
+                    const QuantOptions& options) {
+  const auto bias = state.find(key + ".bias");
+  return QLinearLayer(fetch(state, key + ".weight"),
+                      bias != state.end() ? bias->second : Tensor(), options);
+}
+
+/// Calls f on every linear layer of `layers` (a VitLayers), const or not.
+template <typename Layers, typename F>
+void for_each_linear(Layers& layers, F&& f) {
+  f(layers.patch_proj);
+  for (auto& blk : layers.blocks) {
+    f(blk.qkv);
+    f(blk.proj);
+    f(blk.fc1);
+    f(blk.fc2);
+  }
+  for (auto* head : {&layers.obj_head, &layers.cls_head, &layers.attr_head,
+                     &layers.box_fc1, &layers.box_fc2, &layers.rel_head})
+    f(*head);
 }
 
 }  // namespace
@@ -60,42 +75,30 @@ void QLinearLayer::finalize(const QuantOptions& options) {
 QuantizedVit::QuantizedVit(const vit::ViTConfig& config,
                            const io::StateDict& state, QuantOptions options)
     : config_(config), options_(options) {
-  patch_proj_ = QLinearLayer(fetch(state, "embed.proj.weight"),
-                             fetch_or_empty(state, "embed.proj.bias"),
-                             options_);
-  cls_ = fetch(state, "embed.cls");
-  pos_ = fetch(state, "embed.pos");
+  layers_.patch_proj = linear(state, "embed.proj", options_);
+  layers_.cls = fetch(state, "embed.cls");
+  layers_.pos = fetch(state, "embed.pos");
   for (int64_t i = 0; i < config_.depth; ++i) {
     const std::string p = "encoder.block" + std::to_string(i) + ".";
     Block blk;
-    blk.ln1 = {fetch(state, p + "ln1.gamma"), fetch(state, p + "ln1.beta")};
-    blk.ln2 = {fetch(state, p + "ln2.gamma"), fetch(state, p + "ln2.beta")};
-    blk.qkv = QLinearLayer(fetch(state, p + "attn.qkv.weight"),
-                           fetch_or_empty(state, p + "attn.qkv.bias"),
-                           options_);
-    blk.proj = QLinearLayer(fetch(state, p + "attn.proj.weight"),
-                            fetch_or_empty(state, p + "attn.proj.bias"),
-                            options_);
-    blk.fc1 = QLinearLayer(fetch(state, p + "fc1.weight"),
-                           fetch_or_empty(state, p + "fc1.bias"), options_);
-    blk.fc2 = QLinearLayer(fetch(state, p + "fc2.weight"),
-                           fetch_or_empty(state, p + "fc2.bias"), options_);
-    blocks_.push_back(std::move(blk));
+    blk.ln1_gamma = fetch(state, p + "ln1.gamma");
+    blk.ln1_beta = fetch(state, p + "ln1.beta");
+    blk.ln2_gamma = fetch(state, p + "ln2.gamma");
+    blk.ln2_beta = fetch(state, p + "ln2.beta");
+    blk.qkv = linear(state, p + "attn.qkv", options_);
+    blk.proj = linear(state, p + "attn.proj", options_);
+    blk.fc1 = linear(state, p + "fc1", options_);
+    blk.fc2 = linear(state, p + "fc2", options_);
+    layers_.blocks.push_back(std::move(blk));
   }
-  final_ln_ = {fetch(state, "encoder.final_ln.gamma"),
-               fetch(state, "encoder.final_ln.beta")};
-  obj_head_ = QLinearLayer(fetch(state, "obj_head.weight"),
-                           fetch_or_empty(state, "obj_head.bias"), options_);
-  cls_head_ = QLinearLayer(fetch(state, "cls_head.weight"),
-                           fetch_or_empty(state, "cls_head.bias"), options_);
-  attr_head_ = QLinearLayer(fetch(state, "attr_head.weight"),
-                            fetch_or_empty(state, "attr_head.bias"), options_);
-  box_fc1_ = QLinearLayer(fetch(state, "box_fc1.weight"),
-                          fetch_or_empty(state, "box_fc1.bias"), options_);
-  box_fc2_ = QLinearLayer(fetch(state, "box_fc2.weight"),
-                          fetch_or_empty(state, "box_fc2.bias"), options_);
-  rel_head_ = QLinearLayer(fetch(state, "rel_head.weight"),
-                           fetch_or_empty(state, "rel_head.bias"), options_);
+  layers_.final_ln_gamma = fetch(state, "encoder.final_ln.gamma");
+  layers_.final_ln_beta = fetch(state, "encoder.final_ln.beta");
+  layers_.obj_head = linear(state, "obj_head", options_);
+  layers_.cls_head = linear(state, "cls_head", options_);
+  layers_.attr_head = linear(state, "attr_head", options_);
+  layers_.box_fc1 = linear(state, "box_fc1", options_);
+  layers_.box_fc2 = linear(state, "box_fc2", options_);
+  layers_.rel_head = linear(state, "rel_head", options_);
 }
 
 QuantizedVit QuantizedVit::from_model(vit::VitModel& model,
@@ -103,84 +106,35 @@ QuantizedVit QuantizedVit::from_model(vit::VitModel& model,
   return QuantizedVit(model.config(), model.state_dict(), options);
 }
 
-template <typename Self, typename Apply>
-vit::VitOutput QuantizedVit::run(Self& self, const Tensor& images,
-                                 Apply&& apply) {
-  Tensor x = nn::assemble_tokens(
-      apply(self.patch_proj_, nn::patchify(images, self.config_.patch_size)),
-      self.cls_, self.pos_);  // [B, T+1, D]
-  for (auto& blk : self.blocks_) {
-    Tensor normed = nn::layernorm_affine(x, blk.ln1.gamma, blk.ln1.beta);
-    Tensor ctx =
-        nn::attention_core(apply(blk.qkv, normed), self.config_.heads).ctx;
-    Tensor attn_out = apply(blk.proj, ctx);
-    x = ops::add(x, attn_out);
-    Tensor normed2 = nn::layernorm_affine(x, blk.ln2.gamma, blk.ln2.beta);
-    Tensor mlp = apply(blk.fc2, ops::gelu(apply(blk.fc1, normed2)));
-    x = ops::add(x, mlp);
-  }
-  Tensor tokens =
-      nn::layernorm_affine(x, self.final_ln_.gamma, self.final_ln_.beta);
-  Tensor patch_feats = nn::patch_tokens(tokens);  // [B, T, D]
-  vit::VitOutput out;
-  out.objectness = apply(self.obj_head_, patch_feats);
-  out.class_logits = apply(self.cls_head_, patch_feats);
-  out.attr_logits = apply(self.attr_head_, patch_feats);
-  out.box_deltas =
-      apply(self.box_fc2_, ops::gelu(apply(self.box_fc1_, patch_feats)));
-  out.relevance = apply(self.rel_head_, patch_feats);
-  out.features = std::move(tokens);
-  return out;
-}
-
 void QuantizedVit::calibrate(const Tensor& images) {
   ITASK_CHECK(!finalized_, "QuantizedVit: calibrate after finalize");
-  (void)run(*this, images, [](QLinearLayer& layer, const Tensor& x) {
-    return layer.forward_calibrating(x);
-  });
+  (void)vit::run_graph(config_, layers_, images,
+                       [](QLinearLayer& layer, const Tensor& x) {
+                         return layer.forward_calibrating(x);
+                       });
 }
 
 void QuantizedVit::finalize() {
   ITASK_CHECK(!finalized_, "QuantizedVit: double finalize");
-  patch_proj_.finalize(options_);
-  for (Block& blk : blocks_) {
-    blk.qkv.finalize(options_);
-    blk.proj.finalize(options_);
-    blk.fc1.finalize(options_);
-    blk.fc2.finalize(options_);
-  }
-  obj_head_.finalize(options_);
-  cls_head_.finalize(options_);
-  attr_head_.finalize(options_);
-  box_fc1_.finalize(options_);
-  box_fc2_.finalize(options_);
-  rel_head_.finalize(options_);
+  for_each_linear(layers_,
+                  [&](QLinearLayer& layer) { layer.finalize(options_); });
   finalized_ = true;
 }
 
 vit::VitOutput QuantizedVit::forward(const Tensor& images) const {
   ITASK_CHECK(finalized_, "QuantizedVit: forward before finalize");
-  return run(*this, images, [](const QLinearLayer& layer, const Tensor& x) {
-    return layer.forward(x);
-  });
+  return vit::run_graph(config_, layers_, images,
+                        [](const QLinearLayer& layer, const Tensor& x) {
+                          return layer.forward(x);
+                        });
 }
 
 int64_t QuantizedVit::quantized_weight_bytes() const {
   ITASK_CHECK(finalized_, "QuantizedVit: not finalized");
-  int64_t bytes = static_cast<int64_t>(
-      patch_proj_.quantized_weight().data.size());
-  for (const Block& blk : blocks_) {
-    bytes += static_cast<int64_t>(blk.qkv.quantized_weight().data.size());
-    bytes += static_cast<int64_t>(blk.proj.quantized_weight().data.size());
-    bytes += static_cast<int64_t>(blk.fc1.quantized_weight().data.size());
-    bytes += static_cast<int64_t>(blk.fc2.quantized_weight().data.size());
-  }
-  bytes += static_cast<int64_t>(obj_head_.quantized_weight().data.size());
-  bytes += static_cast<int64_t>(cls_head_.quantized_weight().data.size());
-  bytes += static_cast<int64_t>(attr_head_.quantized_weight().data.size());
-  bytes += static_cast<int64_t>(box_fc1_.quantized_weight().data.size());
-  bytes += static_cast<int64_t>(box_fc2_.quantized_weight().data.size());
-  bytes += static_cast<int64_t>(rel_head_.quantized_weight().data.size());
+  int64_t bytes = 0;
+  for_each_linear(layers_, [&](const QLinearLayer& layer) {
+    bytes += static_cast<int64_t>(layer.quantized_weight().data.size());
+  });
   return bytes;
 }
 

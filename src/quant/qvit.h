@@ -1,10 +1,11 @@
 // Post-training-quantized ViT runtime.
 //
-// Built from a trained VitModel's state dict, this reconstructs the forward
-// pass with INT8 weight GEMMs (symmetric weights, calibrated asymmetric
-// activations) while keeping LayerNorm / softmax / GELU in FP32 — the
-// standard edge recipe. Attention's activation×activation products also stay
-// FP32 (they carry no static weights to stage on the accelerator).
+// Built from a trained VitModel's state dict, this runs the served layer
+// sequence (vit/graph.h) with INT8 weight GEMMs (symmetric weights,
+// calibrated asymmetric activations) while keeping LayerNorm / softmax /
+// GELU in FP32 — the standard edge recipe. Attention's activation×activation
+// products also stay FP32 (they carry no static weights to stage on the
+// accelerator).
 //
 // Usage: construct → run calibrate() over representative images → finalize()
 // → forward() runs the INT8 path.
@@ -16,7 +17,7 @@
 #include "quant/calibrate.h"
 #include "quant/int8_gemm.h"
 #include "tensor/io.h"
-#include "vit/model.h"
+#include "vit/graph.h"
 
 namespace itask::quant {
 
@@ -85,28 +86,12 @@ class QuantizedVit {
   int64_t quantized_weight_bytes() const;
 
  private:
-  struct LnParams {
-    Tensor gamma;
-    Tensor beta;
-  };
-  struct Block {
-    LnParams ln1, ln2;
-    QLinearLayer qkv, proj, fc1, fc2;
-  };
-
-  /// Shared forward skeleton; `Linear` is invoked through `apply`. `Self` is
-  /// `QuantizedVit` (calibration observes activations) or `const
-  /// QuantizedVit` (finalized inference), deduced from the call site.
-  template <typename Self, typename Apply>
-  static vit::VitOutput run(Self& self, const Tensor& images, Apply&& apply);
+  using Block = vit::VitBlock<Tensor, QLinearLayer>;
+  using Layers = vit::VitLayers<Tensor, QLinearLayer, std::vector<Block>>;
 
   vit::ViTConfig config_;
   QuantOptions options_;
-  QLinearLayer patch_proj_;
-  Tensor cls_, pos_;
-  std::vector<Block> blocks_;
-  LnParams final_ln_;
-  QLinearLayer obj_head_, cls_head_, attr_head_, box_fc1_, box_fc2_, rel_head_;
+  Layers layers_;
   bool finalized_ = false;
 };
 

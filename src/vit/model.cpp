@@ -1,8 +1,24 @@
 #include "vit/model.h"
 
 #include "tensor/ops.h"
+#include "vit/graph.h"
 
 namespace itask::vit {
+
+namespace {
+
+/// The graph's `blocks` for FP32: encoder block i, by reference.
+struct BlockRefs {
+  const nn::TransformerEncoder& encoder;
+  VitBlock<const Tensor&, const nn::Linear&> operator[](int64_t i) const {
+    const nn::TransformerBlock& b = encoder.block(i);
+    return {b.ln1().gamma(),      b.ln1().beta(), b.ln2().gamma(),
+            b.ln2().beta(),       b.attention().qkv(),
+            b.attention().proj(), b.fc1(),        b.fc2()};
+  }
+};
+
+}  // namespace
 
 VitModel::VitModel(const ViTConfig& config, Rng& rng)
     : config_(config),
@@ -48,16 +64,15 @@ VitOutput VitModel::forward(const Tensor& images) {
 }
 
 VitOutput VitModel::infer(const Tensor& images) const {
-  Tensor tokens = encoder_.infer(embed_.infer(images));  // [B, T+1, D]
-  Tensor patches = nn::patch_tokens(tokens);             // [B, T, D]
-  VitOutput out;
-  out.objectness = obj_head_.infer(patches);
-  out.class_logits = cls_head_.infer(patches);
-  out.attr_logits = attr_head_.infer(patches);
-  out.box_deltas = box_fc2_.infer(box_gelu_.infer(box_fc1_.infer(patches)));
-  out.relevance = rel_head_.infer(patches);
-  out.features = std::move(tokens);
-  return out;
+  const nn::LayerNorm& final_ln = encoder_.final_ln();
+  const VitLayers<const Tensor&, const nn::Linear&, BlockRefs> layers{
+      embed_.proj(),    embed_.cls(),    embed_.pos(), {encoder_},
+      final_ln.gamma(), final_ln.beta(), obj_head_,    cls_head_,
+      attr_head_,       box_fc1_,        box_fc2_,     rel_head_};
+  return run_graph(config_, layers, images,
+                   [](const nn::Linear& layer, const Tensor& x) {
+                     return layer.infer(x);
+                   });
 }
 
 Tensor VitModel::backward(const VitOutputGrads& grads) {

@@ -41,13 +41,16 @@ class VitModel : public nn::Module {
   VitModel(const ViTConfig& config, Rng& rng);
 
   const ViTConfig& config() const { return config_; }
+  const nn::TransformerEncoder& encoder() const { return encoder_; }
 
   /// Forward over a batch of images [B, C, H, W].
   VitOutput forward(const Tensor& images);
 
-  /// Cache-free forward for concurrent inference: numerically identical to
-  /// forward() but touches no mutable state, so many threads may call it on
-  /// one model at once. Does not feed backward() or attention_rollout().
+  /// Cache-free forward for concurrent inference: the serving graph
+  /// (vit/graph.h) over this model's FP32 weights, read in place.
+  /// Numerically identical to forward() but touches no mutable state, so
+  /// many threads may call it on one model at once. Does not feed
+  /// backward() or attention_rollout().
   VitOutput infer(const Tensor& images) const;
 
   /// Attention rollout (Abnar & Zuidema, 2020) of the most recent forward:

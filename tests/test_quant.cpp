@@ -350,6 +350,22 @@ TEST(QuantizedVit, WeightBytesReflectInt8Footprint) {
   EXPECT_EQ(qvit.quantized_weight_bytes(), weight_elems);
 }
 
+// [1, 3, 4, 16] has the 8×8 image's patch count and patch size, so only an
+// explicit geometry check tells it apart; both configurations must reject it.
+TEST(ServingGraph, BothConfigurationsRejectWrongImageGeometry) {
+  Rng rng(14);
+  vit::VitModel model(small_config(), rng);
+  const Tensor good = rng.rand({1, 3, 8, 8});
+  const Tensor bad = rng.rand({1, 3, 4, 16});
+  EXPECT_THROW(model.infer(bad), std::invalid_argument);
+  QuantizedVit qvit = QuantizedVit::from_model(model);
+  EXPECT_THROW(qvit.calibrate(bad), std::invalid_argument);
+  qvit.calibrate(good);
+  qvit.finalize();
+  EXPECT_THROW(qvit.forward(bad), std::invalid_argument);
+  EXPECT_NO_THROW(qvit.forward(good));
+}
+
 TEST(QuantizedVit, MissingStateKeyThrows) {
   Rng rng(12);
   vit::VitModel model(small_config(), rng);
