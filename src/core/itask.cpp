@@ -157,8 +157,9 @@ std::vector<std::vector<detect::Detection>> Framework::decode_and_match(
   // Shared with DeploymentSnapshot::infer_batch — the element-wise identity
   // between the serial paths and the published serving path is by
   // construction, not by parallel maintenance of two copies.
-  return core::decode_and_match(output, task.compiled, use_rel_head,
-                                pipeline());
+  const std::vector<const kg::CompiledTask*> tasks(
+      static_cast<size_t>(output.objectness.shape()[0]), &task.compiled);
+  return core::decode_and_match(output, tasks, use_rel_head, pipeline());
 }
 
 std::vector<std::vector<detect::Detection>> Framework::detect_batch(

@@ -10,13 +10,29 @@
 namespace itask::core {
 
 std::vector<std::vector<detect::Detection>> decode_and_match(
-    const vit::VitOutput& output, const kg::CompiledTask& task,
-    bool use_rel_head, const DetectionPipeline& pipeline) {
+    const vit::VitOutput& output,
+    std::span<const kg::CompiledTask* const> tasks, bool use_rel_head,
+    const DetectionPipeline& pipeline) {
   auto candidates = detect::decode(output, pipeline.decoder);
-  const kg::TaskMatcher matcher(task, pipeline.matcher);
+  ITASK_CHECK(tasks.size() == candidates.size(),
+              "decode_and_match: need one task per image");
+  // A TaskMatcher copies its task's label and vectors, so build one per
+  // distinct task, and none when the relevance head decides.
+  std::vector<std::pair<const kg::CompiledTask*, kg::TaskMatcher>> matchers;
+  const auto matcher_for = [&](const kg::CompiledTask* task)
+      -> const kg::TaskMatcher& {
+    for (const auto& [seen, matcher] : matchers) {
+      if (seen == task) return matcher;
+    }
+    return matchers
+        .emplace_back(task, kg::TaskMatcher(*task, pipeline.matcher))
+        .second;
+  };
   std::vector<std::vector<detect::Detection>> result;
   result.reserve(candidates.size());
   for (size_t bi = 0; bi < candidates.size(); ++bi) {
+    const kg::TaskMatcher* matcher =
+        use_rel_head ? nullptr : &matcher_for(tasks[bi]);
     std::vector<detect::Detection> kept;
     for (detect::Detection& d : candidates[bi]) {
       if (use_rel_head) {
@@ -27,10 +43,10 @@ std::vector<std::vector<detect::Detection>> decode_and_match(
         if (!(rel >= pipeline.relevance_threshold)) continue;  // drops NaN
         d.confidence = d.objectness * rel;
       } else {
-        d.task_score = matcher.score(d.attr_probs, d.class_probs);
-        if (!matcher.relevant(d.attr_probs, d.class_probs)) continue;
+        d.task_score = matcher->score(d.attr_probs, d.class_probs);
+        if (!matcher->relevant(d.attr_probs, d.class_probs)) continue;
         d.confidence =
-            d.objectness * matcher.confidence(d.attr_probs, d.class_probs);
+            d.objectness * matcher->confidence(d.attr_probs, d.class_probs);
       }
       kept.push_back(std::move(d));
     }
@@ -101,11 +117,26 @@ vit::VitOutput DeploymentSnapshot::infer_raw(const Tensor& images,
 
 std::vector<std::vector<detect::Detection>> DeploymentSnapshot::decode_batch(
     const vit::VitOutput& output, kg::TaskId id, ConfigKind config) const {
-  const kg::TaskTable::Entry* entry = tasks_.find(id);
-  ITASK_CHECK(entry != nullptr,
-              "DeploymentSnapshot: " + kg::task_id_to_string(id) +
-                  " is not in snapshot v" + fmt::i64(version_));
-  return decode_and_match(output, entry->compiled,
+  ITASK_CHECK(output.objectness.ndim() == 3,
+              "DeploymentSnapshot: objectness must be [B, T, 1]");
+  const std::vector<kg::TaskId> ids(
+      static_cast<size_t>(output.objectness.shape()[0]), id);
+  return decode_batch(output, ids, config);
+}
+
+std::vector<std::vector<detect::Detection>> DeploymentSnapshot::decode_batch(
+    const vit::VitOutput& output, std::span<const kg::TaskId> ids,
+    ConfigKind config) const {
+  std::vector<const kg::CompiledTask*> tasks;
+  tasks.reserve(ids.size());
+  for (const kg::TaskId id : ids) {
+    const kg::TaskTable::Entry* entry = tasks_.find(id);
+    ITASK_CHECK(entry != nullptr,
+                "DeploymentSnapshot: " + kg::task_id_to_string(id) +
+                    " is not in snapshot v" + fmt::i64(version_));
+    tasks.push_back(&entry->compiled);
+  }
+  return decode_and_match(output, tasks,
                           /*use_rel_head=*/config == ConfigKind::kTaskSpecific,
                           pipeline_);
 }

@@ -23,6 +23,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "core/policy.h"
@@ -44,12 +45,16 @@ struct DetectionPipeline {
   float nms_iou = 0.5f;
 };
 
-/// Decodes raw model outputs, applies task relevance (the dedicated
-/// relevance head when `use_rel_head`, KG matching of the compiled task
-/// otherwise), and NMS-filters per image.
+/// Decodes raw model outputs, applies task relevance per image (the
+/// dedicated relevance head when `use_rel_head`, KG matching of `tasks[b]`
+/// for image b otherwise), and NMS-filters per image. `tasks` holds one
+/// compiled task per image; images naming the same task object share one
+/// kg::TaskMatcher, so a batch mixing tasks (the INT8 multi-task model
+/// serves any mix in one forward) builds one matcher per distinct task.
 std::vector<std::vector<detect::Detection>> decode_and_match(
-    const vit::VitOutput& output, const kg::CompiledTask& task,
-    bool use_rel_head, const DetectionPipeline& pipeline);
+    const vit::VitOutput& output,
+    std::span<const kg::CompiledTask* const> tasks, bool use_rel_head,
+    const DetectionPipeline& pipeline);
 
 class DeploymentSnapshot {
  public:
@@ -100,9 +105,17 @@ class DeploymentSnapshot {
   /// Runs OUTSIDE the arena scope, because the returned Detections carry
   /// tensors that escape into results — they must be heap-backed. Only reads
   /// `output`, so arena-resident outputs are fine as long as the arena has
-  /// not been reset yet.
+  /// not been reset yet. Every image is matched against `id`.
   std::vector<std::vector<detect::Detection>> decode_batch(
       const vit::VitOutput& output, kg::TaskId id, ConfigKind config) const;
+
+  /// The same decode with one task per image: image b is matched against
+  /// `ids[b]`. The INT8 model ignores the task, so one infer_raw can serve
+  /// requests of several tasks and this decodes each against its own; the
+  /// single-id form above is this one with `id` repeated.
+  std::vector<std::vector<detect::Detection>> decode_batch(
+      const vit::VitOutput& output, std::span<const kg::TaskId> ids,
+      ConfigKind config) const;
 
   /// The version-skew tolerance contract behind staged fleet rollouts: a
   /// newer snapshot must contain every task of `older` (task tables only

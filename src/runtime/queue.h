@@ -4,10 +4,18 @@
 // Producers call push_all(), which REJECTS (kFull) when the items do not fit
 // instead of blocking: admission control pushes backpressure to the client
 // rather than letting latency grow without bound. Consumers call
-// pop_batch(), which blocks for the first item, then keeps gathering until
-// either `max_items` are in hand or `max_wait` has elapsed since the batch
-// opened — the dynamic micro-batching rule (close at size OR deadline,
-// whichever first).
+// pop_batch(), which blocks for the first item, takes what is queued, and
+// if that is short of `max_items` opens a batching window of `max_wait` —
+// the dynamic micro-batching rule (close at size OR deadline, whichever
+// first).
+//
+// A window costs its owner one timed sleep. At most one window is open at a
+// time: while it is, idle consumers keep waiting instead of opening a
+// competing one, and an arrival wakes nobody unless it brings the queue to
+// what the owner's batch still has room for — then the owner wakes early.
+// When the window closes (full, deadline or close()), the owner takes what
+// is queued, up to `max_items`; if items are left over, it wakes one idle
+// consumer for them.
 //
 // Storage is a fixed ring buffer sized at construction (capacity slots, no
 // per-push node allocation), and pop_batch has an overload draining into a
@@ -48,6 +56,8 @@ class BoundedQueue {
   /// never complete — this rules that state out by construction.
   PushResult push_all(std::span<T> items) {
     ITASK_CHECK(!items.empty(), "BoundedQueue: push_all needs >= 1 item");
+    bool window_open = false;
+    bool window_full = false;
     {
       std::lock_guard<std::mutex> lock(mutex_);
       if (closed_) return PushResult::kClosed;
@@ -58,9 +68,15 @@ class BoundedQueue {
             std::move(item);
         ++size_;
       }
+      window_open = window_open_;
+      window_full = window_open_ && size_ >= window_room_;
     }
-    // One item can feed only one consumer; more may fill several batches.
-    if (items.size() == 1) {
+    // An open window gathers arrivals without waking anyone; only the push
+    // that fills the owner's batch ends its sleep early. Otherwise one item
+    // can feed only one consumer, and more may fill several batches.
+    if (window_open) {
+      if (window_full) window_.notify_one();
+    } else if (items.size() == 1) {
       ready_.notify_one();
     } else {
       ready_.notify_all();
@@ -74,9 +90,10 @@ class BoundedQueue {
   }
 
   /// Drains one micro-batch: blocks until an item arrives (or the queue
-  /// closes), then gathers up to `max_items`, waiting at most `max_wait`
-  /// after the first item before closing the batch. Returns an empty vector
-  /// only when the queue is closed and fully drained.
+  /// closes) and no other consumer holds a window open, then gathers up to
+  /// `max_items`, waiting at most `max_wait` after the first item before
+  /// closing the batch. Returns an empty vector only when the queue is
+  /// closed and fully drained.
   std::vector<T> pop_batch(int64_t max_items,
                            std::chrono::microseconds max_wait) {
     std::vector<T> batch;
@@ -92,31 +109,21 @@ class BoundedQueue {
     ITASK_CHECK(max_items >= 1, "BoundedQueue: max_items must be >= 1");
     batch.clear();
     std::unique_lock<std::mutex> lock(mutex_);
-    ready_.wait(lock, [&] { return size_ > 0 || closed_; });
+    ready_.wait(lock, [&] { return closed_ || (size_ > 0 && !window_open_); });
     if (size_ == 0) return;  // closed and drained
-    const auto deadline = std::chrono::steady_clock::now() + max_wait;
-    while (static_cast<int64_t>(batch.size()) < max_items) {
-      if (size_ > 0) {
-        T& slot = slots_[static_cast<size_t>(head_)];
-        batch.push_back(std::move(slot));
-        // Reset the popped slot immediately: a moved-from T is only "valid
-        // but unspecified" and may keep hold of whatever resources the move
-        // left behind (request image buffers, promise state), pinning up to
-        // `capacity` of them while the queue idles. Releasing here makes
-        // pop — not the next push that happens to land on this slot — the
-        // moment a request's resources die.
-        slot = T{};
-        head_ = (head_ + 1) % capacity_;
-        --size_;
-        continue;
-      }
-      if (closed_) break;
-      if (ready_.wait_until(lock, deadline,
-                            [&] { return size_ > 0 || closed_; })) {
-        continue;  // new item (or closed); loop decides
-      }
-      break;  // deadline passed with the batch still open
+    take(max_items, batch);
+    const int64_t room = max_items - static_cast<int64_t>(batch.size());
+    if (room > 0 && !closed_ && max_wait.count() > 0) {
+      window_open_ = true;
+      window_room_ = room;
+      window_.wait_until(lock, std::chrono::steady_clock::now() + max_wait,
+                         [&] { return size_ >= window_room_ || closed_; });
+      window_open_ = false;
+      take(max_items, batch);
     }
+    const bool left_over = size_ > 0;
+    lock.unlock();
+    if (left_over) ready_.notify_one();
   }
 
   /// Stops admission; consumers drain the remainder. Idempotent.
@@ -126,6 +133,7 @@ class BoundedQueue {
       closed_ = true;
     }
     ready_.notify_all();
+    window_.notify_all();
   }
 
   bool closed() const {
@@ -141,6 +149,24 @@ class BoundedQueue {
   int64_t capacity() const { return capacity_; }
 
  private:
+  /// Moves queued items into `batch` until it holds `max_items` or the
+  /// queue is empty. Caller holds mutex_.
+  void take(int64_t max_items, std::vector<T>& batch) {
+    while (size_ > 0 && static_cast<int64_t>(batch.size()) < max_items) {
+      T& slot = slots_[static_cast<size_t>(head_)];
+      batch.push_back(std::move(slot));
+      // Reset the popped slot immediately: a moved-from T is only "valid
+      // but unspecified" and may keep hold of whatever resources the move
+      // left behind (request image buffers, promise state), pinning up to
+      // `capacity` of them while the queue idles. Releasing here makes
+      // pop — not the next push that happens to land on this slot — the
+      // moment a request's resources die.
+      slot = T{};
+      head_ = (head_ + 1) % capacity_;
+      --size_;
+    }
+  }
+
   static size_t checked_capacity(int64_t capacity) {
     ITASK_CHECK(capacity >= 1, "BoundedQueue: capacity must be >= 1");
     return static_cast<size_t>(capacity);
@@ -148,7 +174,10 @@ class BoundedQueue {
 
   const int64_t capacity_;
   mutable std::mutex mutex_;
+  /// Idle consumers wait here for items and for no window to be open.
   std::condition_variable ready_;
+  /// The window owner's one timed sleep; only the owner ever waits here.
+  std::condition_variable window_;
   /// Fixed ring of default-constructed slots; [head_, head_+size_) mod
   /// capacity_ are live. pop_batch resets a slot to T{} right after moving
   /// it out, so a popped slot never pins the moved-from shell's resources
@@ -157,6 +186,10 @@ class BoundedQueue {
   int64_t head_ = 0;
   int64_t size_ = 0;
   bool closed_ = false;
+  bool window_open_ = false;
+  /// Items the window owner's batch still has room for; a push that brings
+  /// size_ to it wakes the owner.
+  int64_t window_room_ = 0;
 };
 
 }  // namespace itask::runtime

@@ -369,6 +369,7 @@ void InferenceServer::worker_loop(int64_t worker_index) {
   std::vector<Pending> batch;
   std::vector<char> done;
   std::vector<size_t> group;
+  std::vector<kg::TaskId> group_tasks;
 
   while (true) {
     queue_.pop_batch(options_.max_batch,
@@ -428,16 +429,23 @@ void InferenceServer::worker_loop(int64_t worker_index) {
       }
     }
 
-    // A micro-batch may mix configurations and tasks; each (config, task)
-    // group becomes one stacked [B, C, H, W] forward. Submission order is
-    // preserved within a group, so results stay deterministic.
+    // A micro-batch may mix configurations and tasks; each model's group
+    // becomes one stacked [B, C, H, W] forward. The FP32 configuration has
+    // one student per task, so it groups by (config, task); the INT8
+    // multi-task model is the same for every task, so it groups by config
+    // alone and decode matches each image against its own task. Submission
+    // order is preserved within a group, so results stay deterministic.
     for (size_t i = 0; i < batch.size(); ++i) {
       if (done[i]) continue;
+      const bool per_task =
+          batch[i].config == core::ConfigKind::kTaskSpecific;
       group.clear();
+      group_tasks.clear();
       for (size_t j = i; j < batch.size(); ++j) {
         if (!done[j] && batch[j].config == batch[i].config &&
-            batch[j].task == batch[i].task) {
+            (!per_task || batch[j].task == batch[i].task)) {
           group.push_back(j);
+          group_tasks.push_back(batch[j].task);
         }
       }
 
@@ -458,7 +466,6 @@ void InferenceServer::worker_loop(int64_t worker_index) {
           site.first_request_id = batch[group.front()].id;
           site.group_size = static_cast<int64_t>(group.size());
           site.config = batch[i].config;
-          site.task = batch[i].task;
           site.snapshot_version = snapshot->version();
           options_.fault_injector(site);
         }
@@ -495,8 +502,8 @@ void InferenceServer::worker_loop(int64_t worker_index) {
         const int64_t allocs_delta =
             allocdebug::thread_alloc_count() - allocs_before;
         if (allocs_delta > 0) hot_allocs.increment(allocs_delta);
-        detections = snapshot->decode_batch(raw, batch[i].task,
-                                            batch[i].config);
+        detections =
+            snapshot->decode_batch(raw, group_tasks, batch[i].config);
         infer_end_us = clock_();
       } catch (...) {
         const std::exception_ptr error = std::current_exception();

@@ -16,11 +16,14 @@
 // servable the instant a snapshot containing it is installed, with zero
 // requests failed or shed attributable to the swap.
 //
-// Workers group each micro-batch by (configuration, task id), stack the
-// images, and run the snapshot's thread-safe const inference entry point
-// (`DeploymentSnapshot::infer_raw` + `decode_batch`), so both deployable
-// configurations — the FP32 task-specific student and the INT8 multi-task
-// student — serve real requests concurrently from one published deployment.
+// Workers group each micro-batch by model — FP32 requests by (configuration,
+// task id), since each task has its own student; INT8 requests by
+// configuration alone, since one multi-task model serves every task — stack
+// the images, and run the snapshot's thread-safe const inference entry point
+// (`DeploymentSnapshot::infer_raw`, then `decode_batch` matching each image
+// against its own task), so both deployable configurations — the FP32
+// task-specific student and the INT8 multi-task student — serve real
+// requests concurrently from one published deployment.
 //
 // Steady-state serving is allocation-free: each worker owns a bump arena
 // (tensor/arena.h) sized from the snapshot's own measurement
@@ -29,7 +32,7 @@
 // larger groups stack into an arena-backed tensor, and every inference
 // intermediate lands in the arena. The scope ends before
 // decode (Detections escape into results, so they must stay heap-backed)
-// and the arena resets once per (config, task) group. test_runtime asserts
+// and the arena resets once per (config, model) group. test_runtime asserts
 // both halves of the contract: zero heap allocations in the scoped region
 // after warmup, and detections element-wise identical to the serial path.
 //
@@ -110,16 +113,16 @@ class GroupViewFault : public std::runtime_error {
   int64_t failed_views_ = 0;
 };
 
-/// Identifies one (configuration, task) group of a micro-batch — the unit of
-/// inference and therefore of fault isolation. Deterministic given the
-/// submission order (first_request_id), so tests and benches can target
-/// exact groups.
+/// Identifies one (config, model) group of a micro-batch — one forward, and
+/// therefore the unit of fault isolation. An FP32 group holds one task; an
+/// INT8 group may hold several, so the site names no task. Deterministic
+/// given the submission order (first_request_id), so tests and benches can
+/// target exact groups.
 struct FaultSite {
   int64_t worker = -1;
   int64_t first_request_id = -1;
   int64_t group_size = 0;
   core::ConfigKind config = core::ConfigKind::kQuantizedMultiTask;
-  kg::TaskId task;
   int64_t snapshot_version = 0;
 };
 
@@ -136,7 +139,7 @@ struct RuntimeOptions {
   /// with DeadlineExceeded instead of consuming inference time — bounded
   /// degradation under overload. try_submit can override per request.
   int64_t deadline_us = 0;
-  /// Fault-injection hook, consulted once per (config, task) group just
+  /// Fault-injection hook, consulted once per (config, model) group just
   /// before its inference; anything it throws becomes that group's fault
   /// (delivered on every member future, other groups unaffected). Lets tests
   /// exercise the degradation paths deterministically.

@@ -30,7 +30,7 @@ const char* stage_histogram_name(Stage s);
 struct StageTimeline {
   int64_t admitted_us = 0;     // try_submit accepted the request
   int64_t picked_us = 0;       // a worker popped it into a micro-batch
-  int64_t infer_start_us = 0;  // its (config, task) group's forward began
+  int64_t infer_start_us = 0;  // its (config, model) group's forward began
   int64_t infer_end_us = 0;    // forward + decode returned
   int64_t snapshot_version = 0;  // DeploymentSnapshot::version() that served it
 };

@@ -4,7 +4,7 @@
 // a runtime worker owns one Arena sized at install time from
 // core::DeploymentSnapshot::plan_workspace(), binds it with an ArenaScope
 // around the hot region (batch stacking + model inference), and resets it
-// per (config, task) group. While a scope is bound on the thread, every
+// per (config, model) group. While a scope is bound on the thread, every
 // Tensor allocation and ScratchVec lands in the arena instead of the heap;
 // the arithmetic is untouched, so results stay element-wise identical to the
 // heap path (test_runtime asserts it).

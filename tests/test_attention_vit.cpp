@@ -348,8 +348,9 @@ TEST(Workload, OpInventoryMatchesConfig) {
   EXPECT_EQ(w.batch, 2);
   // Attention products carry no weights.
   for (const auto& g : w.gemms) {
-    if (g.name.find("attn_") != std::string::npos)
+    if (g.name.find("attn_") != std::string::npos) {
       EXPECT_EQ(g.weight_bytes_int8(), 0) << g.name;
+    }
   }
 }
 

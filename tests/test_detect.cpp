@@ -306,8 +306,9 @@ TEST(Decoder, NanLogitsNeverYieldNanConfidences) {
   pipeline.decoder.grid = 3;
   pipeline.decoder.image_size = 24;
   for (const bool use_rel_head : {true, false}) {
+    const kg::CompiledTask* tasks[] = {&task};
     const auto dets =
-        core::decode_and_match(out, task, use_rel_head, pipeline);
+        core::decode_and_match(out, tasks, use_rel_head, pipeline);
     ASSERT_EQ(dets.size(), 1u);
     std::vector<int64_t> cells;
     for (const Detection& d : dets[0]) {

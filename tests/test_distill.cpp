@@ -91,7 +91,9 @@ TEST(SupervisedLosses, BoxGradMaskedToObjectCells) {
   vit::VitOutputGrads grads;
   supervised_losses(out, batch, {}, grads);
   for (int64_t i = 0; i < grads.box_deltas.numel(); ++i) {
-    if (batch.box_mask[i] == 0.0f) EXPECT_EQ(grads.box_deltas[i], 0.0f);
+    if (batch.box_mask[i] == 0.0f) {
+      EXPECT_EQ(grads.box_deltas[i], 0.0f);
+    }
   }
 }
 

@@ -587,6 +587,101 @@ TEST_F(RuntimeServing, FaultInGroupedBatchFailsWholeGroupOnly) {
   EXPECT_EQ(server.metrics().counter("requests_completed").value(), 2);
 }
 
+namespace {
+
+// Serves `images[i]` for `tasks[i]` through one micro-batch (one worker,
+// max_batch = the request count, a window long enough for all to arrive)
+// and returns the results plus every (config, model) group the worker
+// formed, as its fault injector saw them.
+struct MixedBatch {
+  std::vector<InferenceResult> results;
+  std::vector<FaultSite> sites;
+};
+
+MixedBatch serve_one_micro_batch(
+    std::shared_ptr<const core::DeploymentSnapshot> snapshot,
+    const std::vector<Tensor>& images, const std::vector<kg::TaskId>& tasks,
+    ConfigKind config) {
+  MixedBatch out;
+  std::mutex sites_mu;
+  RuntimeOptions opts;
+  opts.workers = 1;
+  opts.max_batch = static_cast<int64_t>(images.size());
+  opts.max_wait_us = 100000;  // keep the batch open until all arrive
+  opts.fault_injector = [&](const FaultSite& site) {
+    std::lock_guard<std::mutex> lock(sites_mu);
+    out.sites.push_back(site);
+  };
+  InferenceServer server(std::move(snapshot), opts);
+  std::vector<std::future<InferenceResult>> futures;
+  for (size_t i = 0; i < images.size(); ++i) {
+    auto f = server.try_submit(images[i], tasks[i], config);
+    EXPECT_TRUE(f.admitted());
+    if (f.admitted()) futures.push_back(std::move(*f.future));
+  }
+  server.shutdown();
+  for (auto& f : futures) out.results.push_back(f.get());
+  return out;
+}
+
+}  // namespace
+
+TEST_F(RuntimeServing, MixedTaskInt8MicroBatchRunsOneForward) {
+  // The INT8 multi-task model is the same for every task, so one forward
+  // serves requests of several tasks; decode then matches each image
+  // against its own task.
+  const TaskHandle second = fw_->define_task(data::task_by_id(2));
+  const std::vector<const TaskHandle*> handles{task_, &second, task_,
+                                               &second};
+  std::vector<Tensor> images;
+  std::vector<kg::TaskId> tasks;
+  for (size_t i = 0; i < handles.size(); ++i) {
+    images.push_back(eval_->scene(static_cast<int64_t>(i)).image);
+    tasks.push_back(handles[i]->id);
+  }
+  const MixedBatch served = serve_one_micro_batch(
+      fw_->publish(), images, tasks, ConfigKind::kQuantizedMultiTask);
+  ASSERT_EQ(served.sites.size(), 1u);
+  EXPECT_EQ(served.sites[0].group_size, 4);
+  EXPECT_EQ(served.sites[0].config, ConfigKind::kQuantizedMultiTask);
+  ASSERT_EQ(served.results.size(), handles.size());
+  for (size_t i = 0; i < handles.size(); ++i) {
+    EXPECT_EQ(served.results[i].batch_size, 4);
+    const auto serial =
+        fw_->detect(images[i], *handles[i], ConfigKind::kQuantizedMultiTask);
+    expect_same_detections(served.results[i].detections, serial);
+  }
+}
+
+TEST_F(RuntimeServing, MixedTaskFp32MicroBatchRunsOneForwardPerTask) {
+  // The FP32 configuration has one student per task: the same mix splits
+  // into one group per task, each in submission order.
+  TaskHandle second = fw_->define_task(data::task_by_id(3));
+  fw_->prepare_task_specific(second);
+  const std::vector<const TaskHandle*> handles{task_, &second, task_,
+                                               &second};
+  std::vector<Tensor> images;
+  std::vector<kg::TaskId> tasks;
+  for (size_t i = 0; i < handles.size(); ++i) {
+    images.push_back(eval_->scene(static_cast<int64_t>(i)).image);
+    tasks.push_back(handles[i]->id);
+  }
+  const MixedBatch served = serve_one_micro_batch(
+      fw_->publish(), images, tasks, ConfigKind::kTaskSpecific);
+  ASSERT_EQ(served.sites.size(), 2u);
+  EXPECT_EQ(served.sites[0].group_size, 2);
+  EXPECT_EQ(served.sites[1].group_size, 2);
+  EXPECT_EQ(served.sites[0].first_request_id, 0);  // requests 0 and 2
+  EXPECT_EQ(served.sites[1].first_request_id, 1);  // requests 1 and 3
+  ASSERT_EQ(served.results.size(), handles.size());
+  for (size_t i = 0; i < handles.size(); ++i) {
+    EXPECT_EQ(served.results[i].batch_size, 4);
+    const auto serial =
+        fw_->detect(images[i], *handles[i], ConfigKind::kTaskSpecific);
+    expect_same_detections(served.results[i].detections, serial);
+  }
+}
+
 TEST_F(RuntimeServing, ExpiredDeadlinesShedAtBatchFormation) {
   // Stall the only worker on request 0 (which carries no deadline), queue
   // two requests with a 2 ms deadline plus one with a generous per-request
@@ -1133,7 +1228,7 @@ TEST_F(RuntimeServing, ArenaZeroSteadyStateAllocationsBothConfigs) {
   // and the per-group high water stays within the planned capacity.
   EXPECT_EQ(server.metrics().counter("arena_overflow_allocs").value(), 0);
   const auto used = server.metrics().histogram("arena_used_bytes").snapshot();
-  EXPECT_EQ(used.count, 12);  // one sample per (config, task) group
+  EXPECT_EQ(used.count, 12);  // one sample per (config, model) group
   EXPECT_GT(used.max, 0.0);
   EXPECT_LE(used.max,
             static_cast<double>((*snap_)->plan_workspace(opts.max_batch)));

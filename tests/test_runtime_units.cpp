@@ -123,6 +123,120 @@ TEST(BoundedQueue, CloseWakesBlockedConsumer) {
   EXPECT_TRUE(returned);
 }
 
+namespace {
+
+// Polls `done` until it holds or `limit` passes and returns its last value:
+// bounded, so a broken queue fails a test instead of hanging it.
+template <typename Pred>
+bool eventually(Pred done,
+                std::chrono::milliseconds limit = std::chrono::seconds(5)) {
+  const auto give_up = std::chrono::steady_clock::now() + limit;
+  while (!done() && std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  return done();
+}
+
+}  // namespace
+
+// In the window tests below, "the queue is empty again" after a push means a
+// consumer took the item — and pop_batch opens its window in the same
+// critical section as that take, so from then on the window is open.
+
+TEST(BoundedQueue, ArrivalsJoinTheOpenWindow) {
+  // Two idle consumers; the first item opens one window. Items pushed while
+  // it is open join that batch: they neither wake the second consumer nor
+  // let it open a competing window.
+  BoundedQueue<int> q(16);
+  std::vector<int> batches[2];
+  std::atomic<int> returned{0};
+  std::vector<std::thread> consumers;
+  for (int c = 0; c < 2; ++c) {
+    consumers.emplace_back([&, c] {
+      q.pop_batch(8, kLongWait, batches[c]);
+      ++returned;
+    });
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));  // both idle
+  ASSERT_TRUE(q.try_push(1));
+  EXPECT_TRUE(eventually([&] { return q.size() == 0; }));
+  ASSERT_TRUE(q.try_push(2));
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  ASSERT_TRUE(q.try_push(3));
+  // The window closes at its deadline; only then close the queue, which
+  // releases the consumer that never got an item.
+  EXPECT_TRUE(eventually([&] { return returned.load() > 0; }));
+  q.close();
+  for (auto& t : consumers) t.join();
+  const size_t owner = batches[0].empty() ? 1 : 0;
+  EXPECT_EQ(batches[owner], (std::vector<int>{1, 2, 3}));
+  EXPECT_TRUE(batches[1 - owner].empty());
+}
+
+TEST(BoundedQueue, CloseEndsTheOpenWindow) {
+  BoundedQueue<int> q(4);
+  std::vector<int> batch;
+  std::atomic<bool> returned{false};
+  std::thread consumer([&] {
+    q.pop_batch(8, std::chrono::seconds(60), batch);
+    returned = true;
+  });
+  ASSERT_TRUE(q.try_push(7));
+  EXPECT_TRUE(eventually([&] { return q.size() == 0; }));
+  q.close();
+  EXPECT_TRUE(eventually([&] { return returned.load(); }));
+  consumer.join();
+  EXPECT_EQ(batch, std::vector<int>{7});
+}
+
+TEST(BoundedQueue, FillingTheBatchEndsTheWindowEarly) {
+  BoundedQueue<int> q(8);
+  std::vector<int> batch;
+  std::atomic<bool> returned{false};
+  std::thread consumer([&] {
+    q.pop_batch(4, std::chrono::seconds(60), batch);
+    returned = true;
+  });
+  ASSERT_TRUE(q.try_push(0));
+  EXPECT_TRUE(eventually([&] { return q.size() == 0; }));
+  std::vector<int> rest{1, 2, 3};
+  ASSERT_EQ(q.push_all(rest), PushResult::kOk);
+  EXPECT_TRUE(eventually([&] { return returned.load(); }));
+  q.close();
+  consumer.join();
+  EXPECT_EQ(batch, (std::vector<int>{0, 1, 2, 3}));
+}
+
+TEST(BoundedQueue, WindowLeftoversWakeAnIdleConsumer) {
+  // The push that fills the owner's batch brings more than it has room
+  // for: the owner takes its share and hands the rest to the idle consumer,
+  // whom no push woke while the window was open.
+  BoundedQueue<int> q(8);
+  std::vector<int> batches[2];
+  std::atomic<int> returned{0};
+  std::vector<std::thread> consumers;
+  for (int c = 0; c < 2; ++c) {
+    consumers.emplace_back([&, c] {
+      q.pop_batch(2, std::chrono::seconds(60), batches[c]);
+      ++returned;
+    });
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));  // both idle
+  ASSERT_TRUE(q.try_push(0));
+  EXPECT_TRUE(eventually([&] { return q.size() == 0; }));
+  std::vector<int> rest{1, 2, 3};
+  ASSERT_EQ(q.push_all(rest), PushResult::kOk);
+  EXPECT_TRUE(eventually([&] { return returned.load() == 2; }))
+      << "the leftovers woke nobody";
+  q.close();
+  for (auto& t : consumers) t.join();
+  ASSERT_FALSE(batches[0].empty());
+  ASSERT_FALSE(batches[1].empty());
+  const size_t owner = batches[0].front() == 0 ? 0 : 1;
+  EXPECT_EQ(batches[owner], (std::vector<int>{0, 1}));
+  EXPECT_EQ(batches[1 - owner], (std::vector<int>{2, 3}));
+}
+
 TEST(BoundedQueue, ConcurrentProducersLoseNothing) {
   BoundedQueue<int> q(1024);
   constexpr int kProducers = 4;
