@@ -5,53 +5,10 @@
 // variant is evaluated on task detection F1 against the FP32 reference and
 // on raw output distortion. Regenerates the recipe-selection table.
 #include "bench/bench_util.h"
-#include "detect/decoder.h"
-#include "detect/nms.h"
-#include "kg/matcher.h"
-#include "tensor/ops.h"
 
 #include <cmath>
 
 using namespace itask;
-
-namespace {
-
-/// Knowledge-graph inference path shared by the FP32 reference and every
-/// quantized variant (mirrors Framework::decode_and_match for the Q config).
-template <typename ForwardFn>
-detect::EvalResult eval_with(ForwardFn&& forward,
-                             const core::FrameworkOptions& options,
-                             const data::Dataset& eval,
-                             const core::TaskHandle& task) {
-  detect::DecoderOptions dec = options.decoder;
-  dec.grid = options.generator.grid;
-  dec.image_size = options.generator.image_size;
-  const kg::TaskMatcher matcher(task.compiled, options.matcher);
-  std::vector<std::vector<detect::Detection>> detections;
-  const auto indices = eval.all_indices();
-  for (int64_t start = 0; start < eval.size(); start += 16) {
-    const int64_t end = std::min(eval.size(), start + 16);
-    const data::Batch batch = eval.make_batch(std::span<const int64_t>(
-        indices.data() + start, static_cast<size_t>(end - start)));
-    const vit::VitOutput out = forward(batch.images);
-    auto candidates = detect::decode(out, dec);
-    for (auto& per_image : candidates) {
-      std::vector<detect::Detection> kept;
-      for (detect::Detection& d : per_image) {
-        if (!matcher.relevant(d.attr_probs, d.class_probs)) continue;
-        d.confidence =
-            d.objectness * matcher.confidence(d.attr_probs, d.class_probs);
-        kept.push_back(std::move(d));
-      }
-      detections.push_back(detect::nms(std::move(kept), 0.5f));
-    }
-  }
-  return detect::evaluate(detections,
-                          core::Framework::ground_truth(eval, task.spec),
-                          0.4f);
-}
-
-}  // namespace
 
 int main() {
   bench::print_header("A1 (table): quantization-scheme ablation",
@@ -77,13 +34,20 @@ int main() {
   std::vector<core::TaskHandle> tasks;
   for (int64_t tid : task_ids) tasks.push_back(fw.define_task(data::task_by_id(tid)));
 
+  // Every row is scored the deployed quantized way (KG matching); only the
+  // forward changes.
+  const auto mean_f1 = [&](const core::ForwardFn& forward) {
+    double sum = 0.0;
+    for (const auto& task : tasks)
+      sum += fw.evaluate(eval, task, core::ConfigKind::kQuantizedMultiTask,
+                         forward)
+                 .f1;
+    return sum / static_cast<double>(tasks.size());
+  };
+
   // FP32 reference rows.
-  double fp32_mean = 0.0;
-  for (const auto& task : tasks)
-    fp32_mean += eval_with([&](const Tensor& img) { return fp32.forward(img); },
-                           options, eval, task)
-                     .f1;
-  fp32_mean /= static_cast<double>(tasks.size());
+  const double fp32_mean =
+      mean_f1([&](const Tensor& img) { return fp32.forward(img); });
   std::printf("\nFP32 reference mean F1 over %zu tasks: %.3f\n\n",
               tasks.size(), fp32_mean);
 
@@ -101,13 +65,8 @@ int main() {
       qvit.calibrate(calib_images);
       qvit.finalize();
 
-      double f1_sum = 0.0;
-      for (const auto& task : tasks)
-        f1_sum += eval_with(
-                      [&](const Tensor& img) { return qvit.forward(img); },
-                      options, eval, task)
-                      .f1;
-      const double f1 = f1_sum / static_cast<double>(tasks.size());
+      const double f1 =
+          mean_f1([&](const Tensor& img) { return qvit.forward(img); });
 
       // Raw distortion: mean |Δ class logit| on the calibration set.
       const vit::VitOutput ref = fp32.forward(calib_images);

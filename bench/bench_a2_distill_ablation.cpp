@@ -4,46 +4,12 @@
 // task (surgical_sharps), same student architecture and step budget; the
 // loss composition and temperature vary. Regenerates the KD ablation table.
 #include "bench/bench_util.h"
-#include "detect/decoder.h"
-#include "detect/nms.h"
 
 #include <algorithm>
-#include <cmath>
 
 using namespace itask;
 
 namespace {
-
-detect::EvalResult eval_student(vit::VitModel& student,
-                                const core::FrameworkOptions& options,
-                                const data::Dataset& eval,
-                                const data::TaskSpec& spec) {
-  detect::DecoderOptions dec = options.decoder;
-  dec.grid = options.generator.grid;
-  dec.image_size = options.generator.image_size;
-  std::vector<std::vector<detect::Detection>> detections;
-  const auto indices = eval.all_indices();
-  for (int64_t start = 0; start < eval.size(); start += 16) {
-    const int64_t end = std::min(eval.size(), start + 16);
-    const data::Batch batch = eval.make_batch(std::span<const int64_t>(
-        indices.data() + start, static_cast<size_t>(end - start)));
-    const vit::VitOutput out = student.forward(batch.images);
-    auto candidates = detect::decode(out, dec);
-    for (size_t bi = 0; bi < candidates.size(); ++bi) {
-      std::vector<detect::Detection> kept;
-      for (detect::Detection& d : candidates[bi]) {
-        const float logit =
-            out.relevance.at({static_cast<int64_t>(bi), d.cell, 0});
-        if (1.0f / (1.0f + std::exp(-logit)) < 0.5f) continue;
-        d.confidence = d.objectness / (1.0f + std::exp(-logit));
-        kept.push_back(std::move(d));
-      }
-      detections.push_back(detect::nms(std::move(kept), 0.5f));
-    }
-  }
-  return detect::evaluate(detections,
-                          core::Framework::ground_truth(eval, spec), 0.4f);
-}
 
 struct Variant {
   const char* name;
@@ -86,6 +52,9 @@ int main() {
   fw.pretrain_teacher();
 
   const data::TaskSpec& spec = data::task_by_id(1);  // surgical_sharps
+  // The handle carries the task's ground truth; every variant's student is
+  // scored through its relevance head (kTaskSpecific).
+  const core::TaskHandle task = fw.define_task(spec);
   const data::Dataset eval = bench::make_eval_set(options, 96, 14142);
   Rng corpus_rng(808);
   const data::SceneGenerator gen(options.generator);
@@ -143,7 +112,9 @@ int main() {
                                                corpus_size);
         distill::Distiller distiller(fw.teacher(), student, dopt, rng);
         distiller.run(corpus, &spec);
-        const auto r = eval_student(student, options, eval, spec);
+        const auto r =
+            fw.evaluate(eval, task, core::ConfigKind::kTaskSpecific,
+                        [&](const Tensor& img) { return student.forward(img); });
         f1 += r.f1;
         ap += r.average_precision;
         recall += r.recall;

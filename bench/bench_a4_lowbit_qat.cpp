@@ -35,10 +35,12 @@ int main() {
   for (int64_t tid : task_ids)
     tasks.push_back(fw.define_task(data::task_by_id(tid)));
 
-  auto mean_f1 = [&](auto&& forward) {
+  auto mean_f1 = [&](const core::ForwardFn& forward) {
     double sum = 0.0;
     for (const auto& task : tasks)
-      sum += bench::evaluate_kg_path(forward, options, eval, task).f1;
+      sum += fw.evaluate(eval, task, core::ConfigKind::kQuantizedMultiTask,
+                         forward)
+                 .f1;
     return sum / static_cast<double>(tasks.size());
   };
 

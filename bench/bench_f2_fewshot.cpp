@@ -11,48 +11,12 @@
 //     matching — uses NO task-specific samples at all (flat line).
 // The claim holds if (3) and (2) dominate (1) at small K.
 #include "bench/bench_util.h"
-#include "detect/decoder.h"
-#include "detect/nms.h"
 
 #include <algorithm>
-#include <cmath>
 
 using namespace itask;
 
 namespace {
-
-/// Evaluates a student model's relevance-head path on `eval`.
-detect::EvalResult eval_student(vit::VitModel& student,
-                                const core::FrameworkOptions& options,
-                                const data::Dataset& eval,
-                                const data::TaskSpec& spec) {
-  detect::DecoderOptions dec = options.decoder;
-  dec.grid = options.generator.grid;
-  dec.image_size = options.generator.image_size;
-  std::vector<std::vector<detect::Detection>> detections;
-  const auto indices = eval.all_indices();
-  for (int64_t start = 0; start < eval.size(); start += 16) {
-    const int64_t end = std::min(eval.size(), start + 16);
-    const data::Batch batch = eval.make_batch(std::span<const int64_t>(
-        indices.data() + start, static_cast<size_t>(end - start)));
-    const vit::VitOutput out = student.forward(batch.images);
-    auto candidates = detect::decode(out, dec);
-    for (size_t bi = 0; bi < candidates.size(); ++bi) {
-      std::vector<detect::Detection> kept;
-      for (detect::Detection& d : candidates[bi]) {
-        const float logit =
-            out.relevance.at({static_cast<int64_t>(bi), d.cell, 0});
-        const float rel = 1.0f / (1.0f + std::exp(-logit));
-        if (rel < 0.5f) continue;
-        d.confidence = d.objectness * rel;
-        kept.push_back(std::move(d));
-      }
-      detections.push_back(detect::nms(std::move(kept), 0.5f));
-    }
-  }
-  return detect::evaluate(detections,
-                          core::Framework::ground_truth(eval, spec), 0.4f);
-}
 
 /// Epoch budget normalised so every K sees a comparable optimisation effort.
 int64_t epochs_for(int64_t shots, int64_t batch) {
@@ -92,6 +56,13 @@ int main() {
                 spec.name.c_str(), zero_shot.f1);
     std::printf("%6s | %16s | %16s | %16s\n", "shots", "scratch baseline",
                 "KG + distill", "KG zero-shot");
+    // Few-shot students are scored as task-specific students: relevance head.
+    const auto score = [&](vit::VitModel& student) {
+      return fw
+          .evaluate(eval, task, core::ConfigKind::kTaskSpecific,
+                    [&](const Tensor& img) { return student.forward(img); })
+          .f1;
+    };
     for (int64_t shots : shot_counts) {
       double scratch_sum = 0.0, distill_sum = 0.0;
       for (uint64_t seed : seeds) {
@@ -110,7 +81,7 @@ int main() {
           topt.w_relevance = 1.5f;
           topt.seed = seed;
           distill::Trainer(student, topt).fit(few, &spec);
-          scratch_sum += eval_student(student, options, eval, spec).f1;
+          scratch_sum += score(student);
         }
         // (2) KG + distillation from the task-agnostic teacher, K scenes.
         {
@@ -121,7 +92,7 @@ int main() {
           dopt.seed = seed;
           distill::Distiller distiller(fw.teacher(), student, dopt, rng);
           distiller.run(few, &spec);
-          distill_sum += eval_student(student, options, eval, spec).f1;
+          distill_sum += score(student);
         }
       }
       const double n = static_cast<double>(std::size(seeds));

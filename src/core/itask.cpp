@@ -40,6 +40,21 @@ std::vector<data::ObjectClass> task_biased_pool(const data::TaskSpec& spec,
   return pool;
 }
 
+/// Post-training-quantizes a trained multi-task student: calibrates on
+/// `options.calibration_scenes` scenes drawn from `rng`, then finalizes.
+/// The one INT8 build of prepare_quantized and load_deployment.
+std::shared_ptr<quant::QuantizedVit> build_quantized(
+    vit::VitModel& student, const FrameworkOptions& options, Rng& rng) {
+  auto quantized = std::make_shared<quant::QuantizedVit>(
+      quant::QuantizedVit::from_model(student, options.quantization));
+  const data::SceneGenerator generator(options.generator);
+  const data::Dataset calib =
+      data::Dataset::generate(generator, options.calibration_scenes, rng);
+  quantized->calibrate(calib.make_batch(calib.all_indices()).images);
+  quantized->finalize();
+  return quantized;
+}
+
 }  // namespace
 
 Framework::Framework(FrameworkOptions options)
@@ -133,17 +148,7 @@ void Framework::prepare_quantized() {
                                options_.multitask_distillation, fork);
   distiller.run(mt_corpus, /*task=*/nullptr);
   // 2. Post-training quantization with calibration.
-  auto quantized = std::make_shared<quant::QuantizedVit>(
-      quant::QuantizedVit::from_model(*multitask_student_,
-                                      options_.quantization));
-  const data::SceneGenerator generator(options_.generator);
-  const data::Dataset calib =
-      data::Dataset::generate(generator, options_.calibration_scenes, fork);
-  const auto idx = calib.all_indices();
-  const data::Batch batch = calib.make_batch(idx);
-  quantized->calibrate(batch.images);
-  quantized->finalize();
-  quantized_ = std::move(quantized);
+  quantized_ = build_quantized(*multitask_student_, options_, fork);
 }
 
 DetectionPipeline Framework::pipeline() const {
@@ -153,29 +158,35 @@ DetectionPipeline Framework::pipeline() const {
 
 std::vector<std::vector<detect::Detection>> Framework::decode_and_match(
     const vit::VitOutput& output, const TaskHandle& task,
-    bool use_rel_head) const {
+    ConfigKind config) const {
   // Shared with DeploymentSnapshot::infer_batch — the element-wise identity
   // between the serial paths and the published serving path is by
   // construction, not by parallel maintenance of two copies.
   const std::vector<const kg::CompiledTask*> tasks(
       static_cast<size_t>(output.objectness.shape()[0]), &task.compiled);
-  return core::decode_and_match(output, tasks, use_rel_head, pipeline());
+  return core::decode_and_match(
+      output, tasks, /*use_rel_head=*/config == ConfigKind::kTaskSpecific,
+      pipeline());
 }
 
-std::vector<std::vector<detect::Detection>> Framework::detect_batch(
-    const Tensor& images, const TaskHandle& task, ConfigKind config) {
+vit::VitOutput Framework::run_deployed(const Tensor& images,
+                                       const TaskHandle& task,
+                                       ConfigKind config) const {
   ITASK_CHECK(images.ndim() == 4, "detect_batch: need [B, C, H, W]");
   if (config == ConfigKind::kTaskSpecific) {
     auto it = students_.find(task.slot);
     ITASK_CHECK(it != students_.end(),
                 "detect_batch: prepare_task_specific() first");
-    const vit::VitOutput out = it->second->infer(images);
-    return decode_and_match(out, task, /*use_rel_head=*/true);
+    return it->second->infer(images);
   }
   ITASK_CHECK(quantized_ != nullptr,
               "detect_batch: prepare_quantized() first");
-  const vit::VitOutput out = quantized_->forward(images);
-  return decode_and_match(out, task, /*use_rel_head=*/false);
+  return quantized_->forward(images);
+}
+
+std::vector<std::vector<detect::Detection>> Framework::detect_batch(
+    const Tensor& images, const TaskHandle& task, ConfigKind config) {
+  return decode_and_match(run_deployed(images, task, config), task, config);
 }
 
 std::vector<detect::Detection> Framework::detect(const Tensor& image,
@@ -209,6 +220,15 @@ std::vector<std::vector<detect::GroundTruthObject>> Framework::ground_truth(
 detect::EvalResult Framework::evaluate(const data::Dataset& dataset,
                                        const TaskHandle& task,
                                        ConfigKind config) {
+  return evaluate(dataset, task, config, [&](const Tensor& images) {
+    return run_deployed(images, task, config);
+  });
+}
+
+detect::EvalResult Framework::evaluate(const data::Dataset& dataset,
+                                       const TaskHandle& task,
+                                       ConfigKind config,
+                                       const ForwardFn& forward) const {
   ITASK_CHECK(dataset.size() > 0, "evaluate: empty dataset");
   std::vector<std::vector<detect::Detection>> detections;
   detections.reserve(static_cast<size_t>(dataset.size()));
@@ -219,7 +239,7 @@ detect::EvalResult Framework::evaluate(const data::Dataset& dataset,
     const data::Batch batch = dataset.make_batch(
         std::span<const int64_t>(indices.data() + start,
                                  static_cast<size_t>(end - start)));
-    auto chunk = detect_batch(batch.images, task, config);
+    auto chunk = decode_and_match(forward(batch.images), task, config);
     for (auto& d : chunk) detections.push_back(std::move(d));
   }
   return detect::evaluate(detections, ground_truth(dataset, task.spec),
@@ -229,13 +249,6 @@ detect::EvalResult Framework::evaluate(const data::Dataset& dataset,
 Shape Framework::expected_input_shape() const {
   const vit::ViTConfig& c = options_.student_config;
   return Shape{c.channels, c.image_size, c.image_size};
-}
-
-bool Framework::is_prepared(const TaskHandle& task, ConfigKind config) const {
-  if (config == ConfigKind::kTaskSpecific) {
-    return students_.find(task.slot) != students_.end();
-  }
-  return quantized_ != nullptr;
 }
 
 std::shared_ptr<const DeploymentSnapshot> Framework::publish() {
@@ -287,22 +300,6 @@ quant::QuantizedVit& Framework::quantized() {
   return *quantized_;
 }
 
-namespace {
-
-/// Rebuilds the quantized runtime from a trained multi-task student.
-void calibrate_quantized(quant::QuantizedVit& qvit,
-                         const FrameworkOptions& options, Rng& rng) {
-  const data::SceneGenerator generator(options.generator);
-  const data::Dataset calib =
-      data::Dataset::generate(generator, options.calibration_scenes, rng);
-  const auto idx = calib.all_indices();
-  const data::Batch batch = calib.make_batch(idx);
-  qvit.calibrate(batch.images);
-  qvit.finalize();
-}
-
-}  // namespace
-
 void Framework::save_deployment(const std::string& directory) const {
   ITASK_CHECK(teacher_trained_, "save_deployment: pretrain_teacher() first");
   namespace fs = std::filesystem;
@@ -350,11 +347,7 @@ void Framework::load_deployment(const std::string& directory) {
           std::make_shared<vit::VitModel>(options_.student_config, fork);
       multitask_student_->load_state_dict(io::load_state_dict(
           (fs::path(directory) / "multitask.itsk").string()));
-      auto quantized = std::make_shared<quant::QuantizedVit>(
-          quant::QuantizedVit::from_model(*multitask_student_,
-                                          options_.quantization));
-      calibrate_quantized(*quantized, options_, fork);
-      quantized_ = std::move(quantized);
+      quantized_ = build_quantized(*multitask_student_, options_, fork);
     } else if (kind == "student") {
       int64_t slot = -1;
       manifest >> slot;

@@ -18,6 +18,7 @@
 //    knowledge-graph matching of predicted attributes/classes.
 #pragma once
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -65,6 +66,9 @@ struct FrameworkOptions {
   float eval_iou = 0.4f;
   uint64_t seed = 42;
 };
+
+/// A model forward over an image batch: [B, C, H, W] → raw outputs.
+using ForwardFn = std::function<vit::VitOutput(const Tensor&)>;
 
 /// A defined mission: its spec (ground truth for evaluation), the oracle's
 /// knowledge graph, and the compiled matcher. `id` is the task's stable
@@ -115,9 +119,20 @@ class Framework {
                                         const TaskHandle& task,
                                         ConfigKind config);
 
-  /// Evaluates a configuration on a dataset against the task's ground truth.
+  /// Evaluates a configuration on a dataset against the task's ground truth:
+  /// the overload below with the deployed model's forward.
   detect::EvalResult evaluate(const data::Dataset& dataset,
                               const TaskHandle& task, ConfigKind config);
+
+  /// Scores `forward` exactly as the deployed model is scored: 16-image
+  /// chunks, core::decode_and_match over this Framework's pipeline, the
+  /// task's ground truth and options().eval_iou. `config` picks the
+  /// relevance rule — the relevance head for kTaskSpecific, KG matching of
+  /// `task` for kQuantizedMultiTask. Every reported F1 runs through here:
+  /// ablations swap the forward, never the scoring.
+  detect::EvalResult evaluate(const data::Dataset& dataset,
+                              const TaskHandle& task, ConfigKind config,
+                              const ForwardFn& forward) const;
 
   /// Ground truth extraction (exposed for custom experiment loops).
   static std::vector<std::vector<detect::GroundTruthObject>> ground_truth(
@@ -130,13 +145,6 @@ class Framework {
   /// admission contract the serving runtime validates requests against.
   /// (Both deployable configurations share the student architecture.)
   Shape expected_input_shape() const;
-
-  /// Whether `config` can serve `task` right now: task-specific needs a
-  /// student distilled for the task's slot, quantized needs the finalized
-  /// INT8 model (which serves any defined task via KG matching). Lets the
-  /// runtime fail malformed requests at admission instead of inside a
-  /// worker.
-  bool is_prepared(const TaskHandle& task, ConfigKind config) const;
 
   /// Publishes the current deployment as an immutable, versioned snapshot —
   /// the unit the serving runtime swaps in atomically (zero-downtime task
@@ -180,9 +188,13 @@ class Framework {
   void load_deployment(const std::string& directory);
 
  private:
+  /// Runs the deployed model of (task, config) on `images`.
+  vit::VitOutput run_deployed(const Tensor& images, const TaskHandle& task,
+                              ConfigKind config) const;
+
   std::vector<std::vector<detect::Detection>> decode_and_match(
       const vit::VitOutput& output, const TaskHandle& task,
-      bool use_rel_head) const;
+      ConfigKind config) const;
 
   DetectionPipeline pipeline() const;
 

@@ -355,9 +355,6 @@ void InferenceServer::worker_loop(int64_t worker_index) {
   Counter& batches = metrics_.counter("batches");
   Counter& hot_allocs = metrics_.counter("hot_path_allocs");
   Counter& arena_overflow = metrics_.counter("arena_overflow_allocs");
-  Histogram& queue_h = metrics_.histogram("queue_us");
-  Histogram& infer_h = metrics_.histogram("infer_us");
-  Histogram& total_h = metrics_.histogram("total_us");
   Histogram& batch_h = metrics_.histogram("batch_size");
   Histogram& arena_used_h = metrics_.histogram("arena_used_bytes");
 
@@ -560,9 +557,6 @@ void InferenceServer::worker_loop(int64_t worker_index) {
         result.infer_us = span_us(t.infer_start_us, t.infer_end_us);
         result.total_us = span_us(t.admitted_us, t.infer_end_us);
         result.timeline = t;
-        queue_h.record(result.queue_us);
-        infer_h.record(result.infer_us);
-        total_h.record(result.total_us);
         stages_.completed(t);
         completed.increment();
         // Group views gather here instead of resolving their own future; the

@@ -137,6 +137,39 @@ TEST_F(FrameworkEndToEnd, QuantizedPathProducesDetections) {
   EXPECT_GT(r.f1, 0.05f);
 }
 
+void expect_same_eval(const detect::EvalResult& a,
+                      const detect::EvalResult& b) {
+  EXPECT_EQ(a.true_positives, b.true_positives);
+  EXPECT_EQ(a.false_positives, b.false_positives);
+  EXPECT_EQ(a.false_negatives, b.false_negatives);
+  EXPECT_EQ(a.precision, b.precision);
+  EXPECT_EQ(a.recall, b.recall);
+  EXPECT_EQ(a.f1, b.f1);
+  EXPECT_EQ(a.average_precision, b.average_precision);
+  EXPECT_EQ(a.mean_iou, b.mean_iou);
+}
+
+// The forward overload is the one scoring path: handed the deployed model's
+// forward, it reproduces evaluate(dataset, task, config) field for field, and
+// the training forward() of the task's student scores the same.
+TEST_F(FrameworkEndToEnd, ForwardOverloadMatchesDeployedEvaluate) {
+  vit::VitModel& student = fw_->student_for(*task_);
+  const quant::QuantizedVit& quantized = fw_->quantized();
+  const auto ts = fw_->evaluate(*eval_, *task_, ConfigKind::kTaskSpecific);
+  expect_same_eval(
+      fw_->evaluate(*eval_, *task_, ConfigKind::kTaskSpecific,
+                    [&](const Tensor& img) { return student.infer(img); }),
+      ts);
+  expect_same_eval(
+      fw_->evaluate(*eval_, *task_, ConfigKind::kTaskSpecific,
+                    [&](const Tensor& img) { return student.forward(img); }),
+      ts);
+  expect_same_eval(
+      fw_->evaluate(*eval_, *task_, ConfigKind::kQuantizedMultiTask,
+                    [&](const Tensor& img) { return quantized.forward(img); }),
+      fw_->evaluate(*eval_, *task_, ConfigKind::kQuantizedMultiTask));
+}
+
 TEST_F(FrameworkEndToEnd, SingleImageDetectApi) {
   const auto dets =
       fw_->detect(eval_->scene(0).image, *task_, ConfigKind::kTaskSpecific);

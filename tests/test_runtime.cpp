@@ -1785,14 +1785,14 @@ TEST_F(RuntimeServing, FleetMergedScrapeAggregatesShardAndFleetRegistries) {
     }
     return {};
   };
-  EXPECT_EQ(histogram("total_us").count, 8);  // across both shards
+  EXPECT_EQ(histogram("stage_total_us").count, 8);  // across both shards
 
   // The merged snapshot renders through the existing exposition unchanged —
   // one Prometheus scrape for the whole fleet.
   const std::string text = to_prometheus(ExpositionData{merged, {}});
   EXPECT_NE(text.find("itask_requests_completed 8"), std::string::npos);
   EXPECT_NE(text.find("itask_fleet_admitted 8"), std::string::npos);
-  EXPECT_NE(text.find("itask_total_us_count 8"), std::string::npos);
+  EXPECT_NE(text.find("itask_stage_total_us_count 8"), std::string::npos);
 }
 
 TEST_F(RuntimeServing, FleetValidatesOptionsAndShardAccess) {
