@@ -187,12 +187,12 @@ int main() {
   {
     runtime::InferenceServer server(snapshot, ro);
     for (int64_t i = 0; i < lat_scenes; ++i) {
-      auto s = server.try_submit(occluded.scene(i).image, task, config);
+      auto s = server.try_submit(occluded.scene(i).image, task.id, config);
       if (s.admitted()) single_us += s.future->get().total_us;
       auto g = server.try_submit_group(
           occluded_views(clean.scene(i), kViews, kSeverity,
                          7000 + 100u * static_cast<uint64_t>(i)),
-          task, config);
+          task.id, config);
       if (g.admitted()) {
         auto r = g.future->get();
         group_us += r.total_us;
@@ -215,7 +215,7 @@ int main() {
       auto g = fleet.try_submit_group(
           occluded_views(clean.scene(i), kViews, kSeverity,
                          7000 + 100u * static_cast<uint64_t>(i)),
-          task, config);
+          task.id, config);
       if (g.admitted()) futures.push_back(std::move(*g.future));
     }
     for (auto& f : futures) fleet_fused.push_back(f.get().fused);

@@ -167,15 +167,6 @@ class InferenceFleet {
                                std::optional<int64_t> deadline_us =
                                    std::nullopt);
 
-  /// Convenience overload mirroring InferenceServer::try_submit: submits
-  /// against the handle's stable task id.
-  FleetSubmitResult try_submit(Tensor image, const core::TaskHandle& task,
-                               core::ConfigKind config, int64_t tenant = 0,
-                               std::optional<int64_t> deadline_us =
-                                   std::nullopt) {
-    return try_submit(std::move(image), task.id, config, tenant, deadline_us);
-  }
-
   /// Scatter/gather twin of InferenceServer::try_submit_group. Same
   /// admission order as try_submit (shutdown, tenant quota — one logical
   /// request counts as ONE quota admission however many views it carries —
@@ -188,15 +179,6 @@ class InferenceFleet {
   FleetGroupSubmitResult try_submit_group(
       std::vector<Tensor> views, kg::TaskId task, core::ConfigKind config,
       int64_t tenant = 0, std::optional<int64_t> deadline_us = std::nullopt);
-
-  /// Convenience overload: submits against the handle's stable task id.
-  FleetGroupSubmitResult try_submit_group(
-      std::vector<Tensor> views, const core::TaskHandle& task,
-      core::ConfigKind config, int64_t tenant = 0,
-      std::optional<int64_t> deadline_us = std::nullopt) {
-    return try_submit_group(std::move(views), task.id, config, tenant,
-                            deadline_us);
-  }
 
   /// Staged rollout (see the file comment): asserts the version-skew
   /// tolerance contract, then installs shard-by-shard in index order,

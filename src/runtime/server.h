@@ -257,13 +257,6 @@ class InferenceServer {
                           core::ConfigKind config,
                           std::optional<int64_t> deadline_us = std::nullopt);
 
-  /// Convenience overload: submits against the handle's stable task id.
-  SubmitResult try_submit(Tensor image, const core::TaskHandle& task,
-                          core::ConfigKind config,
-                          std::optional<int64_t> deadline_us = std::nullopt) {
-    return try_submit(std::move(image), task.id, config, deadline_us);
-  }
-
   /// Scatter/gather submit of ONE logical request carrying K views of the
   /// same scene. Admission is all-or-nothing (one atomic multi-push: the
   /// whole group is queued or the whole group is rejected); each view then
@@ -279,14 +272,6 @@ class InferenceServer {
   GroupSubmitResult try_submit_group(
       std::vector<Tensor> views, kg::TaskId task, core::ConfigKind config,
       std::optional<int64_t> deadline_us = std::nullopt);
-
-  /// Convenience overload: submits against the handle's stable task id.
-  GroupSubmitResult try_submit_group(
-      std::vector<Tensor> views, const core::TaskHandle& task,
-      core::ConfigKind config,
-      std::optional<int64_t> deadline_us = std::nullopt) {
-    return try_submit_group(std::move(views), task.id, config, deadline_us);
-  }
 
   /// Graceful shutdown: stops admission, drains every queued request
   /// (all outstanding futures are fulfilled), joins the workers. Idempotent;

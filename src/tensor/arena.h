@@ -29,6 +29,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <type_traits>
 #include <vector>
 
@@ -111,9 +112,9 @@ class ArenaScope {
 };
 
 /// Raw scratch buffer for trivially-destructible element types: arena-backed
-/// under an ArenaScope, a plain heap vector otherwise. Zero-filled by
-/// default (arena memory is reused, so callers that skip the fill must
-/// overwrite every element).
+/// under an ArenaScope, a plain heap array otherwise. Zero-filled by default;
+/// with `zero_fill` false the storage is left uninitialised on both paths
+/// (arena memory is reused), so such callers must overwrite every element.
 template <typename T>
 class ScratchVec {
   static_assert(std::is_trivially_destructible_v<T>,
@@ -131,8 +132,10 @@ class ScratchVec {
       if (zero_fill)
         std::memset(data_, 0, static_cast<size_t>(size_) * sizeof(T));
     } else {
-      heap_.resize(static_cast<size_t>(size_));  // value-init: zero either way
-      data_ = heap_.data();
+      const auto n = static_cast<size_t>(size_);
+      heap_ = zero_fill ? std::make_unique<T[]>(n)
+                        : std::make_unique_for_overwrite<T[]>(n);
+      data_ = heap_.get();
     }
   }
 
@@ -147,7 +150,7 @@ class ScratchVec {
  private:
   T* data_ = nullptr;
   int64_t size_ = 0;
-  std::vector<T> heap_;
+  std::unique_ptr<T[]> heap_;
 };
 
 }  // namespace itask

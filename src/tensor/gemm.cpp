@@ -1,8 +1,8 @@
 #include "tensor/gemm.h"
 
 #include <algorithm>
-#include <vector>
 
+#include "tensor/arena.h"
 #include "tensor/profile.h"
 
 namespace itask::gemm {
@@ -20,27 +20,6 @@ constexpr int64_t kNC = 128;
 // three public variants.
 enum class ALayout { kMK, kKM };  // row-major [M,K] vs transposed [K,M]
 enum class BLayout { kKN, kNK };  // row-major [K,N] vs transposed [N,K]
-
-// Per-thread packing workspaces, reused across calls. Thread-local keeps the
-// concurrent infer paths (runtime workers) contention- and race-free. Growth
-// is bounded: pack_workspace() reserves exactly the requested slab (no
-// geometric resize() overshoot) and no slab exceeds kMC·kKC (A) / kNC·kKC
-// (B) floats — 128 KiB each — so per-thread footprint never passes
-// pack_workspace_cap_bytes(). The thread_local storage itself is released
-// by the vector destructors when the owning thread exits.
-thread_local std::vector<float> tl_apack;
-thread_local std::vector<float> tl_bpack;
-
-float* pack_workspace(std::vector<float>& ws, int64_t elems) {
-  const auto n = static_cast<size_t>(elems);
-  if (ws.capacity() < n) {
-    ws.clear();     // nothing persists across calls — skip the copy…
-    ws.reserve(n);  // …and allocate exactly n, capping capacity at the
-                    // largest slab ever requested (≤ the blocking extents).
-  }
-  ws.resize(n);
-  return ws.data();
-}
 
 // GCC/Clang vector extension: an NR-wide float lane. The explicit type is
 // what makes the micro-kernel compile to broadcast-FMA — GCC 12's auto-
@@ -163,15 +142,26 @@ void micro_kernel(const float* __restrict ap, const float* __restrict bp,
 #endif
 }
 
-/// One MC slab of one (KC, NC) block: packs the slab's A panels into the
-/// calling thread's workspace and runs the micro-kernel grid against an
-/// already-packed B block.
+int64_t roundup(int64_t v, int64_t to) { return (v + to - 1) / to * to; }
+
+/// Scratch floats for one packed A slab (`a_slab_elems`) or one packed B
+/// block (`b_block_elems`): the largest the loop nest visits for this shape,
+/// so each call takes its panels from one ScratchVec per operand.
+int64_t a_slab_elems(int64_t m, int64_t k) {
+  return roundup(std::min(m, kMC), kMR) * std::min(k, kKC);
+}
+int64_t b_block_elems(int64_t k, int64_t n) {
+  return std::min(kNC, roundup(n, kNR)) * std::min(k, kKC);
+}
+
+/// One MC slab of one (KC, NC) block: packs the slab's A panels into
+/// `apack` and runs the micro-kernel grid against an already-packed B block.
 void run_mc_slab(const float* a, ALayout alay, int64_t lda, int64_t ic,
                  int64_t m, int64_t pc, int64_t kc, int64_t jc,
-                 int64_t npanels, const float* bpack, float* c, int64_t n) {
+                 int64_t npanels, const float* bpack, float* apack, float* c,
+                 int64_t n) {
   const int64_t mc = std::min(kMC, m - ic);
   const int64_t mpanels = (mc + kMR - 1) / kMR;
-  float* apack = pack_workspace(tl_apack, mpanels * kMR * kc);
   {
     ITASK_PROFILE_SCOPE(profile::Section::kGemmPack);
     pack_a(a, alay, lda, ic, mc, pc, kc, apack);
@@ -189,27 +179,30 @@ void run_mc_slab(const float* a, ALayout alay, int64_t lda, int64_t ic,
 }
 
 /// Five-loop blocked driver; the public variants differ only in the layout
-/// tags handed to the packers.
+/// tags handed to the packers. The packers write every panel element,
+/// padding included, so the scratch needs no zero fill.
 void gemm_driver(const float* a, ALayout alay, const float* b, BLayout blay,
                  float* c, int64_t m, int64_t k, int64_t n) {
   if (m <= 0 || n <= 0 || k <= 0) return;
   const int64_t lda = alay == ALayout::kMK ? k : m;
   const int64_t ldb = blay == BLayout::kKN ? n : k;
+  ScratchVec<float> apack(a_slab_elems(m, k), /*zero_fill=*/false);
+  ScratchVec<float> bpack(b_block_elems(k, n), /*zero_fill=*/false);
   for (int64_t pc = 0; pc < k; pc += kKC) {
     const int64_t kc = std::min(kKC, k - pc);
     for (int64_t jc = 0; jc < n; jc += kNC) {
       const int64_t nc = std::min(kNC, n - jc);
       const int64_t npanels = (nc + kNR - 1) / kNR;
-      float* bpack = pack_workspace(tl_bpack, npanels * kNR * kc);
       {
         // Profiling hooks sit at cache-block granularity: one relaxed
         // atomic load per block when disabled, never inside the micro-
         // kernel loop.
         ITASK_PROFILE_SCOPE(profile::Section::kGemmPack);
-        pack_b(b, blay, ldb, pc, kc, jc, nc, bpack);
+        pack_b(b, blay, ldb, pc, kc, jc, nc, bpack.data());
       }
       for (int64_t ic = 0; ic < m; ic += kMC) {
-        run_mc_slab(a, alay, lda, ic, m, pc, kc, jc, npanels, bpack, c, n);
+        run_mc_slab(a, alay, lda, ic, m, pc, kc, jc, npanels, bpack.data(),
+                    apack.data(), c, n);
       }
     }
   }
@@ -265,6 +258,7 @@ void gemm_bt_prepacked(const float* a, const PackedB& b, float* c, int64_t m) {
   if (m <= 0 || n <= 0 || k <= 0) return;
   ITASK_PROFILE_COUNT(profile::Counter::kGemmPrepackedCalls, 1);
   ITASK_PROFILE_COUNT(profile::Counter::kGemmPackBytesAvoided, b.bytes());
+  ScratchVec<float> apack(a_slab_elems(m, k), /*zero_fill=*/false);
   const float* block = b.data.data();
   for (int64_t pc = 0; pc < k; pc += kKC) {
     const int64_t kc = std::min(kKC, k - pc);
@@ -272,21 +266,12 @@ void gemm_bt_prepacked(const float* a, const PackedB& b, float* c, int64_t m) {
       const int64_t nc = std::min(kNC, n - jc);
       const int64_t npanels = (nc + kNR - 1) / kNR;
       for (int64_t ic = 0; ic < m; ic += kMC) {
-        run_mc_slab(a, ALayout::kMK, k, ic, m, pc, kc, jc, npanels, block, c,
-                    n);
+        run_mc_slab(a, ALayout::kMK, k, ic, m, pc, kc, jc, npanels, block,
+                    apack.data(), c, n);
       }
       block += npanels * kNR * kc;
     }
   }
-}
-
-int64_t pack_workspace_bytes() {
-  return static_cast<int64_t>((tl_apack.capacity() + tl_bpack.capacity()) *
-                              sizeof(float));
-}
-
-int64_t pack_workspace_cap_bytes() {
-  return static_cast<int64_t>((kMC * kKC + kNC * kKC) * sizeof(float));
 }
 
 namespace reference {

@@ -14,6 +14,11 @@
 // The three storage variants (NN, B-transposed, A-transposed) differ only in
 // the pack routines; the micro-kernel is shared.
 //
+// Memory: each call takes its pack panels (one A slab, one B block — at most
+// MC×KC and NC×KC floats) from ScratchVec, so under a bound ArenaScope they
+// come from the worker's arena and plan_workspace() sizes them; off an arena
+// (training) they are per-call heap buffers. No pack storage outlives a call.
+//
 // Semantics: every kernel *accumulates* (C += op(A)·op(B)); callers pass a
 // zeroed C for a plain product. Results are deterministic call-to-call but
 // differ from the naive reference kernels by fp32 reassociation (blocked
@@ -73,16 +78,6 @@ PackedB pack_weights_bt(const float* b, int64_t k, int64_t n);
 /// same operands: the panels, micro-kernel and loop order are the same —
 /// only where the packed B lives differs.
 void gemm_bt_prepacked(const float* a, const PackedB& b, float* c, int64_t m);
-
-/// Capacity (bytes) of the calling thread's packing workspaces. Bounded by
-/// construction at pack_workspace_cap_bytes() — the workspaces reserve
-/// exactly what a slab needs (no geometric overshoot) and a slab never
-/// exceeds the KC×MC / KC×NC blocking extents. Storage is thread_local, so
-/// it is released automatically when the owning thread exits.
-int64_t pack_workspace_bytes();
-
-/// The documented per-thread workspace bound: one A slab + one B slab.
-int64_t pack_workspace_cap_bytes();
 
 /// The pre-kernel-layer naive triple loops, retained verbatim as the parity
 /// baseline for tests and the old-vs-new comparison in bench_k0_gemm. Same

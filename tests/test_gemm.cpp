@@ -7,12 +7,16 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
+#include <functional>
 #include <span>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "nn/linear.h"
 #include "quant/int8_gemm.h"
+#include "tensor/arena.h"
 #include "tensor/gemm.h"
 #include "tensor/ops.h"
 #include "tensor/rng.h"
@@ -247,17 +251,51 @@ TEST(Int8Panels, QuantizingProducerMatchesWideningProducer) {
                std::invalid_argument);
 }
 
-// Satellite: the per-thread pack workspaces must stay bounded by one slab
-// per operand (exact reservation, no geometric overshoot) however large the
-// GEMM — and the bound is the documented cap.
-TEST(GemmPrepack, PackWorkspaceStaysBoundedBySlabCap) {
+// The fp32 pack panels are ScratchVec scratch: arena-backed under a bound
+// ArenaScope, heap otherwise. Where they live never moves a bit of the
+// result. A zero-capacity arena spills every panel to its overflow blocks and
+// measures what they need (the plan_workspace() probe); an arena of that size
+// then serves every panel in place.
+TEST(GemmArena, PanelsFromArenaBitIdenticalAndSizedByTheProbe) {
   Rng rng(5);
   const int64_t m = 300, k = 600, n = 300;  // crosses every blocking extent
+  // One buffer per operand serves every layout: [M,K] and [K,M] (A), [K,N]
+  // and [N,K] (B) hold the same number of floats.
   const Tensor a = rng.randn({m, k});
   const Tensor b = rng.randn({n, k});
-  Tensor c({m, n});
-  gemm::gemm_bt(a.data().data(), b.data().data(), c.data().data(), m, k, n);
-  EXPECT_LE(gemm::pack_workspace_bytes(), gemm::pack_workspace_cap_bytes());
+  const float* ap = a.data().data();
+  const float* bp = b.data().data();
+  const gemm::PackedB packed = gemm::pack_weights_bt(bp, k, n);
+  const std::vector<std::pair<const char*, std::function<void(float*)>>>
+      calls = {
+          {"gemm_nn", [&](float* c) { gemm::gemm_nn(ap, bp, c, m, k, n); }},
+          {"gemm_bt", [&](float* c) { gemm::gemm_bt(ap, bp, c, m, k, n); }},
+          {"gemm_at", [&](float* c) { gemm::gemm_at(ap, bp, c, m, k, n); }},
+          {"gemm_bt_prepacked",
+           [&](float* c) { gemm::gemm_bt_prepacked(ap, packed, c, m); }},
+      };
+  const size_t bytes = static_cast<size_t>(m * n) * sizeof(float);
+  for (const auto& [name, call] : calls) {
+    std::vector<float> heap(static_cast<size_t>(m * n));
+    std::vector<float> spilled(heap.size());
+    std::vector<float> in_place(heap.size());
+    call(heap.data());
+    Arena probe(0);
+    {
+      ArenaScope scope(probe);
+      call(spilled.data());
+    }
+    EXPECT_GT(probe.overflow_allocs(), 0) << name;
+    Arena sized(probe.used());
+    {
+      ArenaScope scope(sized);
+      call(in_place.data());
+    }
+    EXPECT_EQ(sized.overflow_allocs(), 0) << name;
+    EXPECT_EQ(sized.used(), probe.used()) << name;
+    EXPECT_EQ(std::memcmp(spilled.data(), heap.data(), bytes), 0) << name;
+    EXPECT_EQ(std::memcmp(in_place.data(), heap.data(), bytes), 0) << name;
+  }
 }
 
 TEST(GemmKernel, EmptyBatchAndZeroDims) {

@@ -100,6 +100,34 @@ class RuntimeServing : public ::testing::Test {
     }
   }
 
+  // A worker warmed only at batch 1 serves its first full batch without a
+  // heap allocation: plan_workspace() sized its arena for max_batch at
+  // install, and all of the hot path's scratch lives there — the FP32 GEMM
+  // pack panels and the INT8 activation panels included.
+  static void expect_no_alloc_when_batch_grows(ConfigKind config) {
+    RuntimeOptions opts;
+    opts.workers = 1;
+    opts.max_batch = 8;
+    opts.max_wait_us = 50000;  // a max_batch burst closes as ONE batch
+    opts.queue_capacity = 64;
+    InferenceServer server(*snap_, opts);
+    const auto serve = [&](int64_t n) {
+      std::vector<std::future<InferenceResult>> futures;
+      for (int64_t i = 0; i < n; ++i) {
+        auto f = server.try_submit(eval_->scene(i).image, task_->id, config);
+        ASSERT_TRUE(f.admitted());
+        futures.push_back(std::move(*f.future));
+      }
+      for (auto& f : futures) EXPECT_EQ(f.get().batch_size, n);
+    };
+    for (int round = 0; round < 2; ++round) serve(1);  // warmup at batch 1
+    const int64_t warm = server.metrics().counter("hot_path_allocs").value();
+    serve(opts.max_batch);
+    EXPECT_EQ(server.metrics().counter("hot_path_allocs").value(), warm)
+        << "the hot path heap-allocated when the batch grew";
+    EXPECT_EQ(server.metrics().counter("arena_overflow_allocs").value(), 0);
+  }
+
   static Framework* fw_;
   static TaskHandle* task_;
   static std::shared_ptr<const core::DeploymentSnapshot>* snap_;
@@ -214,7 +242,7 @@ TEST_F(RuntimeServing, LargeMicroBatchServingBitExactVsSerial) {
       InferenceServer server(*snap_, opts);
       for (int64_t i = 0; i < 2 * eval_->size(); ++i) {
         auto f = server.try_submit(eval_->scene(i % eval_->size()).image,
-                                   *task_, config);
+                                   task_->id, config);
         ASSERT_TRUE(f.admitted());
         futures.push_back(std::move(*f.future));
       }
@@ -258,7 +286,7 @@ TEST_F(RuntimeServing, ResultsDeterministicVsSerialPath) {
       opts.queue_capacity = 64;
       InferenceServer server(*snap_, opts);
       for (int64_t i = 0; i < eval_->size(); ++i) {
-        auto f = server.try_submit(eval_->scene(i).image, *task_, config);
+        auto f = server.try_submit(eval_->scene(i).image, task_->id, config);
         ASSERT_TRUE(f.admitted());
         futures.push_back(std::move(*f.future));
       }
@@ -282,7 +310,7 @@ TEST_F(RuntimeServing, ShutdownDrainsEveryAdmittedRequest) {
   InferenceServer server(*snap_, opts);
   std::vector<std::future<InferenceResult>> futures;
   for (int i = 0; i < 24; ++i) {
-    auto f = server.try_submit(eval_->scene(i % eval_->size()).image, *task_,
+    auto f = server.try_submit(eval_->scene(i % eval_->size()).image, task_->id,
                                ConfigKind::kQuantizedMultiTask);
     ASSERT_TRUE(f.admitted());
     futures.push_back(std::move(*f.future));
@@ -315,7 +343,7 @@ TEST_F(RuntimeServing, BackpressureRejectsWhenQueueFull) {
   int64_t rejected = 0;
   std::vector<std::future<InferenceResult>> futures;
   for (int i = 0; i < 64; ++i) {
-    auto f = server.try_submit(eval_->scene(i % eval_->size()).image, *task_,
+    auto f = server.try_submit(eval_->scene(i % eval_->size()).image, task_->id,
                                ConfigKind::kQuantizedMultiTask);
     if (f.admitted()) {
       EXPECT_EQ(f.reject, RejectReason::kNone);
@@ -343,7 +371,7 @@ TEST_F(RuntimeServing, SubmitAfterShutdownIsRejected) {
   opts.workers = 1;
   InferenceServer server(*snap_, opts);
   server.shutdown();
-  const auto f = server.try_submit(eval_->scene(0).image, *task_,
+  const auto f = server.try_submit(eval_->scene(0).image, task_->id,
                                    ConfigKind::kQuantizedMultiTask);
   EXPECT_FALSE(f.admitted());
   EXPECT_EQ(f.reject, RejectReason::kShuttingDown);
@@ -363,7 +391,7 @@ TEST_F(RuntimeServing, AdmissionRejectsMisshapedImage) {
   // reach a worker (where stacking it with a well-shaped request would have
   // crashed the process pre-fix).
   try {
-    server.try_submit(Tensor({3, 12, 24}), *task_,
+    server.try_submit(Tensor({3, 12, 24}), task_->id,
                       ConfigKind::kQuantizedMultiTask);
     FAIL() << "mis-shaped image must be rejected at admission";
   } catch (const std::invalid_argument& e) {
@@ -372,28 +400,28 @@ TEST_F(RuntimeServing, AdmissionRejectsMisshapedImage) {
     EXPECT_NE(what.find("[3, 12, 24]"), std::string::npos) << what;
   }
   // Wrong rank is also an admission failure.
-  EXPECT_THROW(server.try_submit(Tensor({24, 24}), *task_,
+  EXPECT_THROW(server.try_submit(Tensor({24, 24}), task_->id,
                                  ConfigKind::kQuantizedMultiTask),
                std::invalid_argument);
   EXPECT_EQ(server.metrics().counter("requests_invalid").value(), 2);
   // A negative deadline, an empty group and a group too large for the queue
   // are malformed requests too, counted the same way.
   const Tensor& good = eval_->scene(0).image;
-  EXPECT_THROW(server.try_submit(good, *task_, ConfigKind::kQuantizedMultiTask,
-                                 -1),
+  EXPECT_THROW(server.try_submit(good, task_->id,
+                                 ConfigKind::kQuantizedMultiTask, -1),
                std::invalid_argument);
-  EXPECT_THROW(server.try_submit_group({}, *task_,
+  EXPECT_THROW(server.try_submit_group({}, task_->id,
                                        ConfigKind::kQuantizedMultiTask),
                std::invalid_argument);
   EXPECT_THROW(
       server.try_submit_group(
           std::vector<Tensor>(static_cast<size_t>(opts.queue_capacity + 1),
                               good),
-          *task_, ConfigKind::kQuantizedMultiTask),
+          task_->id, ConfigKind::kQuantizedMultiTask),
       std::invalid_argument);
   EXPECT_EQ(server.metrics().counter("requests_invalid").value(), 5);
   // The server keeps serving valid traffic afterwards.
-  auto f = server.try_submit(eval_->scene(0).image, *task_,
+  auto f = server.try_submit(eval_->scene(0).image, task_->id,
                              ConfigKind::kQuantizedMultiTask);
   ASSERT_TRUE(f.admitted());
   f.future->get();  // completes
@@ -415,7 +443,7 @@ TEST_F(RuntimeServing, AdmissionRejectsNonFinitePixels) {
   for (const float bad : {std::numeric_limits<float>::quiet_NaN(),
                           std::numeric_limits<float>::infinity()}) {
     try {
-      server.try_submit(with_bad_pixel(good, bad), *task_,
+      server.try_submit(with_bad_pixel(good, bad), task_->id,
                         ConfigKind::kQuantizedMultiTask);
       FAIL() << "a non-finite pixel must be rejected at admission";
     } catch (const std::invalid_argument& e) {
@@ -424,7 +452,7 @@ TEST_F(RuntimeServing, AdmissionRejectsNonFinitePixels) {
     }
     // One bad view rejects its whole group; no view is queued.
     std::vector<Tensor> views = {good, with_bad_pixel(good, bad), good};
-    EXPECT_THROW(server.try_submit_group(std::move(views), *task_,
+    EXPECT_THROW(server.try_submit_group(std::move(views), task_->id,
                                          ConfigKind::kTaskSpecific),
                  std::invalid_argument);
     invalid += 2;
@@ -432,7 +460,7 @@ TEST_F(RuntimeServing, AdmissionRejectsNonFinitePixels) {
   }
   EXPECT_EQ(server.metrics().counter("requests_submitted").value(), 0);
   // The server keeps serving valid traffic afterwards.
-  auto f = server.try_submit(good, *task_, ConfigKind::kQuantizedMultiTask);
+  auto f = server.try_submit(good, task_->id, ConfigKind::kQuantizedMultiTask);
   ASSERT_TRUE(f.admitted());
   f.future->get();
 }
@@ -445,10 +473,10 @@ TEST_F(RuntimeServing, AdmissionGatesOnCurrentSnapshotUntilInstall) {
   opts.workers = 1;
   InferenceServer server(fw_->publish(), opts);
   const TaskHandle undistilled = fw_->define_task(data::task_by_id(2));
-  EXPECT_THROW(server.try_submit(eval_->scene(0).image, undistilled,
+  EXPECT_THROW(server.try_submit(eval_->scene(0).image, undistilled.id,
                                  ConfigKind::kTaskSpecific),
                std::invalid_argument);
-  EXPECT_THROW(server.try_submit(eval_->scene(0).image, undistilled,
+  EXPECT_THROW(server.try_submit(eval_->scene(0).image, undistilled.id,
                                  ConfigKind::kQuantizedMultiTask),
                std::invalid_argument);
   EXPECT_EQ(server.metrics().counter("requests_invalid").value(), 2);
@@ -458,10 +486,10 @@ TEST_F(RuntimeServing, AdmissionGatesOnCurrentSnapshotUntilInstall) {
   // student); the task-specific path still needs a distilled student.
   server.install_snapshot(fw_->publish());
   EXPECT_TRUE(server.current_snapshot()->has_task(undistilled.id));
-  EXPECT_THROW(server.try_submit(eval_->scene(0).image, undistilled,
+  EXPECT_THROW(server.try_submit(eval_->scene(0).image, undistilled.id,
                                  ConfigKind::kTaskSpecific),
                std::invalid_argument);
-  auto f = server.try_submit(eval_->scene(0).image, undistilled,
+  auto f = server.try_submit(eval_->scene(0).image, undistilled.id,
                              ConfigKind::kQuantizedMultiTask);
   ASSERT_TRUE(f.admitted());
   f.future->get();
@@ -512,7 +540,7 @@ TEST_F(RuntimeServing, InjectedFaultFailsOnlyItsGroupAndServingContinues) {
   constexpr int kFirstWave = 8;
   std::vector<std::future<InferenceResult>> futures;
   for (int i = 0; i < kFirstWave; ++i) {
-    auto f = server.try_submit(eval_->scene(i % eval_->size()).image, *task_,
+    auto f = server.try_submit(eval_->scene(i % eval_->size()).image, task_->id,
                                ConfigKind::kQuantizedMultiTask);
     ASSERT_TRUE(f.admitted());
     futures.push_back(std::move(*f.future));
@@ -530,7 +558,7 @@ TEST_F(RuntimeServing, InjectedFaultFailsOnlyItsGroupAndServingContinues) {
 
   // Later requests on the same (still running) server complete normally.
   for (int i = 0; i < 4; ++i) {
-    auto f = server.try_submit(eval_->scene(i).image, *task_,
+    auto f = server.try_submit(eval_->scene(i).image, task_->id,
                                ConfigKind::kQuantizedMultiTask);
     ASSERT_TRUE(f.admitted());
     InferenceResult r = f.future->get();
@@ -567,7 +595,7 @@ TEST_F(RuntimeServing, FaultInGroupedBatchFailsWholeGroupOnly) {
       ConfigKind::kQuantizedMultiTask, ConfigKind::kTaskSpecific};
   for (size_t i = 0; i < configs.size(); ++i) {
     auto f = server.try_submit(eval_->scene(static_cast<int64_t>(i)).image,
-                               *task_, configs[i]);
+                               task_->id, configs[i]);
     ASSERT_TRUE(f.admitted());
     futures.push_back(std::move(*f.future));
   }
@@ -704,17 +732,17 @@ TEST_F(RuntimeServing, ExpiredDeadlinesShedAtBatchFormation) {
   InferenceServer server(*snap_, opts);
 
   // Request 0: per-request override 0 = no deadline (stalls the worker).
-  auto f0 = server.try_submit(eval_->scene(0).image, *task_,
+  auto f0 = server.try_submit(eval_->scene(0).image, task_->id,
                               ConfigKind::kQuantizedMultiTask,
                               /*deadline_us=*/0);
   ASSERT_TRUE(f0.admitted());
   // Requests 1 and 2: default 2 ms deadline; expire while the worker stalls.
-  auto f1 = server.try_submit(eval_->scene(1).image, *task_,
+  auto f1 = server.try_submit(eval_->scene(1).image, task_->id,
                               ConfigKind::kQuantizedMultiTask);
-  auto f2 = server.try_submit(eval_->scene(2).image, *task_,
+  auto f2 = server.try_submit(eval_->scene(2).image, task_->id,
                               ConfigKind::kQuantizedMultiTask);
   // Request 3: generous per-request override outlives the stall.
-  auto f3 = server.try_submit(eval_->scene(3).image, *task_,
+  auto f3 = server.try_submit(eval_->scene(3).image, task_->id,
                               ConfigKind::kQuantizedMultiTask,
                               /*deadline_us=*/60'000'000);
   ASSERT_TRUE(f1.admitted() && f2.admitted() && f3.admitted());
@@ -769,11 +797,11 @@ TEST_F(RuntimeServing, DeadlineNearInt64MaxSaturatesInsteadOfShedding) {
   InferenceServer server(*snap_, opts);
   constexpr int64_t kFar = std::numeric_limits<int64_t>::max();
 
-  auto single = server.try_submit(eval_->scene(0).image, *task_,
+  auto single = server.try_submit(eval_->scene(0).image, task_->id,
                                   ConfigKind::kQuantizedMultiTask, kFar);
   ASSERT_TRUE(single.admitted());
   auto group = server.try_submit_group(
-      detect::jittered_views(eval_->scene(1).image, 3, 0.05f, 71), *task_,
+      detect::jittered_views(eval_->scene(1).image, 3, 0.05f, 71), task_->id,
       ConfigKind::kQuantizedMultiTask, kFar - 1);
   ASSERT_TRUE(group.admitted());
   server.shutdown();
@@ -820,11 +848,11 @@ TEST_F(RuntimeServing, FakeClockMakesStageTimelineExact) {
   };
   InferenceServer server(*snap_, opts);
 
-  auto f0 = server.try_submit(eval_->scene(0).image, *task_,
+  auto f0 = server.try_submit(eval_->scene(0).image, task_->id,
                               ConfigKind::kQuantizedMultiTask);
   ASSERT_TRUE(f0.admitted());
   clock.advance_us(100);  // request 1 admitted at t=1100
-  auto f1 = server.try_submit(eval_->scene(1).image, *task_,
+  auto f1 = server.try_submit(eval_->scene(1).image, task_->id,
                               ConfigKind::kQuantizedMultiTask);
   ASSERT_TRUE(f1.admitted());
   clock.advance_us(250);  // t=1350 when the stalled worker resumes
@@ -932,7 +960,8 @@ TEST_F(RuntimeServing, MultiProducerStressMixedConfigs) {
                                       ? ConfigKind::kTaskSpecific
                                       : ConfigKind::kQuantizedMultiTask;
         while (true) {  // retry on backpressure so all submissions land
-          auto f = server.try_submit(eval_->scene(scene).image, *task_, config);
+          auto f = server.try_submit(eval_->scene(scene).image, task_->id,
+                                     config);
           if (f.admitted()) {
             per_producer[static_cast<size_t>(p)].push_back(
                 Submitted{std::move(*f.future), scene, config});
@@ -969,7 +998,7 @@ TEST_F(RuntimeServing, ConstMetricsAccessorServesScrapes) {
   RuntimeOptions opts;
   opts.workers = 1;
   InferenceServer server(*snap_, opts);
-  auto f = server.try_submit(eval_->scene(0).image, *task_,
+  auto f = server.try_submit(eval_->scene(0).image, task_->id,
                              ConfigKind::kQuantizedMultiTask);
   ASSERT_TRUE(f.admitted());
   f.future->get();
@@ -1009,13 +1038,13 @@ TEST_F(RuntimeServing, ServesTextDefinedTaskOnQuantizedPath) {
   opts.max_wait_us = 300;
   InferenceServer server(fw_->publish(), opts);
   // No student was distilled for it: task-specific admission refuses.
-  EXPECT_THROW(server.try_submit(eval_->scene(0).image, adhoc,
+  EXPECT_THROW(server.try_submit(eval_->scene(0).image, adhoc.id,
                                  ConfigKind::kTaskSpecific),
                std::invalid_argument);
 
   std::vector<std::future<InferenceResult>> futures;
   for (int64_t i = 0; i < eval_->size(); ++i) {
-    auto f = server.try_submit(eval_->scene(i).image, adhoc,
+    auto f = server.try_submit(eval_->scene(i).image, adhoc.id,
                                ConfigKind::kQuantizedMultiTask);
     ASSERT_TRUE(f.admitted());
     futures.push_back(std::move(*f.future));
@@ -1098,7 +1127,7 @@ TEST_F(RuntimeServing, LiveOnboardingServesThroughPublishes) {
     for (const ConfigKind config :
          {ConfigKind::kTaskSpecific, ConfigKind::kQuantizedMultiTask}) {
       while (true) {
-        auto f = server.try_submit(eval_->scene(0).image, task, config);
+        auto f = server.try_submit(eval_->scene(0).image, task.id, config);
         if (!f.admitted()) {
           ASSERT_EQ(f.reject, RejectReason::kQueueFull);
           std::this_thread::yield();
@@ -1158,8 +1187,8 @@ TEST_F(RuntimeServing, LiveOnboardingServesThroughPublishes) {
 
 // ---------------------------------------------------------------- arena ----
 // The allocation-free steady-state serving suite. These tests (plus the
-// Arena*/ArenaScope*/ScratchVec* units in test_tensor and the workspace
-// tests in test_gemm) run first under ASan in CI — filter `*Arena*`.
+// Arena*/ArenaScope*/ScratchVec* units in test_tensor and the GemmArena*
+// cases in test_gemm) run first under ASan in CI — filter `*Arena*`.
 
 TEST(AttentionCoreArena, WarmCallAtBatch8MakesNoHeapAllocation) {
   // attention_core takes its outputs and its Kᵀ panel from the bound arena:
@@ -1188,8 +1217,7 @@ TEST_F(RuntimeServing, ArenaZeroSteadyStateAllocationsBothConfigs) {
   // allocations inside the arena-scoped hot region (batch stacking + full
   // model inference, INT8 scratch included) — on both deployable
   // configurations. The instrumented operator new at the top of this file
-  // feeds the `hot_path_allocs` counter; the only allocations it may see are
-  // the thread-local GEMM pack workspaces, which grow once during warmup.
+  // feeds the `hot_path_allocs` counter.
   RuntimeOptions opts;
   opts.workers = 1;          // one worker = one arena = exact accounting
   opts.max_batch = 4;
@@ -1204,13 +1232,13 @@ TEST_F(RuntimeServing, ArenaZeroSteadyStateAllocationsBothConfigs) {
            {ConfigKind::kTaskSpecific, ConfigKind::kQuantizedMultiTask}) {
         std::vector<std::future<InferenceResult>> futures;
         for (int64_t i = 0; i < opts.max_batch; ++i) {
-          auto f = server.try_submit(eval_->scene(i).image, *task_, config);
+          auto f = server.try_submit(eval_->scene(i).image, task_->id, config);
           ASSERT_TRUE(f.admitted());
           futures.push_back(std::move(*f.future));
         }
         for (auto& f : futures) {
           // Full homogeneous micro-batches: the worst-case (largest) arena
-          // and pack-workspace footprint from the very first round.
+          // footprint from the very first round.
           EXPECT_EQ(f.get().batch_size, opts.max_batch);
         }
       }
@@ -1218,9 +1246,9 @@ TEST_F(RuntimeServing, ArenaZeroSteadyStateAllocationsBothConfigs) {
   };
   drive(2);  // warmup: both configs at the full batch size
   const int64_t warm = server.metrics().counter("hot_path_allocs").value();
-  // Warmup cost is bounded — a handful of workspace grows, not per-request
-  // churn.
-  EXPECT_LE(warm, 64);
+  // The arena was sized at install, so even the first batches allocate
+  // nothing.
+  EXPECT_EQ(warm, 0);
   drive(4);  // steady state: 8 more micro-batches across both configs
   EXPECT_EQ(server.metrics().counter("hot_path_allocs").value(), warm)
       << "the serving hot path heap-allocated after warmup";
@@ -1235,32 +1263,11 @@ TEST_F(RuntimeServing, ArenaZeroSteadyStateAllocationsBothConfigs) {
 }
 
 TEST_F(RuntimeServing, ArenaInt8ZeroAllocationsWhenTheBatchGrows) {
-  // INT8 scratch (the activation panels included) lives in the worker's
-  // arena, which plan_workspace() sized for max_batch at install: a worker
-  // warmed only at batch 1 must serve its first full batch without a heap
-  // allocation. A per-thread pack buffer would grow here instead.
-  RuntimeOptions opts;
-  opts.workers = 1;
-  opts.max_batch = 8;
-  opts.max_wait_us = 50000;  // a max_batch burst closes as ONE batch
-  opts.queue_capacity = 64;
-  InferenceServer server(*snap_, opts);
-  const auto serve = [&](int64_t n) {
-    std::vector<std::future<InferenceResult>> futures;
-    for (int64_t i = 0; i < n; ++i) {
-      auto f = server.try_submit(eval_->scene(i).image, *task_,
-                                 ConfigKind::kQuantizedMultiTask);
-      ASSERT_TRUE(f.admitted());
-      futures.push_back(std::move(*f.future));
-    }
-    for (auto& f : futures) EXPECT_EQ(f.get().batch_size, n);
-  };
-  for (int round = 0; round < 2; ++round) serve(1);  // warmup at batch 1
-  const int64_t warm = server.metrics().counter("hot_path_allocs").value();
-  serve(opts.max_batch);
-  EXPECT_EQ(server.metrics().counter("hot_path_allocs").value(), warm)
-      << "the INT8 hot path heap-allocated when the batch grew";
-  EXPECT_EQ(server.metrics().counter("arena_overflow_allocs").value(), 0);
+  expect_no_alloc_when_batch_grows(ConfigKind::kQuantizedMultiTask);
+}
+
+TEST_F(RuntimeServing, ArenaFp32ZeroAllocationsWhenTheBatchGrows) {
+  expect_no_alloc_when_batch_grows(ConfigKind::kTaskSpecific);
 }
 
 TEST_F(RuntimeServing, ArenaResultsElementWiseIdenticalToSerial) {
@@ -1281,7 +1288,8 @@ TEST_F(RuntimeServing, ArenaResultsElementWiseIdenticalToSerial) {
     opts.queue_capacity = 64;
     InferenceServer server(*snap_, opts);
     for (int64_t i = 0; i < eval_->size(); ++i) {
-      auto f = server.try_submit(eval_->scene(i).image, *task_, config_of(i));
+      auto f =
+          server.try_submit(eval_->scene(i).image, task_->id, config_of(i));
       ASSERT_TRUE(f.admitted());
       futures.push_back(std::move(*f.future));
     }
@@ -1307,7 +1315,7 @@ TEST_F(RuntimeServing, ArenaSingletonGroupServesBorrowedViewIdentically) {
   for (const ConfigKind config :
        {ConfigKind::kTaskSpecific, ConfigKind::kQuantizedMultiTask}) {
     for (int64_t i = 0; i < 8; ++i) {
-      auto f = server.try_submit(eval_->scene(i).image, *task_, config);
+      auto f = server.try_submit(eval_->scene(i).image, task_->id, config);
       ASSERT_TRUE(f.admitted());
       InferenceResult r = f.future->get();
       EXPECT_EQ(r.batch_size, 1);
@@ -1350,7 +1358,7 @@ TEST_F(RuntimeServing, AdmissionCountersCachedWithStableExposition) {
 
   std::vector<std::future<InferenceResult>> futures;
   for (int64_t i = 0; i < 4; ++i) {
-    auto f = server.try_submit(eval_->scene(i).image, *task_,
+    auto f = server.try_submit(eval_->scene(i).image, task_->id,
                                ConfigKind::kQuantizedMultiTask);
     ASSERT_TRUE(f.admitted());
     futures.push_back(std::move(*f.future));
@@ -1360,7 +1368,7 @@ TEST_F(RuntimeServing, AdmissionCountersCachedWithStableExposition) {
                std::invalid_argument);
   for (auto& f : futures) f.get();
   server.shutdown();
-  auto rejected = server.try_submit(eval_->scene(0).image, *task_,
+  auto rejected = server.try_submit(eval_->scene(0).image, task_->id,
                                     ConfigKind::kQuantizedMultiTask);
   EXPECT_EQ(rejected.reject, RejectReason::kShuttingDown);
 
@@ -1392,13 +1400,13 @@ TEST_F(RuntimeServing, SnapshotVersionSkewCountedWhenInstallRacesQueue) {
   const auto before = fw_->publish();
   InferenceServer server(before, opts);
 
-  auto f0 = server.try_submit(eval_->scene(0).image, *task_,
+  auto f0 = server.try_submit(eval_->scene(0).image, task_->id,
                               ConfigKind::kQuantizedMultiTask);
   ASSERT_TRUE(f0.admitted());
   while (groups_seen.load() == 0) std::this_thread::yield();
   // Worker is now mid-batch holding `before`; admit under `before`, then
   // install the newer snapshot before the worker can pick request 1 up.
-  auto f1 = server.try_submit(eval_->scene(1).image, *task_,
+  auto f1 = server.try_submit(eval_->scene(1).image, task_->id,
                               ConfigKind::kQuantizedMultiTask);
   ASSERT_TRUE(f1.admitted());
   server.install_snapshot(fw_->publish());
@@ -1847,10 +1855,10 @@ TEST_F(RuntimeServing, GroupSubmitFusedMatchesSerialFusionBothConfigs) {
     for (int64_t i = 0; i < 6; ++i) {
       auto views = detect::jittered_views(eval_->scene(i).image, kViews,
                                           0.05f, 900 + (uint64_t)i);
-      auto g = server.try_submit_group(std::move(views), *task_, config);
+      auto g = server.try_submit_group(std::move(views), task_->id, config);
       ASSERT_TRUE(g.admitted());
       groups.push_back(std::move(*g.future));
-      auto s = server.try_submit(eval_->scene(i).image, *task_, config);
+      auto s = server.try_submit(eval_->scene(i).image, task_->id, config);
       ASSERT_TRUE(s.admitted());
       singles.push_back(std::move(*s.future));
     }
@@ -1956,10 +1964,10 @@ TEST_F(RuntimeServing, GroupFaultIsolationFailsOnlyTheGroup) {
   InferenceServer server(*snap_, opts);
 
   auto views = detect::jittered_views(eval_->scene(0).image, 3, 0.05f, 31);
-  auto g = server.try_submit_group(std::move(views), *task_,
+  auto g = server.try_submit_group(std::move(views), task_->id,
                                    ConfigKind::kQuantizedMultiTask);
   ASSERT_TRUE(g.admitted());
-  auto s = server.try_submit(eval_->scene(1).image, *task_,
+  auto s = server.try_submit(eval_->scene(1).image, task_->id,
                              ConfigKind::kQuantizedMultiTask);
   ASSERT_TRUE(s.admitted());
 
@@ -1969,7 +1977,7 @@ TEST_F(RuntimeServing, GroupFaultIsolationFailsOnlyTheGroup) {
                                      ConfigKind::kQuantizedMultiTask));
   // A later group on the same still-running server completes normally.
   auto views2 = detect::jittered_views(eval_->scene(2).image, 2, 0.05f, 32);
-  auto g2 = server.try_submit_group(std::move(views2), *task_,
+  auto g2 = server.try_submit_group(std::move(views2), task_->id,
                                     ConfigKind::kQuantizedMultiTask);
   ASSERT_TRUE(g2.admitted());
   EXPECT_EQ(g2.future->get().view_count, 2);
@@ -2016,16 +2024,16 @@ TEST_F(RuntimeServing, GroupDeadlineShedFailsTypedWhileSiblingServes) {
   };
   InferenceServer server(*snap_, opts);
 
-  auto stall = server.try_submit(eval_->scene(0).image, *task_,
+  auto stall = server.try_submit(eval_->scene(0).image, task_->id,
                                  ConfigKind::kQuantizedMultiTask,
                                  /*deadline_us=*/0);
   ASSERT_TRUE(stall.admitted());
   auto views = detect::jittered_views(eval_->scene(1).image, 3, 0.05f, 41);
-  auto g = server.try_submit_group(std::move(views), *task_,
+  auto g = server.try_submit_group(std::move(views), task_->id,
                                    ConfigKind::kQuantizedMultiTask,
                                    /*deadline_us=*/2000);
   ASSERT_TRUE(g.admitted());
-  auto s = server.try_submit(eval_->scene(2).image, *task_,
+  auto s = server.try_submit(eval_->scene(2).image, task_->id,
                              ConfigKind::kQuantizedMultiTask,
                              /*deadline_us=*/60'000'000);
   ASSERT_TRUE(s.admitted());
@@ -2067,19 +2075,19 @@ TEST_F(RuntimeServing, GroupAdmissionValidatesAndRejectsAtomically) {
   InferenceServer server(*snap_, opts);
 
   // Malformed groups throw at admission, like try_submit.
-  EXPECT_THROW(server.try_submit_group({}, *task_,
+  EXPECT_THROW(server.try_submit_group({}, task_->id,
                                        ConfigKind::kQuantizedMultiTask),
                std::invalid_argument);
   std::vector<Tensor> bad;
   bad.push_back(eval_->scene(0).image);
   bad.push_back(Tensor({3, 2, 2}));  // wrong shape, view index 1
-  EXPECT_THROW(server.try_submit_group(std::move(bad), *task_,
+  EXPECT_THROW(server.try_submit_group(std::move(bad), task_->id,
                                        ConfigKind::kQuantizedMultiTask),
                std::invalid_argument);
   // A group that could never fit the queue is a configuration error.
   EXPECT_THROW(
       server.try_submit_group(
-          detect::jittered_views(eval_->scene(0).image, 5, 0.05f, 1), *task_,
+          detect::jittered_views(eval_->scene(0).image, 5, 0.05f, 1), task_->id,
           ConfigKind::kQuantizedMultiTask),
       std::invalid_argument);
   // Each of the three counts once as requests_invalid.
@@ -2088,7 +2096,7 @@ TEST_F(RuntimeServing, GroupAdmissionValidatesAndRejectsAtomically) {
   // Backpressure is all-or-nothing: stall the worker, fill the queue to 2 of
   // 4, then a 3-view group must reject whole (kQueueFull) without enqueuing
   // any view; a 2-view group still fits.
-  auto stall = server.try_submit(eval_->scene(0).image, *task_,
+  auto stall = server.try_submit(eval_->scene(0).image, task_->id,
                                  ConfigKind::kQuantizedMultiTask);
   ASSERT_TRUE(stall.admitted());  // picked up by the worker, then stalls
   std::vector<std::future<InferenceResult>> fillers;
@@ -2097,18 +2105,18 @@ TEST_F(RuntimeServing, GroupAdmissionValidatesAndRejectsAtomically) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   for (int i = 0; i < 2; ++i) {
-    auto f = server.try_submit(eval_->scene(1).image, *task_,
+    auto f = server.try_submit(eval_->scene(1).image, task_->id,
                                ConfigKind::kQuantizedMultiTask);
     ASSERT_TRUE(f.admitted());
     fillers.push_back(std::move(*f.future));
   }
   auto too_big = server.try_submit_group(
-      detect::jittered_views(eval_->scene(2).image, 3, 0.05f, 2), *task_,
+      detect::jittered_views(eval_->scene(2).image, 3, 0.05f, 2), task_->id,
       ConfigKind::kQuantizedMultiTask);
   EXPECT_FALSE(too_big.admitted());
   EXPECT_EQ(too_big.reject, RejectReason::kQueueFull);
   auto fits = server.try_submit_group(
-      detect::jittered_views(eval_->scene(2).image, 2, 0.05f, 2), *task_,
+      detect::jittered_views(eval_->scene(2).image, 2, 0.05f, 2), task_->id,
       ConfigKind::kQuantizedMultiTask);
   ASSERT_TRUE(fits.admitted());
   release.store(true);
@@ -2117,7 +2125,7 @@ TEST_F(RuntimeServing, GroupAdmissionValidatesAndRejectsAtomically) {
 
   // After shutdown: kShuttingDown, again as a unit.
   auto late = server.try_submit_group(
-      detect::jittered_views(eval_->scene(0).image, 2, 0.05f, 3), *task_,
+      detect::jittered_views(eval_->scene(0).image, 2, 0.05f, 3), task_->id,
       ConfigKind::kQuantizedMultiTask);
   EXPECT_FALSE(late.admitted());
   EXPECT_EQ(late.reject, RejectReason::kShuttingDown);
@@ -2144,7 +2152,7 @@ TEST_F(RuntimeServing, GroupArenaZeroSteadyStateAllocationsWithGroupTraffic) {
         auto g = server.try_submit_group(
             detect::jittered_views(eval_->scene(0).image, opts.max_batch,
                                    0.05f, 60 + (uint64_t)r),
-            *task_, config);
+            task_->id, config);
         ASSERT_TRUE(g.admitted());
         EXPECT_EQ(g.future->get().view_count, opts.max_batch);
       }
