@@ -1,6 +1,7 @@
 #include "detect/fusion.h"
 
 #include <algorithm>
+#include <string>
 #include <utility>
 
 #include "tensor/shape.h"
@@ -33,12 +34,17 @@ bool fusion_order(const Detection& a, const Detection& b) {
   return compare_probs(a.class_probs, b.class_probs) < 0;
 }
 
+void check_fusion_options(const FusionOptions& options, const char* who) {
+  ITASK_CHECK(options.merge_iou >= 0.0f && options.merge_iou < 1.0f,
+              std::string(who) + ": merge_iou must be in [0, 1)");
+  ITASK_CHECK(options.min_views >= 1,
+              std::string(who) + ": min_views must be >= 1");
+}
+
 std::vector<Detection> fuse_views(
     const std::vector<std::vector<Detection>>& views,
     const FusionOptions& options) {
-  ITASK_CHECK(options.merge_iou >= 0.0f && options.merge_iou < 1.0f,
-              "fuse_views: merge_iou must be in [0, 1)");
-  ITASK_CHECK(options.min_views >= 1, "fuse_views: min_views must be >= 1");
+  check_fusion_options(options, "fuse_views");
   const int64_t k = static_cast<int64_t>(views.size());
   ITASK_CHECK(k >= 1, "fuse_views: need at least one view");
 

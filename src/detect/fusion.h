@@ -38,6 +38,11 @@ struct FusionOptions {
   float nms_iou = 0.5f;
 };
 
+/// The one FusionOptions rule — merge_iou in [0, 1), min_views >= 1 —
+/// shared by fuse_views and the server's constructor; throws
+/// std::invalid_argument naming `who`.
+void check_fusion_options(const FusionOptions& options, const char* who);
+
 /// The canonical strict total order behind fusion determinism:
 /// detection_order first, ties refined by objectness, task_score, then the
 /// attribute and class probability vectors lexicographically. Two detections

@@ -50,48 +50,14 @@ void Histogram::record(double value) {
   ++count_;
 }
 
-double Histogram::quantile_locked(double q, int64_t count) const {
-  const auto rank =
-      static_cast<int64_t>(std::ceil(q * static_cast<double>(count)));
-  int64_t seen = 0;
-  for (size_t i = 0; i < buckets_.size(); ++i) {
-    seen += buckets_[i];
-    if (seen >= rank) {
-      // Clamp the bucket's upper bound by the true extremes so tiny
-      // histograms don't report values outside the observed range.
-      return std::clamp(bucket_upper(static_cast<int64_t>(i)), min_seen_,
-                        max_seen_);
-    }
-  }
-  return max_seen_;
-}
-
-Histogram::Snapshot Histogram::snapshot() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  Snapshot s;
-  s.count = count_;
-  if (count_ == 0) return s;  // all-zero, nothing bucket-derived
-  s.sum = sum_;
-  s.mean = sum_ / static_cast<double>(count_);
-  s.min = min_seen_;
-  s.max = max_seen_;
-  s.p50 = quantile_locked(0.50, count_);
-  s.p95 = quantile_locked(0.95, count_);
-  s.p99 = quantile_locked(0.99, count_);
-  for (size_t i = 0; i < buckets_.size(); ++i) {
-    if (buckets_[i] > 0) {
-      s.buckets.push_back(
-          Bucket{bucket_upper(static_cast<int64_t>(i)), buckets_[i]});
-    }
-  }
-  return s;
-}
-
 namespace {
 
-// Bucketed quantile over a merged bucket list — the same rule as
-// Histogram::quantile_locked: the upper bound of the bucket holding the
-// ceil(q*count)-th sample, clamped into the observed [min, max].
+// The one bucketed quantile rule, for a live histogram's snapshot and a
+// merged one alike: the upper bound of the bucket holding the
+// ceil(q*count)-th sample, clamped into the observed [min, max] so tiny
+// histograms don't report values outside the observed range. `buckets`
+// lists only non-empty buckets; an empty one never satisfies seen >= rank,
+// so skipping them changes no quantile.
 double merged_quantile(const std::vector<Histogram::Bucket>& buckets, double q,
                        int64_t count, double min_seen, double max_seen) {
   const auto rank =
@@ -105,6 +71,27 @@ double merged_quantile(const std::vector<Histogram::Bucket>& buckets, double q,
 }
 
 }  // namespace
+
+Histogram::Snapshot Histogram::snapshot() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  Snapshot s;
+  s.count = count_;
+  if (count_ == 0) return s;  // all-zero, nothing bucket-derived
+  s.sum = sum_;
+  s.mean = sum_ / static_cast<double>(count_);
+  s.min = min_seen_;
+  s.max = max_seen_;
+  for (size_t i = 0; i < buckets_.size(); ++i) {
+    if (buckets_[i] > 0) {
+      s.buckets.push_back(
+          Bucket{bucket_upper(static_cast<int64_t>(i)), buckets_[i]});
+    }
+  }
+  s.p50 = merged_quantile(s.buckets, 0.50, s.count, s.min, s.max);
+  s.p95 = merged_quantile(s.buckets, 0.95, s.count, s.min, s.max);
+  s.p99 = merged_quantile(s.buckets, 0.99, s.count, s.min, s.max);
+  return s;
+}
 
 RegistrySnapshot merge_snapshots(const std::vector<RegistrySnapshot>& parts) {
   std::map<std::string, int64_t> counters;

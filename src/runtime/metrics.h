@@ -72,7 +72,6 @@ class Histogram {
   int64_t bucket_of(double value) const;
   /// Upper bound of bucket i — the reported quantile value.
   double bucket_upper(int64_t i) const;
-  double quantile_locked(double q, int64_t count) const;
 
   double min_value_;
   double inv_log_growth_;
@@ -97,7 +96,7 @@ struct RegistrySnapshot {
 /// Merges per-shard registry snapshots into one fleet-level view: counters
 /// with the same name sum; histograms with the same name merge bucket-wise
 /// (counts and sums add, min/max combine, p50/p95/p99 recomputed from the
-/// merged buckets exactly the way Histogram::snapshot computes them). All
+/// merged buckets by the one quantile rule Histogram::snapshot uses). All
 /// inputs must come from identically configured histograms — bucket upper
 /// bounds are matched exactly, which holds for the default geometry every
 /// runtime registry uses. The result feeds the same exposition formats as a

@@ -28,10 +28,7 @@ InferenceServer::InferenceServer(
       clock_(options_.clock_us ? options_.clock_us : ClockFn(steady_clock_us)),
       queue_(options.queue_capacity),
       stages_(metrics_),
-      // Hot-path counters resolved once here instead of a map lookup under
-      // the registry lock per request (metric names unchanged — exposition
-      // output is identical, and every admission counter now exists from
-      // the first scrape).
+      // Per-request counters resolved once here, not looked up per request.
       requests_submitted_(metrics_.counter("requests_submitted")),
       requests_invalid_(metrics_.counter("requests_invalid")),
       rejected_queue_full_(metrics_.counter("rejected_queue_full")),
@@ -42,6 +39,9 @@ InferenceServer::InferenceServer(
       groups_submitted_(metrics_.counter("groups_submitted")),
       groups_completed_(metrics_.counter("groups_completed")),
       groups_failed_(metrics_.counter("groups_failed")),
+      requests_completed_(metrics_.counter("requests_completed")),
+      requests_failed_(metrics_.counter("requests_failed")),
+      requests_expired_(metrics_.counter("requests_expired")),
       group_fuse_h_(metrics_.histogram("group_fuse_us")),
       snapshot_(std::move(snapshot)) {
   ITASK_CHECK(snapshot_ != nullptr,
@@ -53,6 +53,7 @@ InferenceServer::InferenceServer(
               "InferenceServer: max_wait_us must be >= 0");
   ITASK_CHECK(options_.deadline_us >= 0,
               "InferenceServer: deadline_us must be >= 0");
+  detect::check_fusion_options(options_.fusion, "InferenceServer: fusion");
   // The initial snapshot counts as one publish; its tasks were never
   // *onboarded* live. (The init list above already created every admission
   // counter, so a scrape before the first install/request sees them all.)
@@ -184,10 +185,9 @@ RejectReason InferenceServer::admit(std::span<Pending> members,
     p.admitted_us = admitted_us;
     p.deadline_us = absolute_deadline_us;
     p.admitted_version = snapshot->version();
-    p.view_index = v;
   }
-  if (members.front().group) {
-    members.front().group->group_id =
+  if (auto* slot = std::get_if<GroupSlot>(&members.front().completion)) {
+    slot->gather->group_id =
         next_group_id_.fetch_add(1, std::memory_order_relaxed);
   }
   // All-or-nothing: either every view is queued contiguously under one lock
@@ -213,7 +213,8 @@ SubmitResult InferenceServer::try_submit(Tensor image, kg::TaskId task,
   Pending pending;
   pending.image = std::move(image);
   SubmitResult result;
-  result.future = pending.promise.get_future();
+  result.future =
+      pending.completion.emplace<std::promise<InferenceResult>>().get_future();
   result.reject = admit(std::span<Pending>(&pending, 1), task, config,
                         deadline_us, "try_submit");
   if (result.reject != RejectReason::kNone) result.future.reset();
@@ -238,15 +239,14 @@ GroupSubmitResult InferenceServer::try_submit_group(
                            fmt::i64(options_.queue_capacity) + ")");
   }
   auto gather = std::make_shared<GroupGather>();
-  gather->fusion = options_.fusion;
   gather->views.resize(static_cast<size_t>(k));
   gather->remaining = k;
-  // Each view becomes an ordinary Pending riding the ordinary hot path; the
-  // gather pointer is the only thing marking it as a group member.
+  // Each view becomes an ordinary Pending riding the ordinary hot path; its
+  // gather slot is the only thing marking it as a group member.
   std::vector<Pending> members(views.size());
   for (size_t v = 0; v < views.size(); ++v) {
     members[v].image = std::move(views[v]);
-    members[v].group = gather;
+    members[v].completion = GroupSlot{gather, static_cast<int64_t>(v)};
   }
   GroupSubmitResult result;
   result.future = gather->promise.get_future();
@@ -259,85 +259,110 @@ GroupSubmitResult InferenceServer::try_submit_group(
   return result;
 }
 
-void InferenceServer::deliver(Pending& pending, InferenceResult&& result) {
-  if (!pending.group) {
-    pending.promise.set_value(std::move(result));
-    return;
+void InferenceServer::resolve(Pending& pending, const StageTimeline& t,
+                              Outcome outcome) {
+  const bool served = outcome.terminal == Terminal::kCompleted;
+  InferenceResult& result = outcome.result;
+  if (served) {
+    stages_.completed(t);
+    requests_completed_.increment();
+    result.request_id = pending.id;
+    result.snapshot_version = t.snapshot_version;
+    result.queue_us = span_us(t.admitted_us, t.picked_us);
+    result.batch_formation_us = span_us(t.picked_us, t.infer_start_us);
+    result.infer_us = span_us(t.infer_start_us, t.infer_end_us);
+    result.total_us = span_us(t.admitted_us, t.infer_end_us);
+    result.timeline = t;
+  } else {
+    stages_.unserved(t);
+    (outcome.terminal == Terminal::kExpired ? requests_expired_
+                                            : requests_failed_)
+        .increment();
   }
-  const std::shared_ptr<GroupGather> gather = pending.group;
-  bool last = false;
-  {
-    std::lock_guard<std::mutex> lock(gather->mu);
-    gather->views[static_cast<size_t>(pending.view_index)] = std::move(result);
-    last = --gather->remaining == 0;
-  }
-  if (last) finish_group(gather);
-}
-
-void InferenceServer::deliver_error(Pending& pending,
-                                    const std::exception_ptr& error,
-                                    const std::string& what) {
-  if (!pending.group) {
-    pending.promise.set_exception(error);
-    return;
-  }
-  const std::shared_ptr<GroupGather> gather = pending.group;
-  bool last = false;
-  {
-    std::lock_guard<std::mutex> lock(gather->mu);
-    ++gather->failed_views;
-    // The *lowest* failed view index wins the headline, not whichever
-    // failure arrived first — keeps the reported fault deterministic under
-    // any worker interleaving.
-    if (gather->first_failed_view < 0 ||
-        pending.view_index < gather->first_failed_view) {
-      gather->first_failed_view = pending.view_index;
-      gather->first_error = what;
+  if (auto* promise =
+          std::get_if<std::promise<InferenceResult>>(&pending.completion)) {
+    if (served) {
+      promise->set_value(std::move(result));
+    } else {
+      promise->set_exception(outcome.error);
     }
-    last = --gather->remaining == 0;
+    return;
+  }
+  const GroupSlot& slot = std::get<GroupSlot>(pending.completion);
+  GroupGather& gather = *slot.gather;
+  std::string what = "unknown error";
+  if (!served) {
+    try {
+      std::rethrow_exception(outcome.error);
+    } catch (const std::exception& e) {
+      what = e.what();
+    } catch (...) {
+    }
+  }
+  bool last = false;
+  {
+    std::lock_guard<std::mutex> lock(gather.mu);
+    if (served) {
+      gather.views[static_cast<size_t>(slot.view_index)] = std::move(result);
+    } else {
+      ++gather.failed_views;
+      // The *lowest* failed view index wins the headline, not whichever
+      // failure arrived first — keeps the reported fault deterministic under
+      // any worker interleaving.
+      if (gather.first_failed_view < 0 ||
+          slot.view_index < gather.first_failed_view) {
+        gather.first_failed_view = slot.view_index;
+        gather.first_error = std::move(what);
+      }
+    }
+    last = --gather.remaining == 0;
   }
   if (last) finish_group(gather);
 }
 
-void InferenceServer::finish_group(
-    const std::shared_ptr<GroupGather>& gather) {
-  // Sole owner of the finish: remaining hit 0 under gather->mu, so every
+void InferenceServer::finish_group(GroupGather& gather) {
+  // Sole owner of the finish: remaining hit 0 under gather.mu, so every
   // sibling's deposit happened-before this read and no lock is needed.
-  const int64_t k = static_cast<int64_t>(gather->views.size());
-  if (gather->failed_views > 0) {
-    groups_failed_.increment();
-    gather->promise.set_exception(std::make_exception_ptr(GroupViewFault(
-        "group " + fmt::i64(gather->group_id) + ": " +
-            fmt::i64(gather->failed_views) + " of " + fmt::i64(k) +
-            " views failed (first: view " +
-            fmt::i64(gather->first_failed_view) + ": " + gather->first_error +
-            ")",
-        gather->first_failed_view, gather->failed_views)));
-    return;
-  }
-  // Fusion runs here, on the worker that delivered the last view — after
+  // Fusion runs here, on the worker that resolved the last view — after
   // that worker's arena epilogue and with no ArenaScope bound, so the fused
   // Detections are heap-backed and the allocation-free hot-path contract is
-  // untouched by group traffic.
-  const int64_t fuse_start_us = clock_();
-  std::vector<std::vector<detect::Detection>> per_view;
-  per_view.reserve(static_cast<size_t>(k));
-  for (const InferenceResult& r : gather->views) {
-    per_view.push_back(r.detections);
-  }
+  // untouched by group traffic. A failed view and a throw from fusion alike
+  // fail this group only.
+  const int64_t k = static_cast<int64_t>(gather.views.size());
   GroupInferenceResult out;
-  out.group_id = gather->group_id;
-  out.fused = detect::fuse_views(per_view, gather->fusion);
-  out.view_count = k;
-  const int64_t fuse_end_us = clock_();
-  out.fuse_us = span_us(fuse_start_us, fuse_end_us);
-  // Every view shares the group's admission timestamp.
-  out.total_us =
-      span_us(gather->views.front().timeline.admitted_us, fuse_end_us);
-  out.views = std::move(gather->views);
+  try {
+    if (gather.failed_views > 0) {
+      throw GroupViewFault(
+          "group " + fmt::i64(gather.group_id) + ": " +
+              fmt::i64(gather.failed_views) + " of " + fmt::i64(k) +
+              " views failed (first: view " +
+              fmt::i64(gather.first_failed_view) + ": " + gather.first_error +
+              ")",
+          gather.first_failed_view, gather.failed_views);
+    }
+    const int64_t fuse_start_us = clock_();
+    std::vector<std::vector<detect::Detection>> per_view;
+    per_view.reserve(static_cast<size_t>(k));
+    for (const InferenceResult& r : gather.views) {
+      per_view.push_back(r.detections);
+    }
+    out.group_id = gather.group_id;
+    out.fused = detect::fuse_views(per_view, options_.fusion);
+    out.view_count = k;
+    const int64_t fuse_end_us = clock_();
+    out.fuse_us = span_us(fuse_start_us, fuse_end_us);
+    // Every view shares the group's admission timestamp.
+    out.total_us =
+        span_us(gather.views.front().timeline.admitted_us, fuse_end_us);
+    out.views = std::move(gather.views);
+  } catch (...) {
+    groups_failed_.increment();
+    gather.promise.set_exception(std::current_exception());
+    return;
+  }
   groups_completed_.increment();
   group_fuse_h_.record(out.fuse_us);
-  gather->promise.set_value(std::move(out));
+  gather.promise.set_value(std::move(out));
 }
 
 void InferenceServer::shutdown() {
@@ -349,9 +374,6 @@ void InferenceServer::shutdown() {
 }
 
 void InferenceServer::worker_loop(int64_t worker_index) {
-  Counter& completed = metrics_.counter("requests_completed");
-  Counter& failed = metrics_.counter("requests_failed");
-  Counter& expired = metrics_.counter("requests_expired");
   Counter& batches = metrics_.counter("batches");
   Counter& hot_allocs = metrics_.counter("hot_path_allocs");
   Counter& arena_overflow = metrics_.counter("arena_overflow_allocs");
@@ -391,10 +413,21 @@ void InferenceServer::worker_loop(int64_t worker_index) {
     // missed its deadline gets DeadlineExceeded instead of inference time,
     // so under overload latency degrades boundedly rather than the queue
     // serving ever-staler work.
+    //
+    // Every request that will be served is checked for admitted-vs-served
+    // version skew: admission validated it against the snapshot current at
+    // admission, but this batch serves from whatever was installed by
+    // pick-up time. Safe by contract (task tables only grow, weights for
+    // existing tasks are identical), but counted so staged rollouts are
+    // observable rather than silent.
     for (size_t i = 0; i < batch.size(); ++i) {
       Pending& p = batch[i];
-      if (p.deadline_us == 0 || picked_us < p.deadline_us) continue;
-      expired.increment();
+      if (p.deadline_us == 0 || picked_us < p.deadline_us) {
+        if (p.admitted_version != snapshot->version()) {
+          snapshot_version_skew_.increment();
+        }
+        continue;
+      }
       // The wait is reported as what the queue-wait stage records: the
       // non-negative integer-µs span (no double→int truncation, no
       // negative value if clock readings ever raced).
@@ -402,28 +435,10 @@ void InferenceServer::worker_loop(int64_t worker_index) {
       const std::string what = "request " + std::to_string(p.id) +
                                " expired after " + fmt::i64(waited_us) +
                                " us in queue";
-      deliver_error(p,
-                    std::make_exception_ptr(DeadlineExceeded(what)), what);
-      // Expired requests never reach inference: account their queue-wait
-      // stage (the only real span), not a garbage end-to-end latency.
-      StageTimeline t;
-      t.admitted_us = p.admitted_us;
-      t.picked_us = picked_us;
-      t.snapshot_version = snapshot->version();
-      stages_.expired(t);
+      resolve(p, {p.admitted_us, picked_us, 0, 0, snapshot->version()},
+              {Terminal::kExpired, {},
+               std::make_exception_ptr(DeadlineExceeded(what))});
       done[i] = 1;
-    }
-
-    // Admitted-vs-served version skew: admission validated each request
-    // against the snapshot current at admission, but this batch serves from
-    // whatever was installed by pick-up time. Safe by contract (task tables
-    // only grow, weights for existing tasks are identical), but counted so
-    // staged rollouts are observable rather than silent.
-    for (size_t i = 0; i < batch.size(); ++i) {
-      if (done[i]) continue;
-      if (batch[i].admitted_version != snapshot->version()) {
-        snapshot_version_skew_.increment();
-      }
     }
 
     // A micro-batch may mix configurations and tasks; each model's group
@@ -455,7 +470,7 @@ void InferenceServer::worker_loop(int64_t worker_index) {
       std::vector<std::vector<detect::Detection>> detections;
       int64_t infer_start_us = 0;
       int64_t infer_end_us = 0;
-      bool group_failed = false;
+      std::exception_ptr error;
       try {
         if (options_.fault_injector) {
           FaultSite site;
@@ -503,28 +518,7 @@ void InferenceServer::worker_loop(int64_t worker_index) {
             snapshot->decode_batch(raw, group_tasks, batch[i].config);
         infer_end_us = clock_();
       } catch (...) {
-        const std::exception_ptr error = std::current_exception();
-        std::string what = "unknown error";
-        try {
-          std::rethrow_exception(error);
-        } catch (const std::exception& e) {
-          what = e.what();
-        } catch (...) {
-        }
-        for (const size_t member : group) {
-          Pending& p = batch[member];
-          deliver_error(p, error, what);
-          failed.increment();
-          // The fault hit somewhere in batch formation or inference, so the
-          // queue-wait span is the only one known to be real.
-          StageTimeline t;
-          t.admitted_us = p.admitted_us;
-          t.picked_us = picked_us;
-          t.snapshot_version = snapshot->version();
-          stages_.failed(t);
-          done[member] = 1;
-        }
-        group_failed = true;
+        error = std::current_exception();
       }
       // Per-group arena epilogue, on success and failure alike: record the
       // footprint, surface any undersized-arena overflows, and reset —
@@ -536,32 +530,23 @@ void InferenceServer::worker_loop(int64_t worker_index) {
         overflow_seen = overflows;
       }
       arena.reset();
-      if (group_failed) continue;
 
+      // Every member resolves after the arena epilogue, so a group view's
+      // last deposit runs fusion with no ArenaScope bound. A fault fails
+      // each member with the same exception.
       for (size_t g = 0; g < group.size(); ++g) {
         Pending& p = batch[group[g]];
-        StageTimeline t;
-        t.admitted_us = p.admitted_us;
-        t.picked_us = picked_us;
-        t.infer_start_us = infer_start_us;
-        t.infer_end_us = infer_end_us;
-        t.snapshot_version = snapshot->version();
-        InferenceResult result;
-        result.request_id = p.id;
-        result.detections = std::move(detections[g]);
-        result.batch_size = static_cast<int64_t>(batch.size());
-        result.worker = worker_index;
-        result.snapshot_version = snapshot->version();
-        result.queue_us = span_us(t.admitted_us, t.picked_us);
-        result.batch_formation_us = span_us(t.picked_us, t.infer_start_us);
-        result.infer_us = span_us(t.infer_start_us, t.infer_end_us);
-        result.total_us = span_us(t.admitted_us, t.infer_end_us);
-        result.timeline = t;
-        stages_.completed(t);
-        completed.increment();
-        // Group views gather here instead of resolving their own future; the
-        // last view's deliver runs fusion — after the arena epilogue above.
-        deliver(p, std::move(result));
+        Outcome outcome{Terminal::kFailed, {}, error};
+        if (!error) {
+          outcome.terminal = Terminal::kCompleted;
+          outcome.result.detections = std::move(detections[g]);
+          outcome.result.batch_size = static_cast<int64_t>(batch.size());
+          outcome.result.worker = worker_index;
+        }
+        resolve(p,
+                {p.admitted_us, picked_us, infer_start_us, infer_end_us,
+                 snapshot->version()},
+                std::move(outcome));
         done[group[g]] = 1;
       }
     }

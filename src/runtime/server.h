@@ -46,9 +46,11 @@
 // routine — validate every view against one snapshot acquisition, stamp ids
 // and a saturating deadline, push all K views in one all-or-nothing queue
 // operation — so a single request and a group view enter the same queue
-// through the same code. Only the completion differs: a single request
-// resolves its own promise with its detections unchanged (never through
-// detect::fuse_views), a group view deposits into the group's gather.
+// through the same code. Completion is one routine too: every request —
+// completed, faulted or expired, single or group view — ends in resolve(),
+// which records and counts it once and settles its one completion target:
+// its own promise (detections unchanged, never through detect::fuse_views)
+// or its gather slot, whose last depositor fuses or fails the group.
 //
 // Fault tolerance contract: one bad request never takes the server down.
 // Malformed requests (wrong image shape, a NaN or inf pixel in any view,
@@ -56,11 +58,13 @@
 // admission; an inference fault inside a worker is delivered on exactly the
 // affected group's futures while the worker keeps draining; requests whose
 // deadline passed before a worker picked them are shed with
-// DeadlineExceeded. Every admitted request's future is always fulfilled —
+// DeadlineExceeded; a throw from cross-view fusion fails only that group
+// request's future. Every admitted request's future is always fulfilled —
 // with a value or an exception, never abandoned.
 #pragma once
 
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <future>
 #include <memory>
@@ -70,6 +74,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <variant>
 #include <vector>
 
 #include "core/itask.h"
@@ -149,10 +154,10 @@ struct RuntimeOptions {
   /// FakeClock::fn() for exact stage durations. Micro-batch max_wait
   /// blocking in the queue stays on the real clock regardless.
   ClockFn clock_us;
-  /// Cross-view fusion parameters for try_submit_group gathers
-  /// (detect::fuse_views). Fusion runs on the worker delivering a group's
-  /// last view, after that worker's arena epilogue — outside the ArenaScope
-  /// and off the allocation-metered hot path by construction.
+  /// Cross-view fusion parameters for try_submit_group gathers, checked at
+  /// construction (detect::check_fusion_options). Fusion runs on the worker
+  /// resolving a group's last view, after that worker's arena epilogue —
+  /// outside the ArenaScope and off the allocation-metered hot path.
   detect::FusionOptions fusion;
 };
 
@@ -290,7 +295,6 @@ class InferenceServer {
   /// chain makes every sibling's deposit visible to the finisher.
   struct GroupGather {
     int64_t group_id = -1;
-    detect::FusionOptions fusion;
     std::mutex mu;
     std::vector<InferenceResult> views;  // indexed by view_index
     int64_t remaining = 0;
@@ -300,12 +304,22 @@ class InferenceServer {
     std::promise<GroupInferenceResult> promise;
   };
 
+  /// A group view's completion target: its index in the gather.
+  struct GroupSlot {
+    std::shared_ptr<GroupGather> gather;
+    int64_t view_index = 0;
+  };
+
   struct Pending {
     int64_t id = -1;
     Tensor image;                        // [C, H, W]
     kg::TaskId task;
     core::ConfigKind config = core::ConfigKind::kQuantizedMultiTask;
-    std::promise<InferenceResult> promise;
+    /// Where resolve() settles: a single request's own promise or a group
+    /// view's gather slot. Empty by default, so the queue's slot reset
+    /// allocates nothing.
+    std::variant<std::monostate, std::promise<InferenceResult>, GroupSlot>
+        completion;
     int64_t admitted_us = 0;  // clock_us() at admission
     int64_t deadline_us = 0;  // absolute clock_us() deadline; 0 = none
     /// Snapshot version admission validated this request against. The
@@ -314,15 +328,20 @@ class InferenceServer {
     /// silent: served-version != admitted_version counts snapshot_version_
     /// skew, the fleet's staged-rollout observability signal.
     int64_t admitted_version = 0;
-    /// Group membership: null for ordinary requests. A group view's
-    /// `promise` is never used — its outcome routes into the gather instead.
-    std::shared_ptr<GroupGather> group;
-    int64_t view_index = 0;
+  };
+
+  /// How a request ends: completed with `result` (detections, batch size
+  /// and worker set; resolve fills the rest), or failed/expired with `error`.
+  enum class Terminal { kCompleted, kFailed, kExpired };
+  struct Outcome {
+    Terminal terminal = Terminal::kCompleted;
+    InferenceResult result;
+    std::exception_ptr error;
   };
 
   /// The one admission routine behind try_submit (K = 1) and
-  /// try_submit_group: `members` arrive with their image (and, for a group,
-  /// the gather) set; everything else — validation, ids, admission time,
+  /// try_submit_group: `members` arrive with their image and completion
+  /// target set; everything else — validation, ids, admission time,
   /// deadline — is stamped here before the single all-or-nothing push.
   /// Throws std::invalid_argument for a malformed request; otherwise returns
   /// kNone (admitted) or the counted reject reason.
@@ -330,27 +349,25 @@ class InferenceServer {
                      core::ConfigKind config,
                      std::optional<int64_t> deadline_us, const char* surface);
   void worker_loop(int64_t worker_index);
-  /// Fulfillment seams every worker outcome routes through: an ordinary
-  /// request resolves its own promise; a group view deposits into the gather
-  /// and the last one runs finish_group. Never called with an ArenaScope
-  /// bound — and the fusing finish (all K views succeeded, so the last
-  /// delivery was a success delivery) specifically runs only from the
-  /// post-arena-epilogue fulfillment loop.
-  void deliver(Pending& pending, InferenceResult&& result);
-  void deliver_error(Pending& pending, const std::exception_ptr& error,
-                     const std::string& what);
-  void finish_group(const std::shared_ptr<GroupGather>& gather);
+  /// The one terminal routine every admitted request ends in: records the
+  /// stage timeline, counts the terminal kind once, fills a completed
+  /// result's span fields from `t`, then settles the completion target — a
+  /// single request's promise, or the group view's gather slot, where the
+  /// last depositor runs finish_group. Never called with an ArenaScope
+  /// bound: workers resolve after the micro-batch group's arena epilogue.
+  void resolve(Pending& pending, const StageTimeline& t, Outcome outcome);
+  /// Fuses a fully deposited group, or fails it (a failed view or a throw
+  /// from fusion).
+  void finish_group(GroupGather& gather);
 
   RuntimeOptions options_;
   ClockFn clock_;
   BoundedQueue<Pending> queue_;
   MetricsRegistry metrics_;
   StageRecorder stages_;
-  // Admission-path counters resolved once at construction: try_submit runs
-  // per request on client threads, so a string-keyed map lookup under the
-  // registry lock per increment was pure hot-path overhead. Names (and thus
-  // the exposition output) are unchanged; creating them eagerly also means
-  // a scrape before the first request sees every admission counter at 0.
+  // Per-request counters (admission, and resolve's terminal kinds) resolved
+  // once at construction: no string-keyed lookup under the registry lock
+  // per increment, and a scrape before the first request sees each at 0.
   Counter& requests_submitted_;
   Counter& requests_invalid_;
   Counter& rejected_queue_full_;
@@ -361,6 +378,9 @@ class InferenceServer {
   Counter& groups_submitted_;
   Counter& groups_completed_;
   Counter& groups_failed_;
+  Counter& requests_completed_;
+  Counter& requests_failed_;
+  Counter& requests_expired_;
   Histogram& group_fuse_h_;
   std::atomic<int64_t> next_id_{0};
   std::atomic<int64_t> next_group_id_{0};

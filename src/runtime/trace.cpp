@@ -30,11 +30,7 @@ void StageRecorder::completed(const StageTimeline& t) {
   total_.record(span_us(t.admitted_us, t.infer_end_us));
 }
 
-void StageRecorder::failed(const StageTimeline& t) {
-  queue_wait_.record(span_us(t.admitted_us, t.picked_us));
-}
-
-void StageRecorder::expired(const StageTimeline& t) {
+void StageRecorder::unserved(const StageTimeline& t) {
   queue_wait_.record(span_us(t.admitted_us, t.picked_us));
 }
 

@@ -9,9 +9,11 @@
 // and feeds each stage's own Histogram in the MetricsRegistry
 // (stage_queue_wait_us / stage_batch_formation_us / stage_infer_us /
 // stage_total_us), which is what servebench's per-stage spans and the
-// exposition formats read. Terminal kind decides which
-// spans are real: an expired or failed request never finished inference, so
-// only its queue-wait is recorded — not a garbage end-to-end latency.
+// exposition formats read. The server's one terminal routine
+// (InferenceServer::resolve) records each request once, and the terminal
+// kind decides which spans are real: an unserved (failed or expired)
+// request never finished inference, so only its queue-wait is recorded —
+// not a garbage end-to-end latency.
 #pragma once
 
 #include <cstdint>
@@ -48,11 +50,10 @@ class StageRecorder {
 
   /// All four spans are real.
   void completed(const StageTimeline& t);
-  /// Fault during batch formation or inference: queue-wait is the only
-  /// trustworthy span (infer_start/infer_end may never have been taken).
-  void failed(const StageTimeline& t);
-  /// Shed at batch formation: records the queue-wait stage only.
-  void expired(const StageTimeline& t);
+  /// Failed (a fault during batch formation or inference) or expired (shed
+  /// at batch formation): queue-wait is the only trustworthy span
+  /// (infer_start/infer_end may never have been taken), so only it records.
+  void unserved(const StageTimeline& t);
 
  private:
   Histogram& queue_wait_;

@@ -1816,6 +1816,17 @@ TEST_F(RuntimeServing, FleetValidatesOptionsAndShardAccess) {
   EXPECT_THROW(InferenceFleet(snapshot, fo), std::invalid_argument);
   fo = {};
   EXPECT_THROW(InferenceFleet(nullptr, fo), std::invalid_argument);
+  // Fusion options are checked when each shard's server is built, by the
+  // rule fuse_views applies: a bad value never reaches a group's finisher.
+  fo = {};
+  fo.shard_options.fusion.min_views = 0;
+  EXPECT_THROW(InferenceFleet(snapshot, fo), std::invalid_argument);
+  fo = {};
+  fo.shard_options.fusion.merge_iou = 1.0f;
+  EXPECT_THROW(InferenceFleet(snapshot, fo), std::invalid_argument);
+  RuntimeOptions bad_fusion;
+  bad_fusion.fusion.merge_iou = -0.1f;
+  EXPECT_THROW(InferenceServer(snapshot, bad_fusion), std::invalid_argument);
 
   fo = {};
   fo.shards = 2;
@@ -2166,6 +2177,145 @@ TEST_F(RuntimeServing, GroupArenaZeroSteadyStateAllocationsWithGroupTraffic) {
       << "group serving heap-allocated in the hot path after warmup";
   EXPECT_EQ(server.metrics().counter("arena_overflow_allocs").value(), 0);
   EXPECT_EQ(server.metrics().counter("groups_completed").value(), 12);
+}
+
+// ------------------------------------------------- request lifecycle ----
+
+TEST_F(RuntimeServing, LifecycleInterleavingResolvesEveryRequestOnce) {
+  // Every admitted request resolves exactly once through the one terminal
+  // routine, under seeded random interleavings of single and group submits
+  // (K = 1-3), installs of newer publishes, injected faults, deadlines
+  // (none, 1 us, large) and a shutdown part-way through, from 2-3 client
+  // threads. Each seed checks: every admitted future becomes ready, with a
+  // value or a typed exception; the request and group counters balance;
+  // and every completed single equals the serial infer_batch of the
+  // snapshot version that served it.
+  struct InjectedFault : std::runtime_error {
+    InjectedFault() : std::runtime_error("injected lifecycle fault") {}
+  };
+  constexpr uint64_t kSeeds = 24;
+  constexpr int64_t kOpsPerThread = 12;
+  constexpr int64_t kDeadlines[] = {0, 1, 60'000'000};
+  const ConfigKind kConfigs[] = {ConfigKind::kTaskSpecific,
+                                 ConfigKind::kQuantizedMultiTask};
+  for (uint64_t seed = 1; seed <= kSeeds; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    // The base snapshot plus two newer publishes the clients install, in
+    // version order, while traffic runs.
+    std::vector<std::shared_ptr<const core::DeploymentSnapshot>> snapshots;
+    for (int i = 0; i < 3; ++i) snapshots.push_back(fw_->publish());
+    std::set<int64_t> faulty_ids;
+    for (int i = 0; i < 3; ++i) faulty_ids.insert(rng.randint(0, 20));
+
+    RuntimeOptions opts;
+    opts.workers = 2;
+    opts.max_batch = rng.randint(1, 4);
+    opts.max_wait_us = rng.randint(0, 200);
+    opts.queue_capacity = 16;
+    opts.fault_injector = [&faulty_ids](const FaultSite& site) {
+      if (faulty_ids.count(site.first_request_id) > 0) throw InjectedFault();
+    };
+    InferenceServer server(snapshots.front(), opts);
+
+    struct Single {
+      std::future<InferenceResult> future;
+      int64_t scene = 0;
+      ConfigKind config = ConfigKind::kQuantizedMultiTask;
+    };
+    const int64_t threads = rng.randint(2, 3);
+    const int64_t shutdown_thread = rng.randint(0, threads - 1);
+    const int64_t shutdown_op =
+        rng.randint(kOpsPerThread / 2, kOpsPerThread - 1);
+    std::vector<std::vector<Single>> singles(static_cast<size_t>(threads));
+    std::vector<std::vector<std::future<GroupInferenceResult>>> groups(
+        static_cast<size_t>(threads));
+    std::mutex install_mu;
+    size_t installed = 1;
+    std::vector<std::thread> clients;
+    for (int64_t c = 0; c < threads; ++c) {
+      clients.emplace_back([&, c, client_seed = seed * 100 + uint64_t(c)] {
+        Rng op_rng(client_seed);
+        for (int64_t op = 0; op < kOpsPerThread; ++op) {
+          if (c == shutdown_thread && op == shutdown_op) server.shutdown();
+          const int64_t kind = op_rng.randint(0, 9);
+          const int64_t scene = op_rng.randint(0, eval_->size() - 1);
+          const ConfigKind config = kConfigs[op_rng.randint(0, 1)];
+          const int64_t deadline = kDeadlines[op_rng.randint(0, 2)];
+          if (kind == 0) {
+            std::lock_guard<std::mutex> lock(install_mu);
+            if (installed < snapshots.size()) {
+              server.install_snapshot(snapshots[installed++]);
+            }
+          } else if (kind <= 3) {
+            auto views = detect::jittered_views(
+                eval_->scene(scene).image, op_rng.randint(1, 3), 0.05f,
+                client_seed * 1000 + uint64_t(op));
+            auto g = server.try_submit_group(std::move(views), task_->id,
+                                             config, deadline);
+            if (g.admitted()) {
+              groups[size_t(c)].push_back(std::move(*g.future));
+            }
+          } else {
+            auto r = server.try_submit(eval_->scene(scene).image, task_->id,
+                                       config, deadline);
+            if (r.admitted()) {
+              singles[size_t(c)].push_back(
+                  Single{std::move(*r.future), scene, config});
+            }
+          }
+        }
+      });
+    }
+    for (std::thread& t : clients) t.join();
+
+    // The shutdown drained every admitted request: each future is ready
+    // now, and resolves to a value or one of the typed exceptions.
+    for (auto& per_thread : singles) {
+      for (Single& single : per_thread) {
+        ASSERT_EQ(single.future.wait_for(std::chrono::seconds(30)),
+                  std::future_status::ready);
+        try {
+          const InferenceResult r = single.future.get();
+          const auto& served = snapshots.at(static_cast<size_t>(
+              r.snapshot_version - snapshots.front()->version()));
+          ASSERT_EQ(served->version(), r.snapshot_version);
+          const Tensor& image = eval_->scene(single.scene).image;
+          const Shape& s = image.shape();
+          const Tensor one =
+              Tensor::borrow({1, s[0], s[1], s[2]}, image.data());
+          expect_same_detections(
+              r.detections,
+              served->infer_batch(one, task_->id, single.config).front());
+        } catch (const DeadlineExceeded&) {
+        } catch (const InjectedFault&) {
+        }
+      }
+    }
+    for (auto& per_thread : groups) {
+      for (auto& future : per_thread) {
+        ASSERT_EQ(future.wait_for(std::chrono::seconds(30)),
+                  std::future_status::ready);
+        try {
+          // A group only fuses when every view was served.
+          const GroupInferenceResult g = future.get();
+          EXPECT_EQ(g.views.size(), static_cast<size_t>(g.view_count));
+          for (const InferenceResult& view : g.views) {
+            EXPECT_GE(view.request_id, 0);
+          }
+        } catch (const GroupViewFault&) {
+        }
+      }
+    }
+    const auto count = [&server](const char* name) {
+      return server.metrics().counter(name).value();
+    };
+    EXPECT_EQ(count("requests_submitted"),
+              count("requests_completed") + count("requests_failed") +
+                  count("requests_expired"));
+    EXPECT_EQ(count("groups_submitted"),
+              count("groups_completed") + count("groups_failed"));
+  }
 }
 
 }  // namespace

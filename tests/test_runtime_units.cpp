@@ -481,8 +481,8 @@ TEST(StageTrace, TerminalKindDecidesWhichStagesRecord) {
   t.infer_start_us = 360;
   t.infer_end_us = 400;
   rec.completed(t);
-  rec.failed(t);
-  rec.expired(t);
+  rec.unserved(t);  // a failed request
+  rec.unserved(t);  // an expired request
   // failed/expired requests never finished inference: they contribute to
   // queue-wait only, so the infer/total histograms hold true latencies.
   EXPECT_EQ(m.histogram("stage_queue_wait_us").snapshot().count, 3);
