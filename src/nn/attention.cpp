@@ -57,11 +57,13 @@ namespace {
 // bits match it: a dot product is an fma chain from 0 in ascending k per
 // kKC slab, each slab added to a total that starts at 0 (the micro-kernel's
 // `acc += a·b` contracts to an fma under -march=native; the explicit fma
-// repeats it). The 8-lane form repeats the scalar form op for op; the
-// scalar form runs the tails and everything on builds without AVX2/FMA.
+// repeats it). The 8-lane form repeats the scalar form op for op and covers
+// the token and head-dim tails with masked steps; the scalar form runs
+// everything on builds without AVX2/FMA.
 
 /// Σ_p a[p]·b[p·ldb], p ∈ [0, k), summed as the GEMM micro-kernel sums it.
-float gemm_dot(const float* a, const float* b, int64_t ldb, int64_t k) {
+[[maybe_unused]] float gemm_dot(const float* a, const float* b, int64_t ldb,
+                                int64_t k) {
   float total = 0.0f;
   for (int64_t p0 = 0; p0 < k; p0 += gemm::kKC) {
     const int64_t p1 = std::min(k, p0 + gemm::kKC);
@@ -78,10 +80,15 @@ constexpr int64_t kRows = 4;
 
 #if defined(__AVX2__) && defined(__FMA__)
 /// out[r·ldo + l] = gemm_dot(a + r·lda, b + l, ldb, k)·scale for the
-/// n ≤ kRows rows r and the eight lanes l (scale 1 leaves a value as is).
+/// n ≤ kRows rows r and the lanes l < lanes ≤ 8 (scale 1 leaves a value as
+/// is). Lanes past `lanes` are masked: neither read from b nor stored.
+template <bool kMasked>
 void gemm_dot8_rows(const float* a, int64_t lda, int64_t n, const float* b,
-                    int64_t ldb, int64_t k, float scale, float* out,
-                    int64_t ldo) {
+                    int64_t ldb, int64_t k, int64_t lanes, float scale,
+                    float* out, int64_t ldo) {
+  const __m256i mask = _mm256_cmpgt_epi32(
+      _mm256_set1_epi32(static_cast<int32_t>(lanes)),
+      _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
   const float* ar[kRows];  // rows past n repeat the last one, unstored
   for (int64_t r = 0; r < kRows; ++r) ar[r] = a + std::min(r, n - 1) * lda;
   __m256 total[kRows], acc[kRows];
@@ -90,16 +97,33 @@ void gemm_dot8_rows(const float* a, int64_t lda, int64_t n, const float* b,
     const int64_t p1 = std::min(k, p0 + gemm::kKC);
     for (__m256& x : acc) x = _mm256_setzero_ps();
     for (int64_t p = p0; p < p1; ++p) {
-      const __m256 bv = _mm256_loadu_ps(b + p * ldb);
+      const __m256 bv = kMasked ? _mm256_maskload_ps(b + p * ldb, mask)
+                                : _mm256_loadu_ps(b + p * ldb);
       for (int64_t r = 0; r < kRows; ++r)
         acc[r] = _mm256_fmadd_ps(_mm256_set1_ps(ar[r][p]), bv, acc[r]);
     }
     for (int64_t r = 0; r < kRows; ++r)
       total[r] = _mm256_add_ps(total[r], acc[r]);
   }
-  for (int64_t r = 0; r < n; ++r)
-    _mm256_storeu_ps(out + r * ldo,
-                     _mm256_mul_ps(total[r], _mm256_set1_ps(scale)));
+  for (int64_t r = 0; r < n; ++r) {
+    const __m256 v = _mm256_mul_ps(total[r], _mm256_set1_ps(scale));
+    if (kMasked)
+      _mm256_maskstore_ps(out + r * ldo, mask, v);
+    else
+      _mm256_storeu_ps(out + r * ldo, v);
+  }
+}
+
+/// gemm_dot8_rows over `cols` lanes, eight at a time, the last step masked.
+void gemm_dot_rows(const float* a, int64_t lda, int64_t n, const float* b,
+                   int64_t ldb, int64_t k, int64_t cols, float scale,
+                   float* out, int64_t ldo) {
+  int64_t l = 0;
+  for (; l + 8 <= cols; l += 8)
+    gemm_dot8_rows<false>(a, lda, n, b + l, ldb, k, 8, scale, out + l, ldo);
+  if (l < cols)
+    gemm_dot8_rows<true>(a, lda, n, b + l, ldb, k, cols - l, scale, out + l,
+                         ldo);
 }
 #endif
 
@@ -117,12 +141,9 @@ AttentionCore attention_core(const Tensor& qkv, int64_t heads) {
   AttentionCore core;
   core.attn = Tensor({b * heads, t, t});
   core.ctx = Tensor({b, t, d});
-  int64_t t8 = 0, hd8 = 0;  // the token and feature extents the lanes cover
 #if defined(__AVX2__) && defined(__FMA__)
-  t8 = t / 8 * 8;
-  hd8 = hd / 8 * 8;
-  // Kᵀ panel, kt[c·t8 + j] = K[j][c], rebuilt per (image, head).
-  ScratchVec<float> kt(hd * t8, /*zero_fill=*/false);
+  // Kᵀ panel, kt[c·t + j] = K[j][c], rebuilt per (image, head).
+  ScratchVec<float> kt(hd * t, /*zero_fill=*/false);
 #endif
   for (int64_t bi = 0; bi < b; ++bi)
     for (int64_t h = 0; h < heads; ++h) {
@@ -132,8 +153,8 @@ AttentionCore attention_core(const Tensor& qkv, int64_t heads) {
       float* attn = core.attn.data().data() + (bi * heads + h) * t * t;
       float* ctx = core.ctx.data().data() + bi * t * d + h * hd;
 #if defined(__AVX2__) && defined(__FMA__)
-      for (int64_t j = 0; j < t8; ++j)
-        for (int64_t c = 0; c < hd; ++c) kt[c * t8 + j] = k[j * ld + c];
+      for (int64_t j = 0; j < t; ++j)
+        for (int64_t c = 0; c < hd; ++c) kt[c * t + j] = k[j * ld + c];
 #endif
       for (int64_t i = 0; i < t; i += kRows) {
         const int64_t n = std::min(kRows, t - i);
@@ -142,21 +163,21 @@ AttentionCore attention_core(const Tensor& qkv, int64_t heads) {
         float* ci = ctx + i * d;
         // ai = softmax((qi·Kᵀ)·scale)
 #if defined(__AVX2__) && defined(__FMA__)
-        for (int64_t j = 0; j < t8; j += 8)
-          gemm_dot8_rows(qi, ld, n, &kt[j], t8, hd, scale, ai + j, t);
-#endif
+        gemm_dot_rows(qi, ld, n, kt.data(), t, hd, t, scale, ai, t);
+#else
         for (int64_t r = 0; r < n; ++r)
-          for (int64_t j = t8; j < t; ++j)
+          for (int64_t j = 0; j < t; ++j)
             ai[r * t + j] = gemm_dot(qi + r * ld, k + j * ld, 1, hd) * scale;
+#endif
         for (int64_t r = 0; r < n; ++r) ops::softmax_row(ai + r * t, t);
         // ci = ai·V
 #if defined(__AVX2__) && defined(__FMA__)
-        for (int64_t c = 0; c < hd8; c += 8)
-          gemm_dot8_rows(ai, t, n, v + c, ld, t, 1.0f, ci + c, d);
-#endif
+        gemm_dot_rows(ai, t, n, v, ld, t, hd, 1.0f, ci, d);
+#else
         for (int64_t r = 0; r < n; ++r)
-          for (int64_t c = hd8; c < hd; ++c)
+          for (int64_t c = 0; c < hd; ++c)
             ci[r * d + c] = gemm_dot(ai + r * t, v + c, ld, t);
+#endif
       }
     }
   return core;

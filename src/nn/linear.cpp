@@ -1,6 +1,7 @@
 #include "nn/linear.h"
 
 #include "nn/init.h"
+#include "tensor/arena.h"
 #include "tensor/ops.h"
 
 namespace itask::nn {
@@ -31,29 +32,47 @@ Tensor Linear::forward(const Tensor& input) {
   return y.reshape(std::move(out_shape));
 }
 
-Tensor Linear::infer(const Tensor& input) const {
+Tensor Linear::infer(const Tensor& input, const ops::Epilogue& ep) const {
   ITASK_CHECK(input.ndim() >= 1, "Linear: input must be at least 1-D");
   ITASK_CHECK(input.dim(input.ndim() - 1) == in_features_,
               "Linear: trailing dim mismatch");
   const int64_t rows = input.numel() / in_features_;
+  Shape out_shape = input.shape();
+  out_shape.back() = out_features_;
+  ITASK_CHECK(ep.residual == nullptr || ep.residual->shape() == out_shape,
+              "Linear: residual shape mismatch");
+  // The GEMM accumulates into zeroed storage: the returned tensor, or
+  // scratch when the output goes into the residual stream. Storage is
+  // row-major contiguous, so the input's flat data already IS the
+  // [rows, in] matrix and the output IS [..., out] — no reshape copies.
+  const bool into_stream = ep.residual != nullptr;
   Tensor y;
+  ScratchVec<float> scratch(into_stream ? rows * out_features_ : 0);
+  if (!into_stream) y = Tensor(std::move(out_shape));
+  float* out = into_stream ? scratch.data() : y.data().data();
   if (packed_ != nullptr) {
     // Published model: the weight panels were packed once at publish time.
     // gemm_bt_prepacked is bit-identical to gemm_bt, so this path stays
-    // arithmetically identical to forward(). Storage is row-major
-    // contiguous, so the input's flat data already IS the [rows, in]
-    // matrix — no reshape copy.
-    y = Tensor({rows, out_features_});
-    gemm::gemm_bt_prepacked(input.data().data(), *packed_, y.data().data(),
-                            rows);
+    // arithmetically identical to forward().
+    gemm::gemm_bt_prepacked(input.data().data(), *packed_, out, rows);
   } else {
-    y = ops::matmul_bt(input.reshape({rows, in_features_}),
-                       weight_.value);  // [rows, out]
+    gemm::gemm_bt(input.data().data(), weight_.value.data().data(), out,
+                  rows, in_features_, out_features_);
   }
-  if (bias_ != nullptr) y = ops::add_rowwise(y, bias_->value);
-  Shape out_shape = input.shape();
-  out_shape.back() = out_features_;
-  return y.reshape(std::move(out_shape));
+  const float* bias = bias_ != nullptr ? bias_->value.data().data() : nullptr;
+  float* stream = into_stream ? ep.residual->data().data() : nullptr;
+  for (int64_t r = 0; r < rows; ++r) {
+    float* row = out + r * out_features_;
+    if (bias != nullptr)
+      for (int64_t j = 0; j < out_features_; ++j) row[j] += bias[j];
+    if (stream != nullptr) {
+      float* srow = stream + r * out_features_;
+      for (int64_t j = 0; j < out_features_; ++j) srow[j] += row[j];
+    } else if (ep.gelu) {
+      ops::gelu_row(row, out_features_);
+    }
+  }
+  return y;
 }
 
 void Linear::prepack_for_serving() {

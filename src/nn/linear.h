@@ -5,6 +5,7 @@
 
 #include "nn/module.h"
 #include "tensor/gemm.h"
+#include "tensor/ops.h"
 #include "tensor/rng.h"
 
 namespace itask::nn {
@@ -20,8 +21,11 @@ class Linear : public Module {
   Tensor forward(const Tensor& input);
 
   /// Cache-free forward for concurrent inference: numerically identical to
-  /// forward(), touches no mutable state, safe to call from many threads.
-  Tensor infer(const Tensor& input) const;
+  /// forward() followed by ops::apply_epilogue(·, ep), touches no mutable
+  /// state, safe to call from many threads. The bias and `ep` are applied
+  /// in place on the GEMM output; with ep.residual the output is added into
+  /// it and an empty tensor is returned.
+  Tensor infer(const Tensor& input, const ops::Epilogue& ep = {}) const;
 
   /// Accumulates dW/db and returns dL/dinput (same shape as the cached input).
   Tensor backward(const Tensor& grad_out);

@@ -374,8 +374,27 @@ QuantizedWeight quantize_weight_packed(const Tensor& weight,
   return qw;
 }
 
-Tensor qlinear_forward(const Tensor& x, const QuantParams& act,
-                       const QuantizedWeight& weight, const Tensor* bias) {
+QuantizedWeight stack_weights_packed(std::span<const QuantizedWeight> parts) {
+  ITASK_CHECK(!parts.empty(), "stack_weights_packed: no parts");
+  QuantizedWeight qw;
+  qw.in = parts.front().in;
+  for (const QuantizedWeight& part : parts) {
+    ITASK_CHECK(part.in == qw.in, "stack_weights_packed: input extents differ");
+    qw.data.insert(qw.data.end(), part.data.begin(), part.data.end());
+    qw.row_sums.insert(qw.row_sums.end(), part.row_sums.begin(),
+                       part.row_sums.end());
+    for (int64_t r = 0; r < part.out; ++r)
+      qw.scales.push_back(part.scale_for_row(r));
+    qw.out += part.out;
+  }
+  qw.packed = std::make_shared<const PackedWeightInt8>(
+      pack_weights_int8(qw.data, qw.out, qw.in));
+  return qw;
+}
+
+void qlinear_forward(const Tensor& x, const QuantParams& act,
+                     const QuantizedWeight& weight,
+                     std::span<const QLinearOutput> outputs) {
   ITASK_CHECK(x.ndim() >= 1, "qlinear_forward: bad input rank");
   const int64_t in = weight.in;
   ITASK_CHECK(x.dim(x.ndim() - 1) == in, "qlinear_forward: trailing dim");
@@ -386,6 +405,21 @@ Tensor qlinear_forward(const Tensor& x, const QuantParams& act,
                   static_cast<int64_t>(weight.row_sums.size()) == out,
               "qlinear_forward: weight has no packed panels or row sums "
               "(build it with quantize_weight_packed)");
+  int64_t cols = 0;
+  for (const QLinearOutput& o : outputs) {
+    Shape shape = x.shape();
+    shape.back() = o.cols;
+    ITASK_CHECK(o.bias == nullptr || o.bias->numel() == o.cols,
+                "qlinear_forward: bias length mismatch");
+    ITASK_CHECK(o.epilogue.residual != nullptr
+                    ? o.epilogue.residual->shape() == shape
+                    : o.out != nullptr,
+                "qlinear_forward: output needs a tensor or a matching "
+                "residual");
+    if (o.epilogue.residual == nullptr) *o.out = Tensor(std::move(shape));
+    cols += o.cols;
+  }
+  ITASK_CHECK(cols == out, "qlinear_forward: outputs must cover the weight");
   // Scratch comes from the worker's arena under an ArenaScope (the serving
   // hot path) and from the heap otherwise — same values either way. The FP32
   // input is quantized straight into the kernel's A panels, in one pass.
@@ -396,7 +430,8 @@ Tensor qlinear_forward(const Tensor& x, const QuantParams& act,
     quantize_activations_packed(x.data(), act, rows, in,
                                 {apanels.data(), apanels.end()});
   }
-  ScratchVec<int32_t> acc(rows * out);
+  // gemm_panels writes every accumulator.
+  ScratchVec<int32_t> acc(rows * out, /*zero_fill=*/false);
   gemm_panels(apanels.data(), rows, act.zero_point, *weight.packed,
               weight.row_sums, acc.data());
   // Dequant scale per output column (activation scale × per-row weight
@@ -404,27 +439,43 @@ Tensor qlinear_forward(const Tensor& x, const QuantParams& act,
   ScratchVec<float> col_scale(out, /*zero_fill=*/false);
   for (int64_t j = 0; j < out; ++j)
     col_scale[j] = act.scale * weight.scale_for_row(j);
-  Shape out_shape = x.shape();
-  out_shape.back() = out;
-  Tensor y(std::move(out_shape));
-  auto yd = y.data();
   ITASK_PROFILE_SCOPE(profile::Section::kInt8Dequant);
-  if (bias != nullptr) {
-    auto bd = bias->data();
+  int64_t c0 = 0;
+  for (const QLinearOutput& o : outputs) {
+    const int64_t n = o.cols;
+    const float* scale = col_scale.data() + c0;
+    const float* bias = o.bias != nullptr ? o.bias->data().data() : nullptr;
+    Tensor* residual = o.epilogue.residual;
+    float* dst = residual != nullptr ? residual->data().data()
+                                     : o.out->data().data();
     for (int64_t r = 0; r < rows; ++r) {
-      const int32_t* arow = acc.data() + r * out;
-      float* yrow = yd.data() + r * out;
-      for (int64_t j = 0; j < out; ++j)
-        yrow[j] = static_cast<float>(arow[j]) * col_scale[j] + bd[j];
+      const int32_t* arow = acc.data() + r * out + c0;
+      float* yrow = dst + r * n;
+      if (residual != nullptr && bias != nullptr) {
+        for (int64_t j = 0; j < n; ++j)
+          yrow[j] += static_cast<float>(arow[j]) * scale[j] + bias[j];
+      } else if (residual != nullptr) {
+        for (int64_t j = 0; j < n; ++j)
+          yrow[j] += static_cast<float>(arow[j]) * scale[j];
+      } else if (bias != nullptr) {
+        for (int64_t j = 0; j < n; ++j)
+          yrow[j] = static_cast<float>(arow[j]) * scale[j] + bias[j];
+      } else {
+        for (int64_t j = 0; j < n; ++j)
+          yrow[j] = static_cast<float>(arow[j]) * scale[j];
+      }
+      if (o.epilogue.gelu && residual == nullptr) ops::gelu_row(yrow, n);
     }
-  } else {
-    for (int64_t r = 0; r < rows; ++r) {
-      const int32_t* arow = acc.data() + r * out;
-      float* yrow = yd.data() + r * out;
-      for (int64_t j = 0; j < out; ++j)
-        yrow[j] = static_cast<float>(arow[j]) * col_scale[j];
-    }
+    c0 += n;
   }
+}
+
+Tensor qlinear_forward(const Tensor& x, const QuantParams& act,
+                       const QuantizedWeight& weight, const Tensor* bias,
+                       const ops::Epilogue& ep) {
+  Tensor y;
+  const QLinearOutput output{weight.out, bias, ep, &y};
+  qlinear_forward(x, act, weight, {&output, 1});
   return y;
 }
 

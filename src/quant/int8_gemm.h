@@ -20,6 +20,7 @@
 #include <span>
 
 #include "quant/qformat.h"
+#include "tensor/ops.h"
 #include "tensor/tensor.h"
 
 namespace itask::quant {
@@ -84,13 +85,38 @@ QuantizedWeight quantize_weight_packed(const Tensor& weight,
                                        WeightGranularity granularity,
                                        int bits = 8);
 
+/// Stacks quantized weights that share an input extent into one serving
+/// weight: their rows in order, each row keeping its own scale (a
+/// per-tensor part repeats its one scale) and Σw, packed as
+/// quantize_weight_packed packs. The GEMM over the stack gives each row the
+/// same int32 sums as the part's own GEMM (a head bank's weight).
+QuantizedWeight stack_weights_packed(std::span<const QuantizedWeight> parts);
+
+/// One output of a quantized linear: the next `cols` rows of the weight,
+/// their bias (may be null) and the epilogue fused into the dequant pass.
+/// `out` receives [..., cols] unless the epilogue adds into a residual.
+struct QLinearOutput {
+  int64_t cols = 0;
+  const Tensor* bias = nullptr;
+  ops::Epilogue epilogue;
+  Tensor* out = nullptr;
+};
+
 /// Full quantized linear: quantizes `x` with `act` straight into A panels
-/// (quantize_activations_packed), runs the INT8 loop nest against `weight`,
-/// and dequantizes with per-row weight scales, adding `bias`. x: [rows, in]
-/// FP32; returns [rows, out] FP32. `weight` must carry
-/// its packed panels and row sums (quantize_weight_packed); a bare
-/// quantize_weight result is rejected.
+/// (quantize_activations_packed), runs the INT8 loop nest against `weight`
+/// once, and dequantizes with per-row weight scales, adding each output's
+/// bias and applying its epilogue in the same pass. The outputs split the
+/// weight's rows in order (their `cols` sum to weight.out), so layers that
+/// read one input run as one GEMM (a head bank). x: [..., in] FP32.
+/// `weight` must carry its packed panels and row sums
+/// (quantize_weight_packed); a bare quantize_weight result is rejected.
+void qlinear_forward(const Tensor& x, const QuantParams& act,
+                     const QuantizedWeight& weight,
+                     std::span<const QLinearOutput> outputs);
+
+/// The one-output form: returns [..., out] (empty with ep.residual).
 Tensor qlinear_forward(const Tensor& x, const QuantParams& act,
-                       const QuantizedWeight& weight, const Tensor* bias);
+                       const QuantizedWeight& weight, const Tensor* bias,
+                       const ops::Epilogue& ep = {});
 
 }  // namespace itask::quant

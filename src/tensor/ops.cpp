@@ -307,15 +307,18 @@ __m256 gelu_slope_lanes(__m256 x) {
 
 }  // namespace
 
+void gelu_row(float* row, int64_t n) {
+  int64_t i = 0;
+#if defined(__AVX2__) && defined(__FMA__)
+  for (; i + 8 <= n; i += 8)
+    _mm256_storeu_ps(row + i, gelu_lanes(_mm256_loadu_ps(row + i)));
+#endif
+  for (; i < n; ++i) row[i] = gelu_scalar(row[i]);
+}
+
 Tensor gelu(const Tensor& a) {
   Tensor out = a;
-  auto o = out.data();
-  size_t i = 0;
-#if defined(__AVX2__) && defined(__FMA__)
-  for (; i + 8 <= o.size(); i += 8)
-    _mm256_storeu_ps(&o[i], gelu_lanes(_mm256_loadu_ps(&o[i])));
-#endif
-  for (; i < o.size(); ++i) o[i] = gelu_scalar(o[i]);
+  gelu_row(out.data().data(), out.numel());
   return out;
 }
 
@@ -333,6 +336,15 @@ Tensor gelu_grad(const Tensor& input, const Tensor& grad_out) {
 #endif
   for (; i < o.size(); ++i) o[i] *= gelu_slope_scalar(in[i]);
   return out;
+}
+
+Tensor apply_epilogue(Tensor y, const Epilogue& ep) {
+  if (ep.residual != nullptr) {
+    add_inplace(*ep.residual, y);
+    return Tensor();
+  }
+  if (ep.gelu) gelu_row(y.data().data(), y.numel());
+  return y;
 }
 
 Tensor sigmoid(const Tensor& a) {

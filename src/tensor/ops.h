@@ -52,9 +52,30 @@ Tensor transpose2d(const Tensor& a);
 Tensor relu(const Tensor& a);
 Tensor relu_grad(const Tensor& input, const Tensor& grad_out);
 Tensor gelu(const Tensor& a);        // tanh approximation
+/// gelu()'s arithmetic on n contiguous floats, in place.
+void gelu_row(float* row, int64_t n);
 Tensor gelu_grad(const Tensor& input, const Tensor& grad_out);
 Tensor sigmoid(const Tensor& a);
 Tensor tanh_t(const Tensor& a);
+
+// ---- linear-layer epilogues ----------------------------------------------
+
+/// What a served linear layer does with its output y = x·Wᵀ + b in the pass
+/// that writes it (vit/graph.h): keep it, apply GELU in place, or add it
+/// into `residual` (the residual stream, shaped like y) and return nothing.
+struct Epilogue {
+  bool gelu = false;
+  Tensor* residual = nullptr;
+
+  static constexpr Epilogue bias() { return {}; }
+  static constexpr Epilogue bias_gelu() { return {true, nullptr}; }
+  static constexpr Epilogue add_to(Tensor& stream) { return {false, &stream}; }
+};
+
+/// Applies `ep` to a finished y: ops::gelu, or ops::add into the residual
+/// (returning an empty tensor). The unfused form of what the serving
+/// applies fuse into their output pass (INT8 calibration runs it).
+Tensor apply_epilogue(Tensor y, const Epilogue& ep);
 
 // ---- softmax family (over the trailing axis) ------------------------------
 

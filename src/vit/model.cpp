@@ -18,6 +18,18 @@ struct BlockRefs {
   }
 };
 
+/// The graph's head bank for FP32: each head's Linear, run one after
+/// another.
+struct HeadRefs {
+  std::array<const nn::Linear*, kHeadSlots> heads;
+  HeadOutputs infer(const Tensor& x, const HeadEpilogues& eps) const {
+    HeadOutputs out;
+    for (size_t h = 0; h < kHeadSlots; ++h)
+      out[h] = heads[h]->infer(x, eps[h]);
+    return out;
+  }
+};
+
 }  // namespace
 
 VitModel::VitModel(const ViTConfig& config, Rng& rng)
@@ -65,13 +77,18 @@ VitOutput VitModel::forward(const Tensor& images) {
 
 VitOutput VitModel::infer(const Tensor& images) const {
   const nn::LayerNorm& final_ln = encoder_.final_ln();
-  const VitLayers<const Tensor&, const nn::Linear&, BlockRefs> layers{
-      embed_.proj(),    embed_.cls(),    embed_.pos(), {encoder_},
-      final_ln.gamma(), final_ln.beta(), obj_head_,    cls_head_,
-      attr_head_,       box_fc1_,        box_fc2_,     rel_head_};
+  const VitLayers<const Tensor&, const nn::Linear&, BlockRefs, HeadRefs>
+      layers{embed_.proj(),
+             embed_.cls(),
+             embed_.pos(),
+             {encoder_},
+             final_ln.gamma(),
+             final_ln.beta(),
+             {{&obj_head_, &cls_head_, &attr_head_, &box_fc1_, &rel_head_}},
+             box_fc2_};
   return run_graph(config_, layers, images,
-                   [](const nn::Linear& layer, const Tensor& x) {
-                     return layer.infer(x);
+                   [](const auto& layer, const Tensor& x, const auto& ep) {
+                     return layer.infer(x, ep);
                    });
 }
 

@@ -5,6 +5,7 @@
 #include <cstring>
 #include <limits>
 
+#include "composed_attention.h"
 #include "nn/attention.h"
 #include "nn/embedding.h"
 #include "nn/gradcheck.h"
@@ -60,25 +61,6 @@ TEST(Attention, OutputShapeAndGradCheck) {
   const auto result = nn::check_gradients(attn, loss_fn, 1e-2f, 4e-2f, 12);
   EXPECT_TRUE(result.ok) << result.worst_parameter << " rel "
                          << result.max_rel_error;
-}
-
-// The composition attention_core replaced, built from public ops: slice
-// Q|K|V, split heads, bmm_bt, × scale, softmax_lastdim, bmm, merge heads.
-nn::AttentionCore composed_attention(const Tensor& qkv, int64_t heads) {
-  const int64_t b = qkv.dim(0), t = qkv.dim(1), d = qkv.dim(2) / 3;
-  Tensor part[3] = {Tensor({b, t, d}), Tensor({b, t, d}), Tensor({b, t, d})};
-  for (int64_t r = 0; r < b * t; ++r)
-    for (int s = 0; s < 3; ++s)
-      std::memcpy(part[s].data().data() + r * d,
-                  qkv.data().data() + (r * 3 + s) * d, d * sizeof(float));
-  const Tensor q = split_heads(part[0], heads);
-  const Tensor k = split_heads(part[1], heads);
-  const Tensor v = split_heads(part[2], heads);
-  const float scale = 1.0f / std::sqrt(static_cast<float>(d / heads));
-  nn::AttentionCore core;
-  core.attn = ops::softmax_lastdim(ops::mul_scalar(ops::bmm_bt(q, k), scale));
-  core.ctx = merge_heads(ops::bmm(core.attn, v), heads);
-  return core;
 }
 
 // Bitwise equality; NaN matches NaN of any payload.

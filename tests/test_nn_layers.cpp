@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 
 #include "nn/activation.h"
 #include "nn/gradcheck.h"
@@ -108,6 +110,42 @@ TEST(LayerNorm, GradCheck) {
   const auto result = check_gradients(ln, loss_fn, 1e-3f, 3e-2f);
   EXPECT_TRUE(result.ok) << result.worst_parameter << " "
                          << result.max_rel_error;
+}
+
+// layernorm_affine (the served form) and LayerNorm::forward (training) run
+// one arithmetic, so every output bit must match: at any row count (a lane
+// form takes rows eight at a time and leaves a tail), at widths with and
+// without a tail of their own, and at ±0, an all-zero row, magnitudes whose
+// squares overflow or underflow, and a row holding a NaN.
+TEST(LayerNorm, AffineMatchesForwardBitForBit) {
+  Rng rng(17);
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  for (int64_t c : {3, 7, 13, 40, 64}) {
+    LayerNorm ln(c);
+    ln.load_state_dict({{"gamma", rng.randn({c})}, {"beta", rng.randn({c})}});
+    for (int64_t rows = 1; rows <= 17; ++rows) {
+      SCOPED_TRACE(::testing::Message() << "rows " << rows << " c " << c);
+      Tensor x = rng.randn({rows, c});
+      for (int64_t i = 0; i < x.numel(); i += 5) x[i] = 0.0f;
+      for (int64_t i = 2; i < x.numel(); i += 7) x[i] = -0.0f;
+      for (int64_t r = 1; r < rows; r += 4)
+        for (int64_t j = 0; j < c; ++j) x[r * c + j] *= 1e19f;
+      for (int64_t r = 2; r < rows; r += 4)
+        for (int64_t j = 0; j < c; ++j) x[r * c + j] *= 1e-22f;
+      if (rows > 3)
+        for (int64_t j = 0; j < c; ++j) x[3 * c + j] = 0.0f;
+      if (rows > 5) x[5 * c + c / 2] = nan;
+      const Tensor want = ln.forward(x);
+      const Tensor got = layernorm_affine(x, ln.gamma(), ln.beta());
+      ASSERT_EQ(got.shape(), want.shape());
+      for (int64_t i = 0; i < got.numel(); ++i) {
+        const float g = got[i], w = want[i];
+        if (std::isnan(g) && std::isnan(w)) continue;
+        EXPECT_EQ(std::memcmp(&g, &w, sizeof g), 0)
+            << "element " << i << ": " << g << " vs " << w;
+      }
+    }
+  }
 }
 
 TEST(Activations, GeluLayerMatchesOp) {

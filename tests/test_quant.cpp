@@ -5,9 +5,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <vector>
 
+#include "composed_attention.h"
+#include "nn/embedding.h"
+#include "nn/layernorm.h"
 #include "nn/linear.h"
 #include "quant/calibrate.h"
 #include "quant/int8_gemm.h"
@@ -399,6 +403,170 @@ INSTANTIATE_TEST_SUITE_P(Methods, CalibMethodSweep,
                          ::testing::Values(CalibMethod::kMinMax,
                                            CalibMethod::kPercentile,
                                            CalibMethod::kEntropy));
+
+
+// ---- the served INT8 forward against an unfused per-layer oracle ----------
+
+/// The INT8 forward as separate passes, one per layer: QLinearLayer::forward
+/// for each linear, the training LayerNorm::forward, ops::gelu, ops::add and
+/// the composed attention. Calibrated through the same composition in FP32
+/// (forward_calibrating), each linear with its own calibrator, so its ranges
+/// are the ones QuantizedVit::calibrate records.
+class PerLayerOracle {
+ public:
+  PerLayerOracle(const vit::ViTConfig& config, const io::StateDict& state,
+                 const QuantOptions& options)
+      : config_(config), options_(options), final_ln_(config.dim) {
+    auto linear = [&](const std::string& key) {
+      return QLinearLayer(state.at(key + ".weight"), state.at(key + ".bias"),
+                          options);
+    };
+    auto load_ln = [&](nn::LayerNorm& ln, const std::string& key) {
+      ln.load_state_dict({{"gamma", state.at(key + ".gamma")},
+                          {"beta", state.at(key + ".beta")}});
+    };
+    patch_proj_ = linear("embed.proj");
+    cls_ = state.at("embed.cls");
+    pos_ = state.at("embed.pos");
+    for (int64_t i = 0; i < config.depth; ++i) {
+      const std::string p = "encoder.block" + std::to_string(i) + ".";
+      auto blk = std::make_unique<Block>(config.dim);
+      load_ln(blk->ln1, p + "ln1");
+      load_ln(blk->ln2, p + "ln2");
+      blk->qkv = linear(p + "attn.qkv");
+      blk->proj = linear(p + "attn.proj");
+      blk->fc1 = linear(p + "fc1");
+      blk->fc2 = linear(p + "fc2");
+      blocks_.push_back(std::move(blk));
+    }
+    load_ln(final_ln_, "encoder.final_ln");
+    for (const char* key : {"obj_head", "cls_head", "attr_head", "box_fc1",
+                            "box_fc2", "rel_head"})
+      heads_.push_back(linear(key));
+  }
+
+  void calibrate(const Tensor& images) {
+    (void)run(images, [](QLinearLayer& layer, const Tensor& x) {
+      return layer.forward_calibrating(x);
+    });
+  }
+
+  void finalize() {
+    for_each_linear([&](QLinearLayer& layer) { layer.finalize(options_); });
+  }
+
+  vit::VitOutput forward(const Tensor& images) {
+    return run(images, [](QLinearLayer& layer, const Tensor& x) {
+      return layer.forward(x);
+    });
+  }
+
+ private:
+  struct Block {
+    explicit Block(int64_t dim) : ln1(dim), ln2(dim) {}
+    nn::LayerNorm ln1, ln2;
+    QLinearLayer qkv, proj, fc1, fc2;
+  };
+
+  template <typename F>
+  void for_each_linear(F&& f) {
+    f(patch_proj_);
+    for (auto& blk : blocks_)
+      for (QLinearLayer* l : {&blk->qkv, &blk->proj, &blk->fc1, &blk->fc2})
+        f(*l);
+    for (QLinearLayer& l : heads_) f(l);
+  }
+
+  template <typename Apply>
+  vit::VitOutput run(const Tensor& images, Apply apply) {
+    Tensor x = nn::assemble_tokens(
+        apply(patch_proj_, nn::patchify(images, config_.patch_size)), cls_,
+        pos_);
+    for (auto& blk : blocks_) {
+      const Tensor qkv = apply(blk->qkv, blk->ln1.forward(x));
+      const Tensor ctx = composed_attention(qkv, config_.heads).ctx;
+      x = ops::add(x, apply(blk->proj, ctx));
+      const Tensor hidden = ops::gelu(apply(blk->fc1, blk->ln2.forward(x)));
+      x = ops::add(x, apply(blk->fc2, hidden));
+    }
+    Tensor tokens = final_ln_.forward(x);
+    const Tensor patches = nn::patch_tokens(tokens);
+    vit::VitOutput out;
+    out.objectness = apply(heads_[0], patches);
+    out.class_logits = apply(heads_[1], patches);
+    out.attr_logits = apply(heads_[2], patches);
+    out.box_deltas = apply(heads_[4], ops::gelu(apply(heads_[3], patches)));
+    out.relevance = apply(heads_[5], patches);
+    out.features = std::move(tokens);
+    return out;
+  }
+
+  vit::ViTConfig config_;
+  QuantOptions options_;
+  QLinearLayer patch_proj_;
+  Tensor cls_, pos_;
+  std::vector<std::unique_ptr<Block>> blocks_;
+  nn::LayerNorm final_ln_;
+  std::vector<QLinearLayer> heads_;  // obj, cls, attr, box_fc1, box_fc2, rel
+};
+
+bool same_bits(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data().data(), b.data().data(),
+                     static_cast<size_t>(a.numel()) * sizeof(float)) == 0;
+}
+
+// QuantizedVit::forward may fuse, bank and vectorise its layers however it
+// likes, but every output bit must equal the one-pass-per-layer forward:
+// per-channel and per-tensor weights, every bit width and calibrator, at the
+// test config (D 16, 2 heads, T 4) and the student (D 40, head dim 10, T 9).
+TEST(QuantizedVit, ForwardMatchesPerLayerOracleBitForBit) {
+  Rng rng(15);
+  for (const vit::ViTConfig& config :
+       {small_config(), vit::ViTConfig::student()}) {
+    vit::VitModel model(config, rng);
+    const io::StateDict state = model.state_dict();
+    const Tensor calib =
+        rng.randn({4, config.channels, config.image_size, config.image_size});
+    for (WeightGranularity granularity :
+         {WeightGranularity::kPerChannel, WeightGranularity::kPerTensor})
+      for (int bits : {8, 6, 4})
+        for (CalibMethod method : {CalibMethod::kMinMax,
+                                   CalibMethod::kPercentile,
+                                   CalibMethod::kEntropy}) {
+          SCOPED_TRACE(::testing::Message()
+                       << "D " << config.dim << " per-"
+                       << (granularity == WeightGranularity::kPerChannel
+                               ? "channel"
+                               : "tensor")
+                       << " bits " << bits << " " << calib_method_name(method));
+          QuantOptions options;
+          options.granularity = granularity;
+          options.method = method;
+          options.weight_bits = bits;
+          options.activation_bits = bits;
+          QuantizedVit qvit(config, state, options);
+          PerLayerOracle oracle(config, state, options);
+          qvit.calibrate(calib);
+          oracle.calibrate(calib);
+          qvit.finalize();
+          oracle.finalize();
+          for (int64_t b : {1, 3, 8}) {
+            SCOPED_TRACE(::testing::Message() << "B " << b);
+            const Tensor images = rng.rand(
+                {b, config.channels, config.image_size, config.image_size});
+            const vit::VitOutput got = qvit.forward(images);
+            const vit::VitOutput want = oracle.forward(images);
+            EXPECT_TRUE(same_bits(got.objectness, want.objectness));
+            EXPECT_TRUE(same_bits(got.class_logits, want.class_logits));
+            EXPECT_TRUE(same_bits(got.attr_logits, want.attr_logits));
+            EXPECT_TRUE(same_bits(got.box_deltas, want.box_deltas));
+            EXPECT_TRUE(same_bits(got.relevance, want.relevance));
+            EXPECT_TRUE(same_bits(got.features, want.features));
+          }
+        }
+  }
+}
 
 }  // namespace
 }  // namespace itask::quant
