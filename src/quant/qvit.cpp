@@ -165,10 +165,12 @@ QuantizedVit QuantizedVit::from_model(vit::VitModel& model,
 
 void QuantizedVit::calibrate(const Tensor& images) {
   ITASK_CHECK(!finalized_, "QuantizedVit: calibrate after finalize");
-  (void)vit::run_graph(config_, layers_, images,
-                       [](auto& layer, const Tensor& x, const auto& ep) {
-                         return layer.forward_calibrating(x, ep);
-                       });
+  (void)vit::run_graph(
+      config_, layers_, images,
+      [](auto& layer, const Tensor& x, const auto& ep) {
+        return layer.forward_calibrating(x, ep);
+      },
+      vit::NoSink{});
 }
 
 void QuantizedVit::finalize() {
@@ -179,9 +181,12 @@ void QuantizedVit::finalize() {
 
 vit::VitOutput QuantizedVit::forward(const Tensor& images) const {
   ITASK_CHECK(finalized_, "QuantizedVit: forward before finalize");
-  return vit::run_graph(config_, layers_, images,
-                        [](const auto& layer, const Tensor& x,
-                           const auto& ep) { return layer.forward(x, ep); });
+  return vit::run_graph(
+      config_, layers_, images,
+      [](const auto& layer, const Tensor& x, const auto& ep) {
+        return layer.forward(x, ep);
+      },
+      vit::NoSink{});
 }
 
 int64_t QuantizedVit::quantized_weight_bytes() const {

@@ -34,24 +34,6 @@ Tensor add(const Tensor& a, const Tensor& b) {
   return out;
 }
 
-Tensor sub(const Tensor& a, const Tensor& b) {
-  check_same_shape(a, b, "sub");
-  Tensor out = a;
-  auto o = out.data();
-  auto bd = b.data();
-  for (size_t i = 0; i < o.size(); ++i) o[i] -= bd[i];
-  return out;
-}
-
-Tensor mul(const Tensor& a, const Tensor& b) {
-  check_same_shape(a, b, "mul");
-  Tensor out = a;
-  auto o = out.data();
-  auto bd = b.data();
-  for (size_t i = 0; i < o.size(); ++i) o[i] *= bd[i];
-  return out;
-}
-
 Tensor add_scalar(const Tensor& a, float s) {
   Tensor out = a;
   for (float& v : out.data()) v += s;
@@ -180,22 +162,6 @@ Tensor transpose2d(const Tensor& a) {
   auto od = out.data();
   for (int64_t i = 0; i < m; ++i)
     for (int64_t j = 0; j < n; ++j) od[j * m + i] = ad[i * n + j];
-  return out;
-}
-
-Tensor relu(const Tensor& a) {
-  Tensor out = a;
-  for (float& v : out.data()) v = v > 0.0f ? v : 0.0f;
-  return out;
-}
-
-Tensor relu_grad(const Tensor& input, const Tensor& grad_out) {
-  check_same_shape(input, grad_out, "relu_grad");
-  Tensor out = grad_out;
-  auto o = out.data();
-  auto in = input.data();
-  for (size_t i = 0; i < o.size(); ++i)
-    if (in[i] <= 0.0f) o[i] = 0.0f;
   return out;
 }
 
@@ -353,12 +319,6 @@ Tensor sigmoid(const Tensor& a) {
   return out;
 }
 
-Tensor tanh_t(const Tensor& a) {
-  Tensor out = a;
-  for (float& v : out.data()) v = std::tanh(v);
-  return out;
-}
-
 void softmax_row(float* row, int64_t n) {
   float mx = row[0];
   for (int64_t j = 1; j < n; ++j) mx = std::max(mx, row[j]);
@@ -429,29 +389,6 @@ float mean(const Tensor& a) {
   return sum(a) / static_cast<float>(a.numel());
 }
 
-float max_value(const Tensor& a) {
-  ITASK_CHECK(a.numel() > 0, "max of empty tensor");
-  float mx = a.data()[0];
-  for (float v : a.data()) mx = std::max(mx, v);
-  return mx;
-}
-
-std::vector<int64_t> argmax_lastdim(const Tensor& a) {
-  ITASK_CHECK(a.ndim() >= 1, "argmax_lastdim: need at least 1-D");
-  const int64_t c = a.dim(a.ndim() - 1);
-  const int64_t rows = a.numel() / c;
-  std::vector<int64_t> out(static_cast<size_t>(rows));
-  auto ad = a.data();
-  for (int64_t r = 0; r < rows; ++r) {
-    const float* row = ad.data() + r * c;
-    int64_t best = 0;
-    for (int64_t j = 1; j < c; ++j)
-      if (row[j] > row[best]) best = j;
-    out[static_cast<size_t>(r)] = best;
-  }
-  return out;
-}
-
 Tensor sum_to_lastdim(const Tensor& a) {
   ITASK_CHECK(a.ndim() >= 1, "sum_to_lastdim: need at least 1-D");
   const int64_t c = a.dim(a.ndim() - 1);
@@ -470,18 +407,6 @@ float l2_norm(const Tensor& a) {
   double acc = 0.0;
   for (float v : a.data()) acc += static_cast<double>(v) * v;
   return static_cast<float>(std::sqrt(acc));
-}
-
-Tensor concat1d(const std::vector<Tensor>& parts) {
-  ITASK_CHECK(!parts.empty(), "concat1d: empty input");
-  std::vector<float> values;
-  for (const Tensor& t : parts) {
-    ITASK_CHECK(t.ndim() == 1, "concat1d: all parts must be 1-D");
-    values.insert(values.end(), t.data().begin(), t.data().end());
-  }
-  // Read the size before moving: argument evaluation order is unspecified.
-  const int64_t total = static_cast<int64_t>(values.size());
-  return Tensor({total}, std::move(values));
 }
 
 Tensor stack(const std::vector<Tensor>& parts) {

@@ -14,8 +14,6 @@ namespace itask::ops {
 // ---- elementwise ----------------------------------------------------------
 
 Tensor add(const Tensor& a, const Tensor& b);
-Tensor sub(const Tensor& a, const Tensor& b);
-Tensor mul(const Tensor& a, const Tensor& b);   // Hadamard product.
 Tensor add_scalar(const Tensor& a, float s);
 Tensor mul_scalar(const Tensor& a, float s);
 void add_inplace(Tensor& a, const Tensor& b);
@@ -49,14 +47,11 @@ Tensor transpose2d(const Tensor& a);
 
 // ---- nonlinearities -------------------------------------------------------
 
-Tensor relu(const Tensor& a);
-Tensor relu_grad(const Tensor& input, const Tensor& grad_out);
 Tensor gelu(const Tensor& a);        // tanh approximation
 /// gelu()'s arithmetic on n contiguous floats, in place.
 void gelu_row(float* row, int64_t n);
 Tensor gelu_grad(const Tensor& input, const Tensor& grad_out);
 Tensor sigmoid(const Tensor& a);
-Tensor tanh_t(const Tensor& a);
 
 // ---- linear-layer epilogues ----------------------------------------------
 
@@ -93,11 +88,6 @@ Tensor softmax_backward_lastdim(const Tensor& y, const Tensor& g);
 
 float sum(const Tensor& a);
 float mean(const Tensor& a);
-float max_value(const Tensor& a);
-
-/// Index of the maximum element along the trailing axis; result shape is the
-/// input shape with the trailing axis removed (flat vector of int64).
-std::vector<int64_t> argmax_lastdim(const Tensor& a);
 
 /// Sums over all leading axes, producing a 1-D tensor of the trailing size.
 /// (This is the bias-gradient reduction.)
@@ -107,9 +97,6 @@ Tensor sum_to_lastdim(const Tensor& a);
 float l2_norm(const Tensor& a);
 
 // ---- shape utilities ------------------------------------------------------
-
-/// Concatenates 1-D tensors.
-Tensor concat1d(const std::vector<Tensor>& parts);
 
 /// Stacks equal-shaped tensors along a new leading axis.
 Tensor stack(const std::vector<Tensor>& parts);

@@ -10,6 +10,11 @@
 //    kHeadKeys order. The FP32 bank runs its heads one after another; the
 //    INT8 bank quantizes patch_feats once and runs one GEMM over their
 //    stacked weights.
+// The graph also reports every arithmetic step it runs to a `sink`
+// argument (GraphEvent below). Serving passes NoSink, which compiles to
+// nothing; vit::build_workload records the events to describe the same
+// layer list to the accelerator and GPU models. A new layer is added here
+// and nowhere else.
 #pragma once
 
 #include <array>
@@ -65,43 +70,93 @@ struct VitLayers {
   Linear box_fc2;
 };
 
+/// The kinds of arithmetic step run_graph runs. Data movement (patchify,
+/// patch_tokens) is not a step: it only reorders what the next step reads.
+enum class Step { kLinear, kAssembleTokens, kLayerNorm, kAttention };
+
+/// One step run_graph ran, reported to its sink right after the step, in
+/// execution order. `name` is the step's name ("patch_embed", "ln1",
+/// "qkv", "attention", "proj", "ln2", "fc1", "fc2", "final_ln", a
+/// kHeadKeys entry, "box_fc2") and `block` its encoder block (kNoBlock
+/// outside the blocks). `input` is what the step read and `output` what it
+/// wrote: for a linear with a residual epilogue that is the stream it
+/// added into. `epilogue` is the linear's (bias() for the other steps).
+/// The head bank is one apply and reports one event per head. The tensors
+/// are valid only during the call.
+struct GraphEvent {
+  static constexpr int64_t kNoBlock = -1;
+  Step step;
+  const char* name;
+  int64_t block;
+  const Tensor& input;
+  const Tensor& output;
+  ops::Epilogue epilogue;
+};
+
+/// The sink that serving passes: ignores every event.
+struct NoSink {
+  void operator()(const GraphEvent&) const {}
+};
+
 /// Runs images [B, channels, image_size, image_size] through `layers` (a
 /// VitLayers), running each linear layer as apply(layer, x, epilogue) and
-/// the head bank as apply(heads, x, kHeadEpilogues). Const `layers` serve;
-/// mutable ones let `apply` update them (INT8 calibration).
-template <typename Layers, typename Apply>
+/// the head bank as apply(heads, x, kHeadEpilogues), and calling
+/// sink(GraphEvent) after each step. Const `layers` serve; mutable ones let
+/// `apply` update them (INT8 calibration).
+template <typename Layers, typename Apply, typename Sink>
 VitOutput run_graph(const ViTConfig& config, Layers& layers,
-                    const Tensor& images, Apply&& apply) {
+                    const Tensor& images, Apply&& apply, Sink&& sink) {
   ITASK_CHECK(images.ndim() == 4 && images.dim(1) == config.channels &&
                   images.dim(2) == config.image_size &&
                   images.dim(3) == config.image_size,
               "vit: images must be [B, channels, image_size, image_size]");
-  Tensor x = nn::assemble_tokens(
-      apply(layers.patch_proj, nn::patchify(images, config.patch_size),
-            ops::Epilogue::bias()),
-      layers.cls, layers.pos);  // [B, T+1, D], the residual stream
+  constexpr int64_t kTop = GraphEvent::kNoBlock;
+  const auto report = [&](Step kind, const char* name, int64_t block,
+                          const Tensor& in, const Tensor& out) {
+    sink(GraphEvent{kind, name, block, in, out, ops::Epilogue::bias()});
+  };
+  const auto linear = [&](const char* name, int64_t block, auto& layer,
+                          const Tensor& in, const ops::Epilogue& ep) {
+    Tensor y = apply(layer, in, ep);
+    sink(GraphEvent{Step::kLinear, name, block, in,
+                    ep.residual != nullptr ? *ep.residual : y, ep});
+    return y;
+  };
+
+  const Tensor patches = nn::patchify(images, config.patch_size);
+  const Tensor embedded = linear("patch_embed", kTop, layers.patch_proj,
+                                 patches, ops::Epilogue::bias());
+  Tensor x = nn::assemble_tokens(embedded, layers.cls,
+                                 layers.pos);  // [B, T+1, D], the stream
+  report(Step::kAssembleTokens, "assemble_tokens", kTop, embedded, x);
   for (int64_t i = 0; i < config.depth; ++i) {
     auto&& blk = layers.blocks[i];
-    const Tensor qkv =
-        apply(blk.qkv, nn::layernorm_affine(x, blk.ln1_gamma, blk.ln1_beta),
-              ops::Epilogue::bias());
-    apply(blk.proj, nn::attention_core(qkv, config.heads).ctx,
-          ops::Epilogue::add_to(x));
+    const Tensor ln1 = nn::layernorm_affine(x, blk.ln1_gamma, blk.ln1_beta);
+    report(Step::kLayerNorm, "ln1", i, x, ln1);
+    const Tensor qkv = linear("qkv", i, blk.qkv, ln1, ops::Epilogue::bias());
+    const Tensor ctx = nn::attention_core(qkv, config.heads).ctx;
+    report(Step::kAttention, "attention", i, qkv, ctx);
+    linear("proj", i, blk.proj, ctx, ops::Epilogue::add_to(x));
+    const Tensor ln2 = nn::layernorm_affine(x, blk.ln2_gamma, blk.ln2_beta);
+    report(Step::kLayerNorm, "ln2", i, x, ln2);
     const Tensor hidden =
-        apply(blk.fc1, nn::layernorm_affine(x, blk.ln2_gamma, blk.ln2_beta),
-              ops::Epilogue::bias_gelu());
-    apply(blk.fc2, hidden, ops::Epilogue::add_to(x));
+        linear("fc1", i, blk.fc1, ln2, ops::Epilogue::bias_gelu());
+    linear("fc2", i, blk.fc2, hidden, ops::Epilogue::add_to(x));
   }
   Tensor tokens =
       nn::layernorm_affine(x, layers.final_ln_gamma, layers.final_ln_beta);
-  HeadOutputs heads =
-      apply(layers.heads, nn::patch_tokens(tokens), kHeadEpilogues);
+  report(Step::kLayerNorm, "final_ln", kTop, x, tokens);
+  const Tensor patch_feats = nn::patch_tokens(tokens);
+  HeadOutputs heads = apply(layers.heads, patch_feats, kHeadEpilogues);
+  for (size_t h = 0; h < kHeadSlots; ++h)
+    sink(GraphEvent{Step::kLinear, kHeadKeys[h], kTop, patch_feats, heads[h],
+                    kHeadEpilogues[h]});
   VitOutput out;
   out.objectness = std::move(heads[kObjHead]);
   out.class_logits = std::move(heads[kClsHead]);
   out.attr_logits = std::move(heads[kAttrHead]);
-  out.box_deltas =
-      apply(layers.box_fc2, heads[kBoxFc1], ops::Epilogue::bias());
+  out.box_deltas = linear("box_fc2", kTop, layers.box_fc2, heads[kBoxFc1],
+                          ops::Epilogue::bias());
   out.relevance = std::move(heads[kRelHead]);
   out.features = std::move(tokens);
   return out;

@@ -75,7 +75,8 @@ VitOutput VitModel::forward(const Tensor& images) {
   return out;
 }
 
-VitOutput VitModel::infer(const Tensor& images) const {
+template <typename Sink>
+VitOutput VitModel::run_served(const Tensor& images, Sink&& sink) const {
   const nn::LayerNorm& final_ln = encoder_.final_ln();
   const VitLayers<const Tensor&, const nn::Linear&, BlockRefs, HeadRefs>
       layers{embed_.proj(),
@@ -86,10 +87,20 @@ VitOutput VitModel::infer(const Tensor& images) const {
              final_ln.beta(),
              {{&obj_head_, &cls_head_, &attr_head_, &box_fc1_, &rel_head_}},
              box_fc2_};
-  return run_graph(config_, layers, images,
-                   [](const auto& layer, const Tensor& x, const auto& ep) {
-                     return layer.infer(x, ep);
-                   });
+  return run_graph(
+      config_, layers, images,
+      [](const auto& layer, const Tensor& x, const auto& ep) {
+        return layer.infer(x, ep);
+      },
+      sink);
+}
+
+VitOutput VitModel::infer(const Tensor& images) const {
+  return run_served(images, NoSink{});
+}
+
+VitOutput VitModel::infer(const Tensor& images, const GraphSink& sink) const {
+  return run_served(images, sink);
 }
 
 Tensor VitModel::backward(const VitOutputGrads& grads) {

@@ -6,6 +6,7 @@
 // fully transformer-native while staying cheap enough to train on one core.
 #pragma once
 
+#include <functional>
 #include <optional>
 
 #include "nn/activation.h"
@@ -15,6 +16,10 @@
 #include "vit/config.h"
 
 namespace itask::vit {
+
+struct GraphEvent;  // vit/graph.h
+/// Receives the serving graph's step events (vit/graph.h).
+using GraphSink = std::function<void(const GraphEvent&)>;
 
 /// Per-batch raw model outputs (logits; apply sigmoid/softmax downstream).
 struct VitOutput {
@@ -52,6 +57,9 @@ class VitModel : public nn::Module {
   /// many threads may call it on one model at once. Does not feed
   /// backward() or attention_rollout().
   VitOutput infer(const Tensor& images) const;
+  /// infer(), reporting each step the graph runs to `sink` as it runs
+  /// (vit::build_workload records the layer list this way).
+  VitOutput infer(const Tensor& images, const GraphSink& sink) const;
 
   /// Attention rollout (Abnar & Zuidema, 2020) of the most recent forward:
   /// per-image token-to-token attribution [B, T+1, T+1] obtained by
@@ -66,6 +74,11 @@ class VitModel : public nn::Module {
   Tensor backward(const VitOutputGrads& grads);
 
  private:
+  /// run_graph over this model's FP32 weights; `sink` is NoSink or a
+  /// GraphSink (model.cpp instantiates both).
+  template <typename Sink>
+  VitOutput run_served(const Tensor& images, Sink&& sink) const;
+
   ViTConfig config_;
   nn::PatchEmbed embed_;
   nn::TransformerEncoder encoder_;

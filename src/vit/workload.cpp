@@ -1,6 +1,10 @@
 #include "vit/workload.h"
 
-#include "tensor/tensor.h"
+#include <array>
+#include <utility>
+
+#include "tensor/rng.h"
+#include "vit/graph.h"
 
 namespace itask::vit {
 
@@ -30,45 +34,83 @@ double InferenceWorkload::total_vector_flops() const {
   return acc;
 }
 
+namespace {
+
+/// The kinds of vector op, and the table of what each costs the vector
+/// unit per element.
+enum VectorKind : size_t {
+  kAdd,             // token assembly (+ position) and the residual adds
+  kLayerNorm,
+  kSoftmax,
+  kGelu,            // tanh approximation
+  kHeadActivation,  // the decoder's sigmoids and softmaxes
+  kVectorKinds
+};
+constexpr std::array<double, kVectorKinds> kFlopsPerElement = {1.0, 6.0, 4.0,
+                                                               8.0, 3.0};
+
+/// The model whose graph build_workload records; only shapes are read, so
+/// any weights do.
+constexpr uint64_t kRecordingSeed = 1;
+
+int64_t width(const Tensor& t) { return t.dim(t.ndim() - 1); }
+int64_t rows(const Tensor& t) { return t.numel() / width(t); }
+
+}  // namespace
+
 InferenceWorkload build_workload(const ViTConfig& c, int64_t batch,
                                  const std::string& model_name) {
   ITASK_CHECK(batch >= 1, "build_workload: batch must be >= 1");
   InferenceWorkload w;
   w.model_name = model_name;
   w.batch = batch;
-  const int64_t t = c.tokens() + 1;  // tokens incl. CLS
-  const int64_t d = c.dim;
-  const int64_t hd = d / c.heads;
-  const int64_t pv = c.channels * c.patch_size * c.patch_size;
-  const int64_t rows = batch * t;
-
-  w.gemms.push_back({"patch_embed", batch * c.tokens(), pv, d, true});
-  for (int64_t blk = 0; blk < c.depth; ++blk) {
-    const std::string p = "block" + std::to_string(blk) + ".";
-    w.vector_ops.push_back({p + "ln1", rows * d, 6.0});
-    w.gemms.push_back({p + "qkv", rows, d, 3 * d, true});
-    // Attention products are activation×activation: one logical GEMM per
-    // (batch, head) pair, folded into a single row-blocked op.
-    w.gemms.push_back({p + "attn_scores", batch * c.heads * t, hd, t, false});
-    w.vector_ops.push_back({p + "softmax", batch * c.heads * t * t, 4.0});
-    w.gemms.push_back({p + "attn_value", batch * c.heads * t, t, hd, false});
-    w.gemms.push_back({p + "proj", rows, d, d, true});
-    w.vector_ops.push_back({p + "ln2", rows * d, 6.0});
-    w.gemms.push_back({p + "fc1", rows, d, c.mlp_hidden(), true});
-    w.vector_ops.push_back({p + "gelu", rows * c.mlp_hidden(), 8.0});
-    w.gemms.push_back({p + "fc2", rows, c.mlp_hidden(), d, true});
-  }
-  w.vector_ops.push_back({"final_ln", rows * d, 6.0});
-  const int64_t prows = batch * c.tokens();
-  w.gemms.push_back({"obj_head", prows, d, 1, true});
-  w.gemms.push_back({"cls_head", prows, d, c.num_classes, true});
-  w.gemms.push_back({"attr_head", prows, d, c.num_attributes, true});
-  w.gemms.push_back({"box_fc1", prows, d, d, true});
-  w.gemms.push_back({"box_fc2", prows, d, 4, true});
-  w.gemms.push_back({"rel_head", prows, d, 1, true});
-  w.vector_ops.push_back({"head_activations",
-                          prows * (1 + c.num_classes + c.num_attributes),
-                          3.0});
+  const auto vector_op = [&](std::string name, int64_t elements,
+                             VectorKind kind) {
+    w.vector_ops.push_back(
+        {std::move(name), elements, kFlopsPerElement[kind]});
+  };
+  const auto record = [&](const GraphEvent& e) {
+    const std::string prefix =
+        e.block == GraphEvent::kNoBlock
+            ? std::string()
+            : "block" + std::to_string(e.block) + ".";
+    const std::string name = prefix + e.name;
+    switch (e.step) {
+      case Step::kLinear:
+        w.gemms.push_back(
+            {name, rows(e.input), width(e.input), width(e.output), true});
+        if (e.epilogue.gelu)
+          vector_op(name + "_gelu", e.output.numel(), kGelu);
+        if (e.epilogue.residual != nullptr)
+          vector_op(name + "_residual", e.output.numel(), kAdd);
+        return;
+      case Step::kAttention: {
+        // Activation×activation products: one logical GEMM per (image,
+        // head) pair, folded into a single row-blocked op.
+        const int64_t bh = e.input.dim(0) * c.heads;
+        const int64_t t = e.input.dim(1);
+        const int64_t hd = width(e.output) / c.heads;
+        w.gemms.push_back({prefix + "attn_scores", bh * t, hd, t, false});
+        vector_op(prefix + "softmax", bh * t * t, kSoftmax);
+        w.gemms.push_back({prefix + "attn_value", bh * t, t, hd, false});
+        return;
+      }
+      case Step::kLayerNorm:
+        vector_op(name, e.output.numel(), kLayerNorm);
+        return;
+      case Step::kAssembleTokens:
+        vector_op(name, e.output.numel(), kAdd);
+        return;
+    }
+  };
+  Rng rng(kRecordingSeed);
+  const VitModel model(c, rng);
+  model.infer(Tensor({batch, c.channels, c.image_size, c.image_size}),
+              record);
+  // Decode's sigmoids and softmaxes run after the graph, on its outputs.
+  vector_op("head_activations",
+            batch * c.tokens() * (1 + c.num_classes + c.num_attributes),
+            kHeadActivation);
   return w;
 }
 

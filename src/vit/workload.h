@@ -2,6 +2,8 @@
 // as an ordered list of GEMM and vector operations with exact dimensions.
 // The accelerator scheduler (accel/) consumes this; it never needs to see
 // tensors, only shapes — the same separation a real compiler stack has.
+// The list is recorded from the served graph (vit/graph.h), not written
+// out by hand, so the simulators model the network that serving runs.
 #pragma once
 
 #include <cstdint>
@@ -33,11 +35,12 @@ struct GemmOp {
 struct VectorOp {
   std::string name;
   int64_t elements = 0;
-  /// Relative cost per element (softmax ≈ 4 flops/elt, layernorm ≈ 6, …).
+  /// Relative cost per element, from one per-kind table in workload.cpp
+  /// (add 1, layernorm 6, softmax 4, GELU 8, head activations 3).
   double flops_per_element = 1.0;
 };
 
-/// A full single-model inference, in execution order.
+/// A full single-model inference; each list is in execution order.
 struct InferenceWorkload {
   std::string model_name;
   int64_t batch = 1;
@@ -54,7 +57,16 @@ struct InferenceWorkload {
   }
 };
 
-/// Enumerates every op of a detection-ViT forward pass at batch size `batch`.
+/// Records every op of a detection-ViT forward pass at batch size `batch`:
+/// builds a VitModel of `config` (fixed seed), runs one zero batch through
+/// vit::run_graph and converts each GraphEvent into ops:
+///  * a linear → one GemmOp (m = rows, k = input width, n = output width),
+///    then a VectorOp for its GELU or residual-add epilogue, if any;
+///  * the attention step → attn_scores, softmax and attn_value;
+///  * LayerNorm and token assembly → one VectorOp each.
+/// Decode's head_activations follow the graph's ops. Throws
+/// std::invalid_argument for a config the model rejects (e.g. dim not
+/// divisible by heads, image_size not divisible by patch_size).
 InferenceWorkload build_workload(const ViTConfig& config, int64_t batch,
                                  const std::string& model_name = "vit");
 

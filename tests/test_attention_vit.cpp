@@ -1,6 +1,7 @@
 // Attention, transformer, patch embedding, and full-model gradient checks.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -343,6 +344,111 @@ TEST(Workload, MacsScaleLinearlyWithBatch) {
   EXPECT_EQ(w4.total_macs(), 4 * w1.total_macs());
   // Weight bytes do NOT scale with batch.
   EXPECT_EQ(w4.total_weight_bytes_int8(), w1.total_weight_bytes_int8());
+}
+
+/// The hand-written layer list build_workload returned before it recorded
+/// the served graph, kept as the reference for the recorded one. One name
+/// differs: fc1's GELU was "blockN.gelu" and is now "blockN.fc1_gelu".
+vit::InferenceWorkload hand_written_workload(const vit::ViTConfig& c,
+                                             int64_t batch) {
+  vit::InferenceWorkload w;
+  w.batch = batch;
+  const int64_t t = c.tokens() + 1;  // tokens incl. CLS
+  const int64_t d = c.dim;
+  const int64_t hd = d / c.heads;
+  const int64_t pv = c.channels * c.patch_size * c.patch_size;
+  const int64_t rows = batch * t;
+
+  w.gemms.push_back({"patch_embed", batch * c.tokens(), pv, d, true});
+  for (int64_t blk = 0; blk < c.depth; ++blk) {
+    const std::string p = "block" + std::to_string(blk) + ".";
+    w.vector_ops.push_back({p + "ln1", rows * d, 6.0});
+    w.gemms.push_back({p + "qkv", rows, d, 3 * d, true});
+    w.gemms.push_back({p + "attn_scores", batch * c.heads * t, hd, t, false});
+    w.vector_ops.push_back({p + "softmax", batch * c.heads * t * t, 4.0});
+    w.gemms.push_back({p + "attn_value", batch * c.heads * t, t, hd, false});
+    w.gemms.push_back({p + "proj", rows, d, d, true});
+    w.vector_ops.push_back({p + "ln2", rows * d, 6.0});
+    w.gemms.push_back({p + "fc1", rows, d, c.mlp_hidden(), true});
+    w.vector_ops.push_back({p + "fc1_gelu", rows * c.mlp_hidden(), 8.0});
+    w.gemms.push_back({p + "fc2", rows, c.mlp_hidden(), d, true});
+  }
+  w.vector_ops.push_back({"final_ln", rows * d, 6.0});
+  const int64_t prows = batch * c.tokens();
+  w.gemms.push_back({"obj_head", prows, d, 1, true});
+  w.gemms.push_back({"cls_head", prows, d, c.num_classes, true});
+  w.gemms.push_back({"attr_head", prows, d, c.num_attributes, true});
+  w.gemms.push_back({"box_fc1", prows, d, d, true});
+  w.gemms.push_back({"box_fc2", prows, d, 4, true});
+  w.gemms.push_back({"rel_head", prows, d, 1, true});
+  w.vector_ops.push_back({"head_activations",
+                          prows * (1 + c.num_classes + c.num_attributes),
+                          3.0});
+  return w;
+}
+
+TEST(Workload, RecordedListIsTheServedGraph) {
+  for (const vit::ViTConfig& c :
+       {vit::ViTConfig::student(), vit::ViTConfig::teacher()}) {
+    for (int64_t batch : {1, 4}) {
+      SCOPED_TRACE(c.to_string() + " batch " + std::to_string(batch));
+      const vit::InferenceWorkload ref = hand_written_workload(c, batch);
+      const vit::InferenceWorkload got = vit::build_workload(c, batch);
+      const int64_t stream = batch * (c.tokens() + 1) * c.dim;
+
+      // The same GEMMs, with box_fc2 after rel_head: the graph runs the
+      // head bank, then box_fc2 on box_fc1's output.
+      std::vector<vit::GemmOp> want_gemms = ref.gemms;
+      const auto box_fc2 = want_gemms.end() - 2;
+      ASSERT_EQ(box_fc2->name, "box_fc2");
+      std::rotate(box_fc2, box_fc2 + 1, want_gemms.end());
+      ASSERT_EQ(got.gemms.size(), want_gemms.size());
+      for (size_t i = 0; i < want_gemms.size(); ++i) {
+        SCOPED_TRACE(want_gemms[i].name);
+        EXPECT_EQ(got.gemms[i].name, want_gemms[i].name);
+        EXPECT_EQ(got.gemms[i].m, want_gemms[i].m);
+        EXPECT_EQ(got.gemms[i].k, want_gemms[i].k);
+        EXPECT_EQ(got.gemms[i].n, want_gemms[i].n);
+        EXPECT_EQ(got.gemms[i].weight_resident,
+                  want_gemms[i].weight_resident);
+      }
+
+      // The hand-written vector ops plus exactly the ones it missed: token
+      // assembly, the two residual adds per block and box_fc1's GELU.
+      std::vector<vit::VectorOp> want_vec;
+      want_vec.push_back({"assemble_tokens", stream, 1.0});
+      for (const vit::VectorOp& v : ref.vector_ops) {
+        want_vec.push_back(v);
+        const std::string block = v.name.substr(0, v.name.find('.') + 1);
+        if (v.name.ends_with(".softmax"))
+          want_vec.push_back({block + "proj_residual", stream, 1.0});
+        if (v.name.ends_with(".fc1_gelu"))
+          want_vec.push_back({block + "fc2_residual", stream, 1.0});
+        if (v.name == "final_ln")
+          want_vec.push_back(
+              {"box_fc1_gelu", batch * c.tokens() * c.dim, 8.0});
+      }
+      ASSERT_EQ(got.vector_ops.size(), want_vec.size());
+      for (size_t i = 0; i < want_vec.size(); ++i) {
+        SCOPED_TRACE(want_vec[i].name);
+        EXPECT_EQ(got.vector_ops[i].name, want_vec[i].name);
+        EXPECT_EQ(got.vector_ops[i].elements, want_vec[i].elements);
+        EXPECT_EQ(got.vector_ops[i].flops_per_element,
+                  want_vec[i].flops_per_element);
+      }
+    }
+  }
+}
+
+TEST(Workload, RejectsConfigsTheModelCannotRun) {
+  vit::ViTConfig odd_heads = vit::ViTConfig::student();
+  odd_heads.dim = 42;
+  odd_heads.heads = 4;  // 42 / 4 is not a whole head dim
+  EXPECT_THROW(vit::build_workload(odd_heads, 1), std::invalid_argument);
+  vit::ViTConfig odd_grid = vit::ViTConfig::student();
+  odd_grid.image_size = 28;
+  odd_grid.patch_size = 8;  // 28 / 8 is not a whole patch grid
+  EXPECT_THROW(vit::build_workload(odd_grid, 1), std::invalid_argument);
 }
 
 }  // namespace
