@@ -61,9 +61,7 @@ int main() {
       quant::QuantOptions qopt;
       qopt.granularity = gran;
       qopt.method = method;
-      quant::QuantizedVit qvit = quant::QuantizedVit::from_model(fp32, qopt);
-      qvit.calibrate(calib_images);
-      qvit.finalize();
+      const quant::QuantizedVit qvit(fp32, calib_images, qopt);
 
       const double f1 =
           mean_f1([&](const Tensor& img) { return qvit.forward(img); });

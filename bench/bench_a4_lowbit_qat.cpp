@@ -60,9 +60,7 @@ int main() {
     double ptq_f1;
     double weight_kb;
     {
-      quant::QuantizedVit qvit = quant::QuantizedVit::from_model(fp32, qopt);
-      qvit.calibrate(calib_images);
-      qvit.finalize();
+      const quant::QuantizedVit qvit(fp32, calib_images, qopt);
       ptq_f1 = mean_f1([&](const Tensor& img) { return qvit.forward(img); });
       // Effective footprint: bits/8 of the int8 container.
       weight_kb = static_cast<double>(qvit.quantized_weight_bytes()) *
@@ -79,9 +77,7 @@ int main() {
       qat.quant = qopt;
       qat.epochs = 8;
       quant::qat_finetune(tuned, qat_corpus, qat);
-      quant::QuantizedVit qvit = quant::QuantizedVit::from_model(tuned, qopt);
-      qvit.calibrate(calib_images);
-      qvit.finalize();
+      const quant::QuantizedVit qvit(tuned, calib_images, qopt);
       qat_f1 = mean_f1([&](const Tensor& img) { return qvit.forward(img); });
     }
 

@@ -254,8 +254,8 @@ Result run_case(const Case& c, double min_seconds, Rng& rng) {
     for (auto& v : a) v = static_cast<int8_t>(rng.randint(-128, 127));
     for (auto& v : w) v = static_cast<int8_t>(rng.randint(-128, 127));
     const int32_t zp = 7;
-    // The Σw table is built once at finalize() in deployment; precompute it
-    // outside the timed region to match.
+    // The Σw table is built once when a layer is quantized in deployment;
+    // precompute it outside the timed region to match.
     const std::vector<int32_t> sums = quant::weight_row_sums(w, c.n, c.k);
     std::vector<int32_t> acc(static_cast<size_t>(csz));
     std::vector<int32_t> ref(static_cast<size_t>(csz));

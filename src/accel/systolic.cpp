@@ -98,10 +98,10 @@ SimReport SystolicArray::run(const vit::InferenceWorkload& workload,
     report.layers.push_back(std::move(lt));
   }
 
-  // Activation I/O over DMA: input image + final outputs cross DRAM once.
-  const int64_t io_bytes = workload.batch * 3 * 1024;  // conservative bound
-  dma_us += static_cast<double>(io_bytes) / (config_.dram_bw_gbps * 1e3);
-  energy_pj += static_cast<double>(io_bytes) * config_.energy.dram_byte_pj;
+  // Activation I/O over DMA: input frames + detection outputs cross once.
+  const auto io_bytes = static_cast<double>(workload.io_bytes_int8);
+  dma_us += io_bytes / (config_.dram_bw_gbps * 1e3);
+  energy_pj += io_bytes * config_.energy.dram_byte_pj;
 
   report.total_micros =
       static_cast<double>(total_cycles) * cycle_us + dma_us;

@@ -11,7 +11,8 @@
 //    when double buffering is enabled;
 //  * DMA traffic: weights cross DRAM once per inference when the model fits
 //    in SRAM (weight residency), otherwise once per use; activations cross
-//    SRAM once per n-tile strip.
+//    SRAM once per n-tile strip; the input frames and detection outputs
+//    cross DRAM once (InferenceWorkload::io_bytes_int8).
 // Vector ops (softmax/LN/GELU) run on a `vector_lanes`-wide SIMD unit.
 #pragma once
 

@@ -40,19 +40,16 @@ std::vector<data::ObjectClass> task_biased_pool(const data::TaskSpec& spec,
   return pool;
 }
 
-/// Post-training-quantizes a trained multi-task student: calibrates on
-/// `options.calibration_scenes` scenes drawn from `rng`, then finalizes.
-/// The one INT8 build of prepare_quantized and load_deployment.
-std::shared_ptr<quant::QuantizedVit> build_quantized(
-    vit::VitModel& student, const FrameworkOptions& options, Rng& rng) {
-  auto quantized = std::make_shared<quant::QuantizedVit>(
-      quant::QuantizedVit::from_model(student, options.quantization));
-  const data::SceneGenerator generator(options.generator);
-  const data::Dataset calib =
-      data::Dataset::generate(generator, options.calibration_scenes, rng);
-  quantized->calibrate(calib.make_batch(calib.all_indices()).images);
-  quantized->finalize();
-  return quantized;
+/// Post-training-quantizes a trained multi-task student, calibrated on
+/// `options.calibration_scenes` scenes drawn from `rng`. The one INT8 build
+/// of prepare_quantized and load_deployment.
+std::shared_ptr<const quant::QuantizedVit> build_quantized(
+    const vit::VitModel& student, const FrameworkOptions& options, Rng& rng) {
+  const data::Dataset calib = data::Dataset::generate(
+      data::SceneGenerator(options.generator), options.calibration_scenes, rng);
+  return std::make_shared<quant::QuantizedVit>(
+      student, calib.make_batch(calib.all_indices()).images,
+      options.quantization);
 }
 
 }  // namespace
@@ -256,7 +253,7 @@ std::shared_ptr<const DeploymentSnapshot> Framework::publish() {
   // every captured FP32 student's weights are packed into the kernel's
   // panel layout once here, and requests served from the snapshot skip the
   // per-call B pack entirely. (The quantized model needs nothing: its
-  // weights were packed when prepare_quantized() finalized it.) Safe by
+  // weights were packed when prepare_quantized() built it.) Safe by
   // construction: a model's first prepack happens before any snapshot
   // holding it exists, prepack is a write-free no-op once packed (so
   // re-publishing a model an installed snapshot already serves races with
@@ -295,7 +292,7 @@ vit::VitModel& Framework::multitask_student() {
   return *multitask_student_;
 }
 
-quant::QuantizedVit& Framework::quantized() {
+const quant::QuantizedVit& Framework::quantized() const {
   ITASK_CHECK(quantized_ != nullptr, "Framework: no quantized model");
   return *quantized_;
 }

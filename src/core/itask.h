@@ -166,7 +166,7 @@ class Framework {
   /// The FP32 multi-task student the quantized model was built from
   /// (useful for isolating quantization error in ablations).
   vit::VitModel& multitask_student();
-  quant::QuantizedVit& quantized();
+  const quant::QuantizedVit& quantized() const;
   const data::Dataset& corpus() const { return corpus_; }
   const FrameworkOptions& options() const { return options_; }
   bool teacher_ready() const { return teacher_trained_; }
@@ -213,7 +213,7 @@ class Framework {
   // model that a snapshot may be serving from).
   std::map<int64_t, std::shared_ptr<vit::VitModel>> students_;
   std::shared_ptr<vit::VitModel> multitask_student_;
-  std::shared_ptr<quant::QuantizedVit> quantized_;
+  std::shared_ptr<const quant::QuantizedVit> quantized_;
 };
 
 }  // namespace itask::core

@@ -82,7 +82,7 @@ class DeploymentSnapshot {
 
   /// Whether `config` can serve `id` from this snapshot: task-specific
   /// needs a distilled student published for the task, quantized needs the
-  /// finalized INT8 model plus the task's compiled graph vectors.
+  /// INT8 model plus the task's compiled graph vectors.
   bool servable(kg::TaskId id, ConfigKind config) const;
 
   /// Thread-safe batched detection ([B, C, H, W]), element-wise identical

@@ -17,8 +17,9 @@ struct TeacherSlice {
 
 /// The teacher is frozen during distillation, so its outputs per scene are
 /// computed once up front instead of once per epoch — this is the dominant
-/// cost of distillation otherwise (the teacher is the big model).
-std::vector<TeacherSlice> precompute_teacher(vit::VitModel& teacher,
+/// cost of distillation otherwise (the teacher is the big model). They come
+/// from the served graph (infer), which caches nothing for backward.
+std::vector<TeacherSlice> precompute_teacher(const vit::VitModel& teacher,
                                              const data::Dataset& dataset) {
   std::vector<TeacherSlice> cache(static_cast<size_t>(dataset.size()));
   const auto indices = dataset.all_indices();
@@ -27,7 +28,7 @@ std::vector<TeacherSlice> precompute_teacher(vit::VitModel& teacher,
     const int64_t end = std::min(dataset.size(), start + kChunk);
     const data::Batch batch = dataset.make_batch(std::span<const int64_t>(
         indices.data() + start, static_cast<size_t>(end - start)));
-    const vit::VitOutput out = teacher.forward(batch.images);
+    const vit::VitOutput out = teacher.infer(batch.images);
     for (int64_t i = start; i < end; ++i) {
       TeacherSlice& s = cache[static_cast<size_t>(i)];
       const int64_t bi = i - start;
@@ -64,7 +65,7 @@ vit::VitOutput gather_teacher(const std::vector<TeacherSlice>& cache,
 
 }  // namespace
 
-Distiller::Distiller(vit::VitModel& teacher, vit::VitModel& student,
+Distiller::Distiller(const vit::VitModel& teacher, vit::VitModel& student,
                      DistillOptions options, Rng& rng)
     : teacher_(teacher),
       student_(student),

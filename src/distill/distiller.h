@@ -45,14 +45,14 @@ struct DistillStats {
 /// caller's responsibility).
 class Distiller {
  public:
-  Distiller(vit::VitModel& teacher, vit::VitModel& student,
+  Distiller(const vit::VitModel& teacher, vit::VitModel& student,
             DistillOptions options, Rng& rng);
 
   DistillStats run(const data::Dataset& dataset,
                    const data::TaskSpec* task = nullptr);
 
  private:
-  vit::VitModel& teacher_;
+  const vit::VitModel& teacher_;
   vit::VitModel& student_;
   DistillOptions options_;
   /// Projects student features to teacher width for feature distillation;

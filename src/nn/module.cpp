@@ -22,7 +22,7 @@ void Module::zero_grad() {
   for (Parameter* p : parameters()) p->zero_grad();
 }
 
-io::StateDict Module::state_dict() {
+io::StateDict Module::state_dict() const {
   io::StateDict state;
   for (auto& p : params_) state.emplace(p->name, p->value);
   for (auto& c : children_) {

@@ -46,7 +46,7 @@ class Module {
   void zero_grad();
 
   /// Flattens parameters into a name->tensor map ("child.weight" style keys).
-  io::StateDict state_dict();
+  io::StateDict state_dict() const;
 
   /// Loads values for every parameter present in `state`; missing or
   /// mismatched entries throw.

@@ -26,7 +26,7 @@ void MinMaxCalibrator::observe(const Tensor& activations) {
   }
 }
 
-QuantParams MinMaxCalibrator::finalize() const {
+QuantParams MinMaxCalibrator::params() const {
   ITASK_CHECK(seen_, "MinMaxCalibrator: no observations");
   return QuantParams::asymmetric(lo_, hi_);
 }
@@ -49,7 +49,7 @@ void PercentileCalibrator::observe(const Tensor& activations) {
   samples_.push_back(activations);
 }
 
-QuantParams PercentileCalibrator::finalize() const {
+QuantParams PercentileCalibrator::params() const {
   ITASK_CHECK(seen_, "PercentileCalibrator: no observations");
   std::vector<float> all;
   for (const Tensor& t : samples_)
@@ -80,7 +80,7 @@ void EntropyCalibrator::observe(const Tensor& activations) {
   }
 }
 
-QuantParams EntropyCalibrator::finalize() const {
+QuantParams EntropyCalibrator::params() const {
   ITASK_CHECK(seen_, "EntropyCalibrator: no observations");
   const float amax = std::max(amax_, 1e-8f);
   const float width = amax / static_cast<float>(bins_);

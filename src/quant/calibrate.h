@@ -14,20 +14,20 @@ enum class CalibMethod { kMinMax, kPercentile, kEntropy };
 
 const char* calib_method_name(CalibMethod m);
 
-/// Observes activation tensors during calibration forward passes and then
-/// produces asymmetric per-tensor QuantParams.
+/// Observes activation tensors during calibration forward passes; params()
+/// then gives the asymmetric per-tensor QuantParams of what it saw.
 class Calibrator {
  public:
   virtual ~Calibrator() = default;
   virtual void observe(const Tensor& activations) = 0;
-  virtual QuantParams finalize() const = 0;
+  virtual QuantParams params() const = 0;
 };
 
 /// Exact running min / max.
 class MinMaxCalibrator : public Calibrator {
  public:
   void observe(const Tensor& activations) override;
-  QuantParams finalize() const override;
+  QuantParams params() const override;
 
  private:
   float lo_ = 0.0f;
@@ -40,7 +40,7 @@ class PercentileCalibrator : public Calibrator {
  public:
   explicit PercentileCalibrator(float percentile = 99.9f, int64_t bins = 2048);
   void observe(const Tensor& activations) override;
-  QuantParams finalize() const override;
+  QuantParams params() const override;
 
  private:
   float percentile_;
@@ -56,7 +56,7 @@ class EntropyCalibrator : public Calibrator {
  public:
   explicit EntropyCalibrator(int64_t bins = 1024);
   void observe(const Tensor& activations) override;
-  QuantParams finalize() const override;
+  QuantParams params() const override;
 
  private:
   int64_t bins_;

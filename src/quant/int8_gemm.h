@@ -34,7 +34,7 @@ void int8_gemm_bt(std::span<const int8_t> a, int32_t a_zero_point,
 /// A weight matrix widened and packed ONCE into int16 k-pair NR-lane panels
 /// (the vpmaddwd / AVX512-VNNI operand shape), stored in the (KC-slab,
 /// NC-slab) order the GEMM loop nest visits them. Built by
-/// quantize_weight_packed when a layer is finalized; read-only after
+/// quantize_weight_packed when a layer is constructed; read-only after
 /// construction, safe to share across inference workers.
 struct PackedWeightInt8 {
   int64_t k = 0;  // inner (reduction) extent
@@ -78,9 +78,9 @@ void int8_gemm_bt_prepacked(std::span<const int8_t> a, int32_t a_zero_point,
                             std::span<int32_t> acc, int64_t m);
 
 /// quantize_weight plus the packed panels qlinear_forward runs on — the
-/// serving form of a weight, built once by QLinearLayer::finalize. (QAT's
-/// fake quantization calls plain quantize_weight every step and packs
-/// nothing.)
+/// serving form of a weight, built once when a QLinearLayer is constructed.
+/// (QAT's fake quantization calls plain quantize_weight every step and
+/// packs nothing.)
 QuantizedWeight quantize_weight_packed(const Tensor& weight,
                                        WeightGranularity granularity,
                                        int bits = 8);

@@ -1,186 +1,126 @@
 #include "quant/qvit.h"
 
-#include "tensor/ops.h"
+#include <algorithm>
+#include <map>
+#include <memory>
+#include <string_view>
+#include <utility>
 
 namespace itask::quant {
 
 namespace {
 
-Tensor fetch(const io::StateDict& state, const std::string& key) {
+/// Whether `name` is a head-bank slot after the first. Every head reads
+/// patch_feats, so the bank's one calibrator observes it on the first.
+bool is_later_head(std::string_view name) {
+  return std::find(vit::kHeadKeys.begin() + 1, vit::kHeadKeys.end(), name) !=
+         vit::kHeadKeys.end();
+}
+
+/// The tensor stored under `key`, or an empty one (an absent bias).
+Tensor optional(const io::StateDict& state, const std::string& key) {
   const auto it = state.find(key);
-  ITASK_CHECK(it != state.end(), "QuantizedVit: missing key " + key);
-  return it->second;
-}
-
-/// The linear layer stored under `key` ("<key>.weight", optional bias).
-QLinearLayer linear(const io::StateDict& state, const std::string& key,
-                    const QuantOptions& options) {
-  const auto bias = state.find(key + ".bias");
-  return QLinearLayer(fetch(state, key + ".weight"),
-                      bias != state.end() ? bias->second : Tensor(), options);
-}
-
-/// The FP32 reference linear: x·Wᵀ + b with x's leading axes, then `ep`.
-Tensor fp32_linear(const Tensor& x, const Tensor& weight, const Tensor& bias,
-                   const ops::Epilogue& ep) {
-  Tensor y = ops::matmul_bt(
-      x.reshape({x.numel() / weight.dim(1), weight.dim(1)}), weight);
-  if (!bias.empty()) y = ops::add_rowwise(y, bias);
-  Shape out_shape = x.shape();
-  out_shape.back() = weight.dim(0);
-  return ops::apply_epilogue(y.reshape(std::move(out_shape)), ep);
-}
-
-/// Calls f on every quantized layer of `layers` (a VitLayers) — each
-/// QLinearLayer and the QHeadBank — const or not.
-template <typename Layers, typename F>
-void for_each_linear(Layers& layers, F&& f) {
-  f(layers.patch_proj);
-  for (auto& blk : layers.blocks) {
-    f(blk.qkv);
-    f(blk.proj);
-    f(blk.fc1);
-    f(blk.fc2);
-  }
-  f(layers.heads);
-  f(layers.box_fc2);
+  return it != state.end() ? it->second : Tensor();
 }
 
 }  // namespace
 
-QLinearLayer::QLinearLayer(Tensor weight, Tensor bias,
-                           const QuantOptions& options)
-    : fp32_weight_(std::move(weight)),
+QLinearLayer::QLinearLayer(const Tensor& weight, Tensor bias,
+                           const QuantParams& act, const QuantOptions& options)
+    : qweight_(quantize_weight_packed(weight, options.granularity,
+                                      options.weight_bits)),
       bias_(std::move(bias)),
-      calibrator_(make_calibrator(options.method)) {
-  ITASK_CHECK(fp32_weight_.ndim() == 2, "QLinearLayer: weight must be 2-D");
-}
-
-Tensor QLinearLayer::forward_calibrating(const Tensor& x,
-                                         const ops::Epilogue& ep) {
-  ITASK_CHECK(calibrator_ != nullptr,
-              "QLinearLayer: calibration already finalized");
-  calibrator_->observe(x);
-  return fp32_linear(x, fp32_weight_, bias_, ep);
-}
+      act_(act.with_bits(options.activation_bits)) {}
 
 Tensor QLinearLayer::forward(const Tensor& x, const ops::Epilogue& ep) const {
-  ITASK_CHECK(finalized_, "QLinearLayer: forward before finalize");
   return qlinear_forward(x, act_, qweight_, bias_.empty() ? nullptr : &bias_,
                          ep);
 }
 
-void QLinearLayer::finalize(const QuantOptions& options) {
-  ITASK_CHECK(calibrator_ != nullptr, "QLinearLayer: double finalize");
-  act_ = calibrator_->finalize().with_bits(options.activation_bits);
-  qweight_ = quantize_weight_packed(fp32_weight_, options.granularity,
-                                    options.weight_bits);
-  calibrator_.reset();
-  finalized_ = true;
-}
-
-QHeadBank::QHeadBank(std::array<Tensor, vit::kHeadSlots> weights,
+QHeadBank::QHeadBank(const std::array<Tensor, vit::kHeadSlots>& weights,
                      std::array<Tensor, vit::kHeadSlots> biases,
-                     const QuantOptions& options)
-    : fp32_weights_(std::move(weights)),
-      biases_(std::move(biases)),
-      calibrator_(make_calibrator(options.method)) {
-  for (const Tensor& w : fp32_weights_)
-    ITASK_CHECK(w.ndim() == 2 && w.dim(1) == fp32_weights_[0].dim(1),
+                     const QuantParams& act, const QuantOptions& options)
+    : biases_(std::move(biases)),
+      act_(act.with_bits(options.activation_bits)) {
+  std::array<QuantizedWeight, vit::kHeadSlots> parts;
+  for (size_t h = 0; h < vit::kHeadSlots; ++h) {
+    ITASK_CHECK(weights[h].ndim() == 2 && weights[h].dim(1) == weights[0].dim(1),
                 "QHeadBank: weights must be 2-D with one input extent");
-}
-
-vit::HeadOutputs QHeadBank::forward_calibrating(
-    const Tensor& x, const vit::HeadEpilogues& eps) {
-  ITASK_CHECK(calibrator_ != nullptr,
-              "QHeadBank: calibration already finalized");
-  calibrator_->observe(x);
-  vit::HeadOutputs out;
-  for (size_t h = 0; h < vit::kHeadSlots; ++h)
-    out[h] = fp32_linear(x, fp32_weights_[h], biases_[h], eps[h]);
-  return out;
+    parts[h] = quantize_weight(weights[h], options.granularity,
+                               options.weight_bits);
+    cols_[h] = weights[h].dim(0);
+  }
+  qweight_ = stack_weights_packed(parts);
 }
 
 vit::HeadOutputs QHeadBank::forward(const Tensor& x,
                                     const vit::HeadEpilogues& eps) const {
-  ITASK_CHECK(finalized_, "QHeadBank: forward before finalize");
   vit::HeadOutputs out;
   std::array<QLinearOutput, vit::kHeadSlots> outputs;
   for (size_t h = 0; h < vit::kHeadSlots; ++h)
-    outputs[h] = {fp32_weights_[h].dim(0),
-                  biases_[h].empty() ? nullptr : &biases_[h], eps[h], &out[h]};
+    outputs[h] = {cols_[h], biases_[h].empty() ? nullptr : &biases_[h],
+                  eps[h], &out[h]};
   qlinear_forward(x, act_, qweight_, outputs);
   return out;
 }
 
-void QHeadBank::finalize(const QuantOptions& options) {
-  ITASK_CHECK(calibrator_ != nullptr, "QHeadBank: double finalize");
-  act_ = calibrator_->finalize().with_bits(options.activation_bits);
-  std::array<QuantizedWeight, vit::kHeadSlots> parts;
-  for (size_t h = 0; h < vit::kHeadSlots; ++h)
-    parts[h] = quantize_weight(fp32_weights_[h], options.granularity,
-                               options.weight_bits);
-  qweight_ = stack_weights_packed(parts);
-  calibrator_.reset();
-  finalized_ = true;
-}
+QuantizedVit::QuantizedVit(const vit::VitModel& model,
+                           const Tensor& calibration_images,
+                           QuantOptions options)
+    : config_(model.config()), options_(options) {
+  // Calibration: the FP32 served graph, each linear's input observed by its
+  // own calibrator, keyed by the event's block and name.
+  std::map<std::pair<int64_t, std::string>, std::unique_ptr<Calibrator>>
+      calibrators;
+  (void)model.infer(calibration_images, [&](const vit::GraphEvent& e) {
+    if (e.step != vit::Step::kLinear || is_later_head(e.name)) return;
+    std::unique_ptr<Calibrator>& c = calibrators[{e.block, e.name}];
+    if (c == nullptr) c = make_calibrator(options_.method);
+    c->observe(e.input);
+  });
+  const auto act = [&](int64_t block, const char* name) {
+    return calibrators.at({block, name})->params();
+  };
 
-QuantizedVit::QuantizedVit(const vit::ViTConfig& config,
-                           const io::StateDict& state, QuantOptions options)
-    : config_(config), options_(options) {
-  layers_.patch_proj = linear(state, "embed.proj", options_);
-  layers_.cls = fetch(state, "embed.cls");
-  layers_.pos = fetch(state, "embed.pos");
+  // Quantization: each weight read from the model, on its calibrated range.
+  const io::StateDict state = model.state_dict();
+  constexpr int64_t kTop = vit::GraphEvent::kNoBlock;
+  const auto linear = [&](const std::string& key, int64_t block,
+                          const char* name) {
+    return QLinearLayer(state.at(key + ".weight"),
+                        optional(state, key + ".bias"), act(block, name),
+                        options_);
+  };
+  layers_.patch_proj = linear("embed.proj", kTop, "patch_embed");
+  layers_.cls = state.at("embed.cls");
+  layers_.pos = state.at("embed.pos");
   for (int64_t i = 0; i < config_.depth; ++i) {
     const std::string p = "encoder.block" + std::to_string(i) + ".";
     Block blk;
-    blk.ln1_gamma = fetch(state, p + "ln1.gamma");
-    blk.ln1_beta = fetch(state, p + "ln1.beta");
-    blk.ln2_gamma = fetch(state, p + "ln2.gamma");
-    blk.ln2_beta = fetch(state, p + "ln2.beta");
-    blk.qkv = linear(state, p + "attn.qkv", options_);
-    blk.proj = linear(state, p + "attn.proj", options_);
-    blk.fc1 = linear(state, p + "fc1", options_);
-    blk.fc2 = linear(state, p + "fc2", options_);
+    blk.ln1_gamma = state.at(p + "ln1.gamma");
+    blk.ln1_beta = state.at(p + "ln1.beta");
+    blk.ln2_gamma = state.at(p + "ln2.gamma");
+    blk.ln2_beta = state.at(p + "ln2.beta");
+    blk.qkv = linear(p + "attn.qkv", i, "qkv");
+    blk.proj = linear(p + "attn.proj", i, "proj");
+    blk.fc1 = linear(p + "fc1", i, "fc1");
+    blk.fc2 = linear(p + "fc2", i, "fc2");
     layers_.blocks.push_back(std::move(blk));
   }
-  layers_.final_ln_gamma = fetch(state, "encoder.final_ln.gamma");
-  layers_.final_ln_beta = fetch(state, "encoder.final_ln.beta");
+  layers_.final_ln_gamma = state.at("encoder.final_ln.gamma");
+  layers_.final_ln_beta = state.at("encoder.final_ln.beta");
   std::array<Tensor, vit::kHeadSlots> head_weights, head_biases;
   for (size_t h = 0; h < vit::kHeadSlots; ++h) {
     const std::string key = vit::kHeadKeys[h];
-    head_weights[h] = fetch(state, key + ".weight");
-    const auto bias = state.find(key + ".bias");
-    if (bias != state.end()) head_biases[h] = bias->second;
+    head_weights[h] = state.at(key + ".weight");
+    head_biases[h] = optional(state, key + ".bias");
   }
-  layers_.heads = QHeadBank(std::move(head_weights), std::move(head_biases),
-                            options_);
-  layers_.box_fc2 = linear(state, "box_fc2", options_);
-}
-
-QuantizedVit QuantizedVit::from_model(vit::VitModel& model,
-                                      QuantOptions options) {
-  return QuantizedVit(model.config(), model.state_dict(), options);
-}
-
-void QuantizedVit::calibrate(const Tensor& images) {
-  ITASK_CHECK(!finalized_, "QuantizedVit: calibrate after finalize");
-  (void)vit::run_graph(
-      config_, layers_, images,
-      [](auto& layer, const Tensor& x, const auto& ep) {
-        return layer.forward_calibrating(x, ep);
-      },
-      vit::NoSink{});
-}
-
-void QuantizedVit::finalize() {
-  ITASK_CHECK(!finalized_, "QuantizedVit: double finalize");
-  for_each_linear(layers_, [&](auto& layer) { layer.finalize(options_); });
-  finalized_ = true;
+  layers_.heads = QHeadBank(head_weights, std::move(head_biases),
+                            act(kTop, vit::kHeadKeys[0]), options_);
+  layers_.box_fc2 = linear("box_fc2", kTop, "box_fc2");
 }
 
 vit::VitOutput QuantizedVit::forward(const Tensor& images) const {
-  ITASK_CHECK(finalized_, "QuantizedVit: forward before finalize");
   return vit::run_graph(
       config_, layers_, images,
       [](const auto& layer, const Tensor& x, const auto& ep) {
@@ -190,12 +130,14 @@ vit::VitOutput QuantizedVit::forward(const Tensor& images) const {
 }
 
 int64_t QuantizedVit::quantized_weight_bytes() const {
-  ITASK_CHECK(finalized_, "QuantizedVit: not finalized");
-  int64_t bytes = 0;
-  for_each_linear(layers_, [&](const auto& layer) {
-    bytes += static_cast<int64_t>(layer.quantized_weight().data.size());
-  });
-  return bytes;
+  const auto bytes = [](const auto& layer) {
+    return static_cast<int64_t>(layer.quantized_weight().data.size());
+  };
+  int64_t total = bytes(layers_.patch_proj) + bytes(layers_.heads) +
+                  bytes(layers_.box_fc2);
+  for (const Block& blk : layers_.blocks)
+    total += bytes(blk.qkv) + bytes(blk.proj) + bytes(blk.fc1) + bytes(blk.fc2);
+  return total;
 }
 
 }  // namespace itask::quant

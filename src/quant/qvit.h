@@ -1,7 +1,10 @@
 // Post-training-quantized ViT runtime.
 //
-// Built from a trained VitModel's state dict, this runs the served layer
-// sequence (vit/graph.h) with INT8 weight GEMMs (symmetric weights,
+// Built in one step from a trained VitModel and a batch of calibration
+// images: the model's own served graph (VitModel::infer, vit/graph.h) runs
+// the images in FP32 while a sink feeds each linear layer's input to that
+// layer's calibrator; each weight is then quantized and packed once. The
+// result runs the same graph with INT8 weight GEMMs (symmetric weights,
 // calibrated asymmetric activations) while keeping LayerNorm / softmax /
 // GELU in FP32 — the standard edge recipe. Attention's activation×activation
 // products also stay FP32 (they carry no static weights to stage on the
@@ -9,17 +12,15 @@
 // its dequant pass, and the five heads that read the patch features run as
 // one QHeadBank: one activation quantize, one GEMM.
 //
-// Usage: construct → run calibrate() over representative images → finalize()
-// → forward() runs the INT8 path.
+// Usage: QuantizedVit qvit(model, calibration_images, options);
+//        qvit.forward(images) runs the INT8 path.
 #pragma once
 
 #include <array>
-#include <memory>
 #include <vector>
 
 #include "quant/calibrate.h"
 #include "quant/int8_gemm.h"
-#include "tensor/io.h"
 #include "vit/graph.h"
 
 namespace itask::quant {
@@ -33,90 +34,66 @@ struct QuantOptions {
   int activation_bits = 8;
 };
 
-/// One quantized linear layer plus its calibration state.
+/// One quantized linear layer: its weight quantized into the packed panels
+/// forward() runs on (the weight's only stored form) and its input range.
 class QLinearLayer {
  public:
   QLinearLayer() = default;
-  QLinearLayer(Tensor weight, Tensor bias, const QuantOptions& options);
+  /// weight [out, in], bias [out] (or empty); `act` is the input range a
+  /// calibrator measured, put on the options.activation_bits grid.
+  QLinearLayer(const Tensor& weight, Tensor bias, const QuantParams& act,
+               const QuantOptions& options);
 
-  /// FP32 reference path (ops::apply_epilogue on x·Wᵀ + b); observes
-  /// activations when a calibrator is active.
-  Tensor forward_calibrating(const Tensor& x, const ops::Epilogue& ep = {});
-
-  /// INT8 path (requires finalize()), `ep` fused into the dequant pass.
+  /// INT8 path, `ep` fused into the dequant pass.
   Tensor forward(const Tensor& x, const ops::Epilogue& ep = {}) const;
-
-  /// Freezes the activation range and quantizes the weight into the packed
-  /// panels forward() runs on — the weight's only serving form.
-  void finalize(const QuantOptions& options);
-  bool finalized() const { return finalized_; }
 
   const QuantizedWeight& quantized_weight() const { return qweight_; }
   const QuantParams& activation_params() const { return act_; }
 
  private:
-  Tensor fp32_weight_;  // [out, in]
-  Tensor bias_;         // may be empty
-  std::unique_ptr<Calibrator> calibrator_;
   QuantizedWeight qweight_;
+  Tensor bias_;  // may be empty
   QuantParams act_;
-  bool finalized_ = false;
 };
 
 /// The graph's head bank (vit::kHeadKeys) quantized as one layer: one
-/// calibrator, because every head observes the same tensor; each head's
+/// input range, because every head reads the same tensor; each head's
 /// weight quantized on its own grid (its own scales and bias); their rows
 /// stacked into one packed weight, so forward() quantizes the input once
 /// and runs one GEMM. Bit-identical to running each head as a QLinearLayer.
 class QHeadBank {
  public:
   QHeadBank() = default;
-  /// weights[h] is [out_h, in] and biases[h] [out_h] (or empty).
-  QHeadBank(std::array<Tensor, vit::kHeadSlots> weights,
+  /// weights[h] is [out_h, in] and biases[h] [out_h] (or empty); `act` as
+  /// for QLinearLayer.
+  QHeadBank(const std::array<Tensor, vit::kHeadSlots>& weights,
             std::array<Tensor, vit::kHeadSlots> biases,
-            const QuantOptions& options);
+            const QuantParams& act, const QuantOptions& options);
 
-  /// FP32 reference path per head; observes `x` once.
-  vit::HeadOutputs forward_calibrating(const Tensor& x,
-                                       const vit::HeadEpilogues& eps);
-
-  /// INT8 path (requires finalize()).
   vit::HeadOutputs forward(const Tensor& x,
                            const vit::HeadEpilogues& eps) const;
-
-  /// Freezes the shared activation range and quantizes each head's weight,
-  /// stacking the rows into the packed panels forward() runs on.
-  void finalize(const QuantOptions& options);
 
   /// The stacked weight: every head's rows, in slot order.
   const QuantizedWeight& quantized_weight() const { return qweight_; }
 
  private:
-  std::array<Tensor, vit::kHeadSlots> fp32_weights_, biases_;
-  std::unique_ptr<Calibrator> calibrator_;
   QuantizedWeight qweight_;
+  std::array<int64_t, vit::kHeadSlots> cols_{};  // each head's out_h
+  std::array<Tensor, vit::kHeadSlots> biases_;
   QuantParams act_;
-  bool finalized_ = false;
 };
 
 /// The full quantized detection-ViT.
 class QuantizedVit {
  public:
-  QuantizedVit(const vit::ViTConfig& config, const io::StateDict& state,
+  /// Calibrates on `calibration_images` [B, channels, image_size,
+  /// image_size] through `model`'s served graph — one calibrator per linear
+  /// layer, one for the head bank — and quantizes (and packs) every weight.
+  QuantizedVit(const vit::VitModel& model, const Tensor& calibration_images,
                QuantOptions options = {});
 
-  /// Convenience: snapshot a live model.
-  static QuantizedVit from_model(vit::VitModel& model,
-                                 QuantOptions options = {});
-
-  /// Runs the FP32 path over calibration images, recording activations.
-  void calibrate(const Tensor& images);
-
-  /// Freezes activation ranges and quantizes (and packs) all weights.
-  void finalize();
-
-  /// INT8 inference. Output mirrors VitModel::forward. Const and cache-free
-  /// once finalized, so many threads may run it on one model concurrently.
+  /// INT8 inference. Output mirrors VitModel::forward. Const and
+  /// cache-free, so many threads may run it on one model concurrently.
   vit::VitOutput forward(const Tensor& images) const;
 
   const vit::ViTConfig& config() const { return config_; }
@@ -133,7 +110,6 @@ class QuantizedVit {
   vit::ViTConfig config_;
   QuantOptions options_;
   Layers layers_;
-  bool finalized_ = false;
 };
 
 }  // namespace itask::quant

@@ -1,6 +1,6 @@
 // The served detection-ViT layer sequence, defined once. VitModel::infer
-// (FP32) and QuantizedVit::forward / calibrate (INT8) run it and differ
-// only in how a linear layer runs, which they pass in as `apply`:
+// (FP32) and QuantizedVit::forward (INT8) run it over const layers and
+// differ only in how a linear layer runs, which they pass in as `apply`:
 //  * apply(linear, x, epilogue) returns x·Wᵀ + b with the epilogue fused
 //    into the pass that writes it (ops::Epilogue): bias only, bias + GELU
 //    (fc1), or bias + residual add into the stream (proj, fc2; nothing is
@@ -13,8 +13,9 @@
 // The graph also reports every arithmetic step it runs to a `sink`
 // argument (GraphEvent below). Serving passes NoSink, which compiles to
 // nothing; vit::build_workload records the events to describe the same
-// layer list to the accelerator and GPU models. A new layer is added here
-// and nowhere else.
+// layer list to the accelerator and GPU models, and the QuantizedVit
+// constructor feeds each linear's input to its calibrator (INT8 calibration
+// is a sink on the FP32 graph). A new layer is added here and nowhere else.
 #pragma once
 
 #include <array>
@@ -101,10 +102,9 @@ struct NoSink {
 /// Runs images [B, channels, image_size, image_size] through `layers` (a
 /// VitLayers), running each linear layer as apply(layer, x, epilogue) and
 /// the head bank as apply(heads, x, kHeadEpilogues), and calling
-/// sink(GraphEvent) after each step. Const `layers` serve; mutable ones let
-/// `apply` update them (INT8 calibration).
+/// sink(GraphEvent) after each step.
 template <typename Layers, typename Apply, typename Sink>
-VitOutput run_graph(const ViTConfig& config, Layers& layers,
+VitOutput run_graph(const ViTConfig& config, const Layers& layers,
                     const Tensor& images, Apply&& apply, Sink&& sink) {
   ITASK_CHECK(images.ndim() == 4 && images.dim(1) == config.channels &&
                   images.dim(2) == config.image_size &&
@@ -115,7 +115,7 @@ VitOutput run_graph(const ViTConfig& config, Layers& layers,
                           const Tensor& in, const Tensor& out) {
     sink(GraphEvent{kind, name, block, in, out, ops::Epilogue::bias()});
   };
-  const auto linear = [&](const char* name, int64_t block, auto& layer,
+  const auto linear = [&](const char* name, int64_t block, const auto& layer,
                           const Tensor& in, const ops::Epilogue& ep) {
     Tensor y = apply(layer, in, ep);
     sink(GraphEvent{Step::kLinear, name, block, in,
@@ -130,7 +130,7 @@ VitOutput run_graph(const ViTConfig& config, Layers& layers,
                                  layers.pos);  // [B, T+1, D], the stream
   report(Step::kAssembleTokens, "assemble_tokens", kTop, embedded, x);
   for (int64_t i = 0; i < config.depth; ++i) {
-    auto&& blk = layers.blocks[i];
+    const auto& blk = layers.blocks[i];
     const Tensor ln1 = nn::layernorm_affine(x, blk.ln1_gamma, blk.ln1_beta);
     report(Step::kLayerNorm, "ln1", i, x, ln1);
     const Tensor qkv = linear("qkv", i, blk.qkv, ln1, ops::Epilogue::bias());

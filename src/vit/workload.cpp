@@ -105,8 +105,11 @@ InferenceWorkload build_workload(const ViTConfig& c, int64_t batch,
   };
   Rng rng(kRecordingSeed);
   const VitModel model(c, rng);
-  model.infer(Tensor({batch, c.channels, c.image_size, c.image_size}),
-              record);
+  const Tensor images({batch, c.channels, c.image_size, c.image_size});
+  const VitOutput out = model.infer(images, record);
+  w.io_bytes_int8 = images.numel() + out.objectness.numel() +
+                    out.class_logits.numel() + out.attr_logits.numel() +
+                    out.box_deltas.numel() + out.relevance.numel();
   // Decode's sigmoids and softmaxes run after the graph, on its outputs.
   vector_op("head_activations",
             batch * c.tokens() * (1 + c.num_classes + c.num_attributes),

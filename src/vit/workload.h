@@ -44,6 +44,9 @@ struct VectorOp {
 struct InferenceWorkload {
   std::string model_name;
   int64_t batch = 1;
+  /// Bytes that cross DRAM per inference besides the weights: the input
+  /// frames plus the detection outputs, one INT8 byte per element.
+  int64_t io_bytes_int8 = 0;
   std::vector<GemmOp> gemms;
   std::vector<VectorOp> vector_ops;
 
@@ -64,7 +67,9 @@ struct InferenceWorkload {
 ///    then a VectorOp for its GELU or residual-add epilogue, if any;
 ///  * the attention step → attn_scores, softmax and attn_value;
 ///  * LayerNorm and token assembly → one VectorOp each.
-/// Decode's head_activations follow the graph's ops. Throws
+/// Decode's head_activations follow the graph's ops. io_bytes_int8 counts
+/// the images the graph read and the five detection outputs it returned.
+/// Throws
 /// std::invalid_argument for a config the model rejects (e.g. dim not
 /// divisible by heads, image_size not divisible by patch_size).
 InferenceWorkload build_workload(const ViTConfig& config, int64_t batch,

@@ -119,6 +119,30 @@ TEST(Systolic, ReportTotalsAreConsistent) {
             workload.gemms.size() + workload.vector_ops.size());
 }
 
+// The DMA engine charges what the graph moves across DRAM besides weights:
+// the input frame and the detection outputs, one INT8 byte per element. A
+// 48 px frame and its output grid are 4× the 24 px ones, so is the charge.
+TEST(Systolic, IoChargeIsTheFrameAndOutputBytes) {
+  const SystolicArray array;
+  const auto io_micros = [&](int64_t image_size) {
+    vit::ViTConfig c = vit::ViTConfig::student();
+    c.image_size = image_size;
+    const SimReport r = array.run(vit::build_workload(c, 1));
+    double layer_micros = 0.0;
+    for (const auto& l : r.layers) layer_micros += l.micros;
+    return r.total_micros - layer_micros;  // weights are resident
+  };
+  const vit::ViTConfig c = vit::ViTConfig::student();
+  const int64_t bytes =
+      c.channels * c.image_size * c.image_size +
+      c.tokens() * (1 + c.num_classes + c.num_attributes + 4 + 1);
+  const double small = io_micros(c.image_size);
+  EXPECT_NEAR(small,
+              static_cast<double>(bytes) / (array.config().dram_bw_gbps * 1e3),
+              1e-6);
+  EXPECT_NEAR(io_micros(2 * c.image_size), 4.0 * small, 1e-6);
+}
+
 TEST(Systolic, BadConfigThrows) {
   SystolicConfig cfg;
   cfg.rows = 0;

@@ -83,9 +83,7 @@ TEST_P(ArchSweep, QuantizedRuntimeTracksFp32) {
   VitModel model(cfg, rng);
   const Tensor img = rng.rand({2, 3, cfg.image_size, cfg.image_size});
   const VitOutput ref = model.forward(img);
-  quant::QuantizedVit qvit = quant::QuantizedVit::from_model(model);
-  qvit.calibrate(img);
-  qvit.finalize();
+  const quant::QuantizedVit qvit(model, img);
   const VitOutput out = qvit.forward(img);
   double err = 0.0, mag = 0.0;
   for (int64_t i = 0; i < ref.attr_logits.numel(); ++i) {

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <vector>
 
 #include "composed_attention.h"
 #include "nn/attention.h"
@@ -296,29 +297,44 @@ TEST(VitModel, DeterministicForward) {
 // infer() and forward() run the same shared routines, so every output must
 // match bit for bit — with per-call packing and again after the serving
 // weights are prepacked.
+// The served graph against the training forward, for the student and the
+// teacher (distillation reads the frozen teacher through infer()).
 TEST(VitModel, InferBitIdenticalToForward) {
   Rng rng(12);
-  vit::VitModel model(vit::ViTConfig::student(), rng);
-  const vit::ViTConfig& c = model.config();
-  const Tensor img = rng.rand({3, c.channels, c.image_size, c.image_size});
-  const vit::VitOutput want = model.forward(img);
   auto same_bits = [](const Tensor& a, const Tensor& b) {
     return a.shape() == b.shape() &&
            std::memcmp(a.data().data(), b.data().data(),
                        static_cast<size_t>(a.numel()) * sizeof(float)) == 0;
   };
-  auto expect_identical = [&](const vit::VitOutput& got, const char* when) {
-    SCOPED_TRACE(when);
-    EXPECT_TRUE(same_bits(got.objectness, want.objectness));
-    EXPECT_TRUE(same_bits(got.class_logits, want.class_logits));
-    EXPECT_TRUE(same_bits(got.attr_logits, want.attr_logits));
-    EXPECT_TRUE(same_bits(got.box_deltas, want.box_deltas));
-    EXPECT_TRUE(same_bits(got.relevance, want.relevance));
-    EXPECT_TRUE(same_bits(got.features, want.features));
-  };
-  expect_identical(model.infer(img), "before prepack");
-  model.prepack_for_serving();
-  expect_identical(model.infer(img), "after prepack");
+  for (const vit::ViTConfig& c :
+       {vit::ViTConfig::student(), vit::ViTConfig::teacher()}) {
+    vit::VitModel model(c, rng);
+    std::vector<Tensor> images;
+    std::vector<vit::VitOutput> wants;
+    for (int64_t b : {3, 16}) {
+      images.push_back(
+          rng.rand({b, c.channels, c.image_size, c.image_size}));
+      wants.push_back(model.forward(images.back()));
+    }
+    auto expect_identical = [&](const char* when) {
+      for (size_t i = 0; i < images.size(); ++i) {
+        SCOPED_TRACE(::testing::Message()
+                     << "D " << c.dim << " B " << images[i].dim(0) << " "
+                     << when);
+        const vit::VitOutput got = model.infer(images[i]);
+        const vit::VitOutput& want = wants[i];
+        EXPECT_TRUE(same_bits(got.objectness, want.objectness));
+        EXPECT_TRUE(same_bits(got.class_logits, want.class_logits));
+        EXPECT_TRUE(same_bits(got.attr_logits, want.attr_logits));
+        EXPECT_TRUE(same_bits(got.box_deltas, want.box_deltas));
+        EXPECT_TRUE(same_bits(got.relevance, want.relevance));
+        EXPECT_TRUE(same_bits(got.features, want.features));
+      }
+    };
+    expect_identical("before prepack");
+    model.prepack_for_serving();
+    expect_identical("after prepack");
+  }
 }
 
 TEST(Workload, OpInventoryMatchesConfig) {

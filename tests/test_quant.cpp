@@ -7,6 +7,9 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <map>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "composed_attention.h"
@@ -232,18 +235,18 @@ TEST(Calibrators, MinMaxIsExact) {
   MinMaxCalibrator calib;
   calib.observe(Tensor({3}, {-2.0f, 0.5f, 3.0f}));
   calib.observe(Tensor({2}, {-1.0f, 5.0f}));
-  const QuantParams p = calib.finalize();
+  const QuantParams p = calib.params();
   EXPECT_NEAR(p.dequantize(p.quantize(-2.0f)), -2.0f, p.scale);
   EXPECT_NEAR(p.dequantize(p.quantize(5.0f)), 5.0f, p.scale);
 }
 
 TEST(Calibrators, FinalizeWithoutObservationsThrows) {
   MinMaxCalibrator m;
-  EXPECT_THROW(m.finalize(), std::invalid_argument);
+  EXPECT_THROW(m.params(), std::invalid_argument);
   PercentileCalibrator p;
-  EXPECT_THROW(p.finalize(), std::invalid_argument);
+  EXPECT_THROW(p.params(), std::invalid_argument);
   EntropyCalibrator e;
-  EXPECT_THROW(e.finalize(), std::invalid_argument);
+  EXPECT_THROW(e.params(), std::invalid_argument);
 }
 
 TEST(Calibrators, PercentileClipsOutliers) {
@@ -252,19 +255,19 @@ TEST(Calibrators, PercentileClipsOutliers) {
   Tensor bulk = rng.rand({2000}, -1.0f, 1.0f);
   bulk[0] = 1000.0f;  // one massive outlier
   calib.observe(bulk);
-  const QuantParams p = calib.finalize();
+  const QuantParams p = calib.params();
   // The outlier must not blow up the scale: bulk resolution stays fine.
   EXPECT_LT(p.scale, 0.05f);
   MinMaxCalibrator naive;
   naive.observe(bulk);
-  EXPECT_GT(naive.finalize().scale, 1.0f);  // contrast: min-max suffers
+  EXPECT_GT(naive.params().scale, 1.0f);  // contrast: min-max suffers
 }
 
 TEST(Calibrators, EntropyProducesUsableRange) {
   EntropyCalibrator calib;
   Rng rng(7);
   calib.observe(rng.randn({5000}, 0.0f, 1.0f));
-  const QuantParams p = calib.finalize();
+  const QuantParams p = calib.params();
   EXPECT_GT(p.scale, 0.0f);
   // Clip should land somewhere in (0.5σ, 8σ): covers the mass sensibly.
   const float clip = p.scale * 127.5f;
@@ -302,15 +305,28 @@ vit::ViTConfig small_config() {
   return c;
 }
 
+bool same_bits(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data().data(), b.data().data(),
+                     static_cast<size_t>(a.numel()) * sizeof(float)) == 0;
+}
+
+void expect_same_bits(const vit::VitOutput& got, const vit::VitOutput& want) {
+  EXPECT_TRUE(same_bits(got.objectness, want.objectness));
+  EXPECT_TRUE(same_bits(got.class_logits, want.class_logits));
+  EXPECT_TRUE(same_bits(got.attr_logits, want.attr_logits));
+  EXPECT_TRUE(same_bits(got.box_deltas, want.box_deltas));
+  EXPECT_TRUE(same_bits(got.relevance, want.relevance));
+  EXPECT_TRUE(same_bits(got.features, want.features));
+}
+
 TEST(QuantizedVit, TracksFp32ModelClosely) {
   Rng rng(9);
   vit::VitModel model(small_config(), rng);
   Tensor images = rng.rand({4, 3, 8, 8});
   const vit::VitOutput ref = model.forward(images);
 
-  QuantizedVit qvit = QuantizedVit::from_model(model);
-  qvit.calibrate(images);
-  qvit.finalize();
+  const QuantizedVit qvit(model, images);
   const vit::VitOutput out = qvit.forward(images);
 
   auto close = [](const Tensor& a, const Tensor& b, float tol) {
@@ -325,26 +341,10 @@ TEST(QuantizedVit, TracksFp32ModelClosely) {
   EXPECT_TRUE(close(out.relevance, ref.relevance, 0.35f));
 }
 
-TEST(QuantizedVit, LifecycleEnforced) {
-  Rng rng(10);
-  vit::VitModel model(small_config(), rng);
-  QuantizedVit qvit = QuantizedVit::from_model(model);
-  Tensor images = rng.rand({1, 3, 8, 8});
-  EXPECT_THROW(qvit.forward(images), std::invalid_argument);
-  qvit.calibrate(images);
-  qvit.finalize();
-  EXPECT_THROW(qvit.finalize(), std::invalid_argument);
-  EXPECT_THROW(qvit.calibrate(images), std::invalid_argument);
-  EXPECT_NO_THROW(qvit.forward(images));
-}
-
 TEST(QuantizedVit, WeightBytesReflectInt8Footprint) {
   Rng rng(11);
   vit::VitModel model(small_config(), rng);
-  QuantizedVit qvit = QuantizedVit::from_model(model);
-  Tensor images = rng.rand({1, 3, 8, 8});
-  qvit.calibrate(images);
-  qvit.finalize();
+  const QuantizedVit qvit(model, rng.rand({1, 3, 8, 8}));
   // INT8 weights = 1 byte per weight element; compare against the count of
   // weight parameters only (biases/LN/embeddings stay FP32).
   int64_t weight_elems = 0;
@@ -362,20 +362,24 @@ TEST(ServingGraph, BothConfigurationsRejectWrongImageGeometry) {
   const Tensor good = rng.rand({1, 3, 8, 8});
   const Tensor bad = rng.rand({1, 3, 4, 16});
   EXPECT_THROW(model.infer(bad), std::invalid_argument);
-  QuantizedVit qvit = QuantizedVit::from_model(model);
-  EXPECT_THROW(qvit.calibrate(bad), std::invalid_argument);
-  qvit.calibrate(good);
-  qvit.finalize();
+  EXPECT_THROW(QuantizedVit(model, bad), std::invalid_argument);
+  const QuantizedVit qvit(model, good);
   EXPECT_THROW(qvit.forward(bad), std::invalid_argument);
   EXPECT_NO_THROW(qvit.forward(good));
 }
 
-TEST(QuantizedVit, MissingStateKeyThrows) {
-  Rng rng(12);
-  vit::VitModel model(small_config(), rng);
-  io::StateDict state = model.state_dict();
-  state.erase("obj_head.weight");
-  EXPECT_THROW(QuantizedVit(small_config(), state), std::invalid_argument);
+// Calibration reads the FP32 graph through Linear::infer, which runs the
+// prepacked kernel once a model is published; the INT8 model built from a
+// published model must not differ in a bit.
+TEST(QuantizedVit, PrepackedModelQuantizesToTheSameBits) {
+  Rng rng(16);
+  vit::VitModel model(vit::ViTConfig::student(), rng);
+  const vit::ViTConfig& c = model.config();
+  const Tensor calib = rng.rand({4, c.channels, c.image_size, c.image_size});
+  const Tensor images = rng.rand({3, c.channels, c.image_size, c.image_size});
+  const vit::VitOutput unpacked = QuantizedVit(model, calib).forward(images);
+  model.prepack_for_serving();
+  expect_same_bits(QuantizedVit(model, calib).forward(images), unpacked);
 }
 
 class CalibMethodSweep : public ::testing::TestWithParam<CalibMethod> {};
@@ -386,9 +390,7 @@ TEST_P(CalibMethodSweep, AllMethodsProduceWorkingRuntime) {
   Tensor images = rng.rand({4, 3, 8, 8});
   QuantOptions options;
   options.method = GetParam();
-  QuantizedVit qvit = QuantizedVit::from_model(model, options);
-  qvit.calibrate(images);
-  qvit.finalize();
+  const QuantizedVit qvit(model, images, options);
   const vit::VitOutput out = qvit.forward(images);
   const vit::VitOutput ref = model.forward(images);
   float err = 0.0f, mag = 0.0f;
@@ -409,23 +411,18 @@ INSTANTIATE_TEST_SUITE_P(Methods, CalibMethodSweep,
 
 /// The INT8 forward as separate passes, one per layer: QLinearLayer::forward
 /// for each linear, the training LayerNorm::forward, ops::gelu, ops::add and
-/// the composed attention. Calibrated through the same composition in FP32
-/// (forward_calibrating), each linear with its own calibrator, so its ranges
-/// are the ones QuantizedVit::calibrate records.
+/// the composed attention. Calibrated on its own, through the same unfused
+/// composition in FP32 (ops::matmul_bt + add_rowwise per linear), each
+/// linear — each of the six heads too — with its own calibrator.
 class PerLayerOracle {
  public:
   PerLayerOracle(const vit::ViTConfig& config, const io::StateDict& state,
-                 const QuantOptions& options)
-      : config_(config), options_(options), final_ln_(config.dim) {
-    auto linear = [&](const std::string& key) {
-      return QLinearLayer(state.at(key + ".weight"), state.at(key + ".bias"),
-                          options);
-    };
+                 const Tensor& calibration_images, const QuantOptions& options)
+      : config_(config), final_ln_(config.dim) {
     auto load_ln = [&](nn::LayerNorm& ln, const std::string& key) {
       ln.load_state_dict({{"gamma", state.at(key + ".gamma")},
                           {"beta", state.at(key + ".beta")}});
     };
-    patch_proj_ = linear("embed.proj");
     cls_ = state.at("embed.cls");
     pos_ = state.at("embed.pos");
     for (int64_t i = 0; i < config.depth; ++i) {
@@ -433,31 +430,33 @@ class PerLayerOracle {
       auto blk = std::make_unique<Block>(config.dim);
       load_ln(blk->ln1, p + "ln1");
       load_ln(blk->ln2, p + "ln2");
-      blk->qkv = linear(p + "attn.qkv");
-      blk->proj = linear(p + "attn.proj");
-      blk->fc1 = linear(p + "fc1");
-      blk->fc2 = linear(p + "fc2");
       blocks_.push_back(std::move(blk));
     }
     load_ln(final_ln_, "encoder.final_ln");
-    for (const char* key : {"obj_head", "cls_head", "attr_head", "box_fc1",
-                            "box_fc2", "rel_head"})
-      heads_.push_back(linear(key));
-  }
 
-  void calibrate(const Tensor& images) {
-    (void)run(images, [](QLinearLayer& layer, const Tensor& x) {
-      return layer.forward_calibrating(x);
+    std::map<std::string, std::unique_ptr<Calibrator>> calibrators;
+    (void)run(calibration_images, [&](const std::string& key, const Tensor& x) {
+      std::unique_ptr<Calibrator>& c = calibrators[key];
+      if (c == nullptr) c = make_calibrator(options.method);
+      c->observe(x);
+      const Tensor& w = state.at(key + ".weight");
+      Shape out_shape = x.shape();
+      out_shape.back() = w.dim(0);
+      return ops::add_rowwise(
+                 ops::matmul_bt(x.reshape({x.numel() / w.dim(1), w.dim(1)}),
+                                w),
+                 state.at(key + ".bias"))
+          .reshape(std::move(out_shape));
     });
-  }
-
-  void finalize() {
-    for_each_linear([&](QLinearLayer& layer) { layer.finalize(options_); });
+    for (const auto& [key, c] : calibrators)
+      linears_.emplace(key, QLinearLayer(state.at(key + ".weight"),
+                                         state.at(key + ".bias"), c->params(),
+                                         options));
   }
 
   vit::VitOutput forward(const Tensor& images) {
-    return run(images, [](QLinearLayer& layer, const Tensor& x) {
-      return layer.forward(x);
+    return run(images, [&](const std::string& key, const Tensor& x) {
+      return linears_.at(key).forward(x);
     });
   }
 
@@ -465,56 +464,41 @@ class PerLayerOracle {
   struct Block {
     explicit Block(int64_t dim) : ln1(dim), ln2(dim) {}
     nn::LayerNorm ln1, ln2;
-    QLinearLayer qkv, proj, fc1, fc2;
   };
 
-  template <typename F>
-  void for_each_linear(F&& f) {
-    f(patch_proj_);
-    for (auto& blk : blocks_)
-      for (QLinearLayer* l : {&blk->qkv, &blk->proj, &blk->fc1, &blk->fc2})
-        f(*l);
-    for (QLinearLayer& l : heads_) f(l);
-  }
-
+  /// The layer sequence, each linear run as apply(state-dict key, x).
   template <typename Apply>
   vit::VitOutput run(const Tensor& images, Apply apply) {
     Tensor x = nn::assemble_tokens(
-        apply(patch_proj_, nn::patchify(images, config_.patch_size)), cls_,
+        apply("embed.proj", nn::patchify(images, config_.patch_size)), cls_,
         pos_);
-    for (auto& blk : blocks_) {
-      const Tensor qkv = apply(blk->qkv, blk->ln1.forward(x));
+    for (size_t i = 0; i < blocks_.size(); ++i) {
+      const std::string p = "encoder.block" + std::to_string(i) + ".";
+      Block& blk = *blocks_[i];
+      const Tensor qkv = apply(p + "attn.qkv", blk.ln1.forward(x));
       const Tensor ctx = composed_attention(qkv, config_.heads).ctx;
-      x = ops::add(x, apply(blk->proj, ctx));
-      const Tensor hidden = ops::gelu(apply(blk->fc1, blk->ln2.forward(x)));
-      x = ops::add(x, apply(blk->fc2, hidden));
+      x = ops::add(x, apply(p + "attn.proj", ctx));
+      const Tensor hidden = ops::gelu(apply(p + "fc1", blk.ln2.forward(x)));
+      x = ops::add(x, apply(p + "fc2", hidden));
     }
     Tensor tokens = final_ln_.forward(x);
     const Tensor patches = nn::patch_tokens(tokens);
     vit::VitOutput out;
-    out.objectness = apply(heads_[0], patches);
-    out.class_logits = apply(heads_[1], patches);
-    out.attr_logits = apply(heads_[2], patches);
-    out.box_deltas = apply(heads_[4], ops::gelu(apply(heads_[3], patches)));
-    out.relevance = apply(heads_[5], patches);
+    out.objectness = apply("obj_head", patches);
+    out.class_logits = apply("cls_head", patches);
+    out.attr_logits = apply("attr_head", patches);
+    out.box_deltas = apply("box_fc2", ops::gelu(apply("box_fc1", patches)));
+    out.relevance = apply("rel_head", patches);
     out.features = std::move(tokens);
     return out;
   }
 
   vit::ViTConfig config_;
-  QuantOptions options_;
-  QLinearLayer patch_proj_;
   Tensor cls_, pos_;
   std::vector<std::unique_ptr<Block>> blocks_;
   nn::LayerNorm final_ln_;
-  std::vector<QLinearLayer> heads_;  // obj, cls, attr, box_fc1, box_fc2, rel
+  std::map<std::string, QLinearLayer> linears_;  // by state-dict key
 };
-
-bool same_bits(const Tensor& a, const Tensor& b) {
-  return a.shape() == b.shape() &&
-         std::memcmp(a.data().data(), b.data().data(),
-                     static_cast<size_t>(a.numel()) * sizeof(float)) == 0;
-}
 
 // QuantizedVit::forward may fuse, bank and vectorise its layers however it
 // likes, but every output bit must equal the one-pass-per-layer forward:
@@ -545,24 +529,13 @@ TEST(QuantizedVit, ForwardMatchesPerLayerOracleBitForBit) {
           options.method = method;
           options.weight_bits = bits;
           options.activation_bits = bits;
-          QuantizedVit qvit(config, state, options);
-          PerLayerOracle oracle(config, state, options);
-          qvit.calibrate(calib);
-          oracle.calibrate(calib);
-          qvit.finalize();
-          oracle.finalize();
+          const QuantizedVit qvit(model, calib, options);
+          PerLayerOracle oracle(config, state, calib, options);
           for (int64_t b : {1, 3, 8}) {
             SCOPED_TRACE(::testing::Message() << "B " << b);
             const Tensor images = rng.rand(
                 {b, config.channels, config.image_size, config.image_size});
-            const vit::VitOutput got = qvit.forward(images);
-            const vit::VitOutput want = oracle.forward(images);
-            EXPECT_TRUE(same_bits(got.objectness, want.objectness));
-            EXPECT_TRUE(same_bits(got.class_logits, want.class_logits));
-            EXPECT_TRUE(same_bits(got.attr_logits, want.attr_logits));
-            EXPECT_TRUE(same_bits(got.box_deltas, want.box_deltas));
-            EXPECT_TRUE(same_bits(got.relevance, want.relevance));
-            EXPECT_TRUE(same_bits(got.features, want.features));
+            expect_same_bits(qvit.forward(images), oracle.forward(images));
           }
         }
   }

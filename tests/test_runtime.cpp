@@ -178,8 +178,8 @@ TEST_F(RuntimeServing, PublishPrepacksServingKernelsWithoutChangingResults) {
   // path must actually hit the prepacked kernels (the profile counters
   // tick) — while SnapshotInferBatchMatchesDetectBatchExactly above pins
   // the other half of the contract: results stay element-wise identical to
-  // the serial path. (The quantized model has one packed form from
-  // finalize() on, so there is no unpacked INT8 path to tell apart.)
+  // the serial path. (The quantized model is packed when it is built, so
+  // there is no unpacked INT8 path to tell apart.)
   Tensor images({eval_->size(), 3, 24, 24});
   for (int64_t i = 0; i < eval_->size(); ++i) {
     images.set_index(i, eval_->scene(i).image);
