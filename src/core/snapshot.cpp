@@ -156,14 +156,15 @@ int64_t DeploymentSnapshot::plan_workspace(int64_t max_batch) const {
   int64_t bytes = 0;
   const auto probe_one = [&](const auto& run_model) {
     // Zero-capacity probe arena: every allocation overflows (individually
-    // heap'd, freed on destruction) while used() accumulates the exact
-    // rounded footprint the real arena must cover.
+    // heap'd, freed at its mark's release or on destruction) while peak()
+    // records the largest live footprint, the capacity the real arena must
+    // cover (the liveness rule, tensor/arena.h).
     Arena probe(0);
     const ArenaScope scope(probe);
     const Tensor images(batched);  // the worker's stacked batch counts too
     const vit::VitOutput out = run_model(images);
     (void)out;
-    bytes = std::max(bytes, probe.used());
+    bytes = std::max(bytes, probe.peak());
   };
   for (const auto& [id, student] : students_) {
     (void)id;

@@ -132,8 +132,8 @@ class DeploymentSnapshot {
   /// capacity InferenceServer sizes per-worker arenas with at install time.
   /// Measured, not estimated: probes each deployable model once on a
   /// zero-filled [max_batch, C, H, W] batch (stacked batch included) under a
-  /// zero-capacity arena, whose used() is exactly the required capacity by
-  /// the bump-accounting rule (tensor/arena.h).
+  /// zero-capacity arena, whose peak() is exactly the required capacity by
+  /// the liveness and accounting rules (tensor/arena.h).
   int64_t plan_workspace(int64_t max_batch) const;
 
  private:

@@ -17,12 +17,17 @@ std::vector<std::vector<Detection>> decode(const vit::VitOutput& output,
               "decode: grid does not match token count");
   const int64_t c = output.class_logits.dim(2);
   const int64_t a = output.attr_logits.dim(2);
+  ITASK_CHECK(output.class_logits.shape() == (Shape{b, t, c}) &&
+                  output.attr_logits.shape() == (Shape{b, t, a}),
+              "decode: class/attribute logits must be [B, T, ·]");
   const float cell_px = static_cast<float>(options.image_size) /
                         static_cast<float>(options.grid);
 
-  Tensor class_probs = ops::softmax_lastdim(output.class_logits);
-  Tensor attr_probs = ops::sigmoid(output.attr_logits);
-
+  // The class softmax and attribute sigmoids run only for the cells that
+  // pass the objectness threshold, each on its own row: the same arithmetic
+  // softmax_lastdim and sigmoid run per row, so the same bits.
+  const float* class_logits = output.class_logits.data().data();
+  const float* attr_logits = output.attr_logits.data().data();
   std::vector<std::vector<Detection>> result(static_cast<size_t>(b));
   for (int64_t bi = 0; bi < b; ++bi) {
     for (int64_t cell = 0; cell < t; ++cell) {
@@ -31,6 +36,7 @@ std::vector<std::vector<Detection>> decode(const vit::VitOutput& output,
       // Written so a NaN logit is rejected, not kept: a NaN confidence
       // would break nms's strict weak ordering.
       if (!(p_obj >= options.objectness_threshold)) continue;
+      const int64_t row = bi * t + cell;
       Detection d;
       d.cell = cell;
       d.objectness = p_obj;
@@ -41,12 +47,13 @@ std::vector<std::vector<Detection>> decode(const vit::VitOutput& output,
       d.box = data::decode_box(delta, cell, options.grid, cell_px);
       d.attr_probs = Tensor({a});
       for (int64_t j = 0; j < a; ++j)
-        d.attr_probs[j] = attr_probs.at({bi, cell, j});
-      d.class_probs = Tensor({c});
+        d.attr_probs[j] = 1.0f / (1.0f + std::exp(-attr_logits[row * a + j]));
+      const float* cls_row = class_logits + row * c;
+      d.class_probs = Tensor({c}, std::vector<float>(cls_row, cls_row + c));
+      if (c > 0) ops::softmax_row(d.class_probs.data().data(), c);
       float best = -1.0f;
       for (int64_t j = 0; j < c; ++j) {
-        const float p = class_probs.at({bi, cell, j});
-        d.class_probs[j] = p;
+        const float p = d.class_probs[j];
         if (p > best) {
           best = p;
           d.predicted_class = j;

@@ -127,9 +127,12 @@ void gemm_dot_rows(const float* a, int64_t lda, int64_t n, const float* b,
 }
 #endif
 
-}  // namespace
-
-AttentionCore attention_core(const Tensor& qkv, int64_t heads) {
+/// The loop nest behind attention_core and attention_ctx: returns ctx and
+/// writes the probabilities into *attn_out ([B*H, T, T]) when it is given,
+/// else row block by row block into one kRows × T scratch strip. A row's
+/// arithmetic does not depend on where it is stored, so ctx is the same bit
+/// for bit either way.
+Tensor attend(const Tensor& qkv, int64_t heads, Tensor* attn_out) {
   ITASK_CHECK(qkv.ndim() == 3 && qkv.dim(2) % 3 == 0,
               "attention_core: need [B, T, 3D]");
   const int64_t b = qkv.dim(0), t = qkv.dim(1), d = qkv.dim(2) / 3;
@@ -138,9 +141,12 @@ AttentionCore attention_core(const Tensor& qkv, int64_t heads) {
   const int64_t hd = d / heads;
   const int64_t ld = 3 * d;  // token stride of Q, K and V inside qkv
   const float scale = 1.0f / std::sqrt(static_cast<float>(hd));
-  AttentionCore core;
-  core.attn = Tensor({b * heads, t, t});
-  core.ctx = Tensor({b, t, d});
+  // Every element of both outputs is written below.
+  Tensor ctx_out = Tensor::uninitialized({b, t, d});
+  if (attn_out != nullptr) *attn_out = Tensor::uninitialized({b * heads, t, t});
+  const ArenaMark mark;  // the scratch dies with the call
+  ScratchVec<float> strip(attn_out != nullptr ? 0 : kRows * t,
+                          /*zero_fill=*/false);
 #if defined(__AVX2__) && defined(__FMA__)
   // Kᵀ panel, kt[c·t + j] = K[j][c], rebuilt per (image, head).
   ScratchVec<float> kt(hd * t, /*zero_fill=*/false);
@@ -150,8 +156,10 @@ AttentionCore attention_core(const Tensor& qkv, int64_t heads) {
       const float* q = qkv.data().data() + bi * t * ld + h * hd;
       const float* k = q + d;
       const float* v = q + 2 * d;
-      float* attn = core.attn.data().data() + (bi * heads + h) * t * t;
-      float* ctx = core.ctx.data().data() + bi * t * d + h * hd;
+      float* attn = attn_out != nullptr
+                        ? attn_out->data().data() + (bi * heads + h) * t * t
+                        : nullptr;
+      float* ctx = ctx_out.data().data() + bi * t * d + h * hd;
 #if defined(__AVX2__) && defined(__FMA__)
       for (int64_t j = 0; j < t; ++j)
         for (int64_t c = 0; c < hd; ++c) kt[c * t + j] = k[j * ld + c];
@@ -159,7 +167,7 @@ AttentionCore attention_core(const Tensor& qkv, int64_t heads) {
       for (int64_t i = 0; i < t; i += kRows) {
         const int64_t n = std::min(kRows, t - i);
         const float* qi = q + i * ld;
-        float* ai = attn + i * t;
+        float* ai = attn != nullptr ? attn + i * t : strip.data();
         float* ci = ctx + i * d;
         // ai = softmax((qi·Kᵀ)·scale)
 #if defined(__AVX2__) && defined(__FMA__)
@@ -180,7 +188,19 @@ AttentionCore attention_core(const Tensor& qkv, int64_t heads) {
 #endif
       }
     }
+  return ctx_out;
+}
+
+}  // namespace
+
+AttentionCore attention_core(const Tensor& qkv, int64_t heads) {
+  AttentionCore core;
+  core.ctx = attend(qkv, heads, &core.attn);
   return core;
+}
+
+Tensor attention_ctx(const Tensor& qkv, int64_t heads) {
+  return attend(qkv, heads, nullptr);
 }
 
 MultiHeadAttention::MultiHeadAttention(int64_t dim, int64_t heads, Rng& rng)

@@ -29,6 +29,12 @@ struct AttentionCore {
 /// arena, if any.
 AttentionCore attention_core(const Tensor& qkv, int64_t heads);
 
+/// attention_core's ctx alone, bit for bit, for the serving graph: nothing
+/// reads the probabilities after the call, so each block of rows' softmax
+/// lives in one small scratch strip instead of a [B*H, T, T] tensor.
+/// Training's MultiHeadAttention keeps attention_core for its backward.
+Tensor attention_ctx(const Tensor& qkv, int64_t heads);
+
 /// Scaled-dot-product multi-head self-attention over token sequences
 /// shaped [B, T, D]. QKV and output projections are Linear layers.
 class MultiHeadAttention : public Module {

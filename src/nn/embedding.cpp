@@ -65,11 +65,21 @@ Tensor unpatchify_grad(const Tensor& grad_patches, int64_t patch, int64_t c,
 Tensor assemble_tokens(const Tensor& projected, const Tensor& cls,
                        const Tensor& pos) {
   ITASK_CHECK(projected.ndim() == 3, "assemble_tokens: need [B, T, D]");
+  Tensor out = Tensor::uninitialized(
+      {projected.dim(0), projected.dim(1) + 1, projected.dim(2)});
+  assemble_tokens(projected, cls, pos, out);
+  return out;
+}
+
+void assemble_tokens(const Tensor& projected, const Tensor& cls,
+                     const Tensor& pos, Tensor& out) {
+  ITASK_CHECK(projected.ndim() == 3, "assemble_tokens: need [B, T, D]");
   const int64_t b = projected.dim(0), t = projected.dim(1),
                 d = projected.dim(2);
   ITASK_CHECK(cls.shape() == (Shape{d}) && pos.shape() == (Shape{t + 1, d}),
               "assemble_tokens: cls/pos shape mismatch");
-  Tensor out({b, t + 1, d});
+  ITASK_CHECK(out.shape() == (Shape{b, t + 1, d}),
+              "assemble_tokens: out must be [B, T+1, D]");
   auto o = out.data();
   auto pd = projected.data();
   auto cd = cls.data();
@@ -84,7 +94,6 @@ Tensor assemble_tokens(const Tensor& projected, const Tensor& cls,
       for (int64_t j = 0; j < d; ++j) dst[j] = src[j] + prow[j];
     }
   }
-  return out;
 }
 
 Tensor patch_tokens(const Tensor& tokens) {

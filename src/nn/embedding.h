@@ -22,6 +22,12 @@ Tensor unpatchify_grad(const Tensor& grad_patches, int64_t patch, int64_t c,
 Tensor assemble_tokens(const Tensor& projected, const Tensor& cls,
                        const Tensor& pos);
 
+/// assemble_tokens writing every element of a caller-allocated `out`
+/// [B, T+1, D]: how the serving graph allocates the residual stream before
+/// the patch embedding's temporaries, so they can be released under it.
+void assemble_tokens(const Tensor& projected, const Tensor& cls,
+                     const Tensor& pos, Tensor& out);
+
 /// Inverse split of assemble_tokens' layout: drops the CLS token of an
 /// encoder output [B, T+1, D], returning the patch tokens [B, T, D] that
 /// the detection heads read.

@@ -149,12 +149,13 @@ Tensor layernorm_affine(const Tensor& x, const Tensor& gamma,
   ITASK_CHECK(x.ndim() >= 1 && x.dim(x.ndim() - 1) == c,
               "layernorm_affine: trailing dim mismatch");
   const int64_t rows = x.numel() / c;
-  Tensor out(x.shape());
+  Tensor out = Tensor::uninitialized(x.shape());  // every row is written
   const float* in = x.data().data();
   float* o = out.data().data();
   const float* g = gamma.data().data();
   const float* b = beta.data().data();
 #if defined(__AVX2__) && defined(__FMA__)
+  const ArenaMark mark;  // the column scratch dies with the call
   ScratchVec<float> xt(8 * c, /*zero_fill=*/false);
   for (int64_t r = 0; r < rows; r += 8)
     layernorm_lanes(in + r * c, g, b, c, std::min<int64_t>(8, rows - r),

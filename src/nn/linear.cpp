@@ -45,10 +45,12 @@ Tensor Linear::infer(const Tensor& input, const ops::Epilogue& ep) const {
   // scratch when the output goes into the residual stream. Storage is
   // row-major contiguous, so the input's flat data already IS the
   // [rows, in] matrix and the output IS [..., out] — no reshape copies.
+  // The scratch is released when the call returns; the output outlives it.
   const bool into_stream = ep.residual != nullptr;
   Tensor y;
-  ScratchVec<float> scratch(into_stream ? rows * out_features_ : 0);
   if (!into_stream) y = Tensor(std::move(out_shape));
+  const ArenaMark mark;
+  ScratchVec<float> scratch(into_stream ? rows * out_features_ : 0);
   float* out = into_stream ? scratch.data() : y.data().data();
   if (packed_ != nullptr) {
     // Published model: the weight panels were packed once at publish time.

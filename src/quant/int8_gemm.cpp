@@ -416,13 +416,17 @@ void qlinear_forward(const Tensor& x, const QuantParams& act,
                     : o.out != nullptr,
                 "qlinear_forward: output needs a tensor or a matching "
                 "residual");
-    if (o.epilogue.residual == nullptr) *o.out = Tensor(std::move(shape));
+    // The dequant pass writes every element of a non-residual output.
+    if (o.epilogue.residual == nullptr)
+      *o.out = Tensor::uninitialized(std::move(shape));
     cols += o.cols;
   }
   ITASK_CHECK(cols == out, "qlinear_forward: outputs must cover the weight");
   // Scratch comes from the worker's arena under an ArenaScope (the serving
-  // hot path) and from the heap otherwise — same values either way. The FP32
+  // hot path) and from the heap otherwise — same values either way — and is
+  // released when the call returns; the outputs above outlive it. The FP32
   // input is quantized straight into the kernel's A panels, in one pass.
+  const ArenaMark mark;
   ScratchVec<int16_t> apanels(activation_panel_size(rows, in),
                               /*zero_fill=*/false);
   {

@@ -521,9 +521,10 @@ void InferenceServer::worker_loop(int64_t worker_index) {
         error = std::current_exception();
       }
       // Per-group arena epilogue, on success and failure alike: record the
-      // footprint, surface any undersized-arena overflows, and reset —
-      // `raw` is gone, so nothing references arena memory past this point.
-      arena_used_h.record(static_cast<double>(arena.used()));
+      // group's peak footprint, surface any undersized-arena overflows, and
+      // reset — `raw` is gone, so nothing references arena memory past this
+      // point.
+      arena_used_h.record(static_cast<double>(arena.peak()));
       const int64_t overflows = arena.overflow_allocs();
       if (overflows > overflow_seen) {
         arena_overflow.increment(overflows - overflow_seen);

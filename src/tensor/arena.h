@@ -9,19 +9,31 @@
 // the arithmetic is untouched, so results stay element-wise identical to the
 // heap path (test_runtime asserts it).
 //
-// Accounting rule: every allocation is rounded up to kAlign bytes in BOTH
-// the bump pointer and the `used()` sum, and allocations that miss the
-// buffer fall back to individually heap'd blocks (freed at reset()) while
-// still adding their rounded size to `used()`. A bump arena never reuses
-// memory within a region, so `used()` after a probe run over a
-// zero-capacity arena is *exactly* the capacity a real arena needs to serve
-// the same call sequence overflow-free — the measurement plan_workspace()
-// relies on.
+// Liveness rule: an ArenaMark taken inside the bound region releases, when
+// it ends, everything allocated since it began — the bump pointer rewinds
+// and overflow blocks taken since are freed — so the next allocation reuses
+// that memory. The served forward holds one mark per encoder block and one
+// per call's scratch, so the arena only ever holds the residual stream, one
+// block's temporaries and one call's panels. A mark with no ArenaScope bound
+// is a no-op: heap callers (training) are unchanged.
 //
-// Lifetime rule: arena memory is invalidated by reset(); nothing allocated
-// under a scope may escape past the owning worker's reset. In the runtime,
-// the scope ends before decode, so detect::Detection tensors (which escape
-// into InferenceResult) are always heap-backed.
+// Accounting rule: every allocation is rounded up to kAlign bytes in BOTH
+// the bump pointer and the `used()` count of live bytes; allocations that
+// miss the buffer fall back to individually heap'd blocks (freed at
+// release() or reset()) while still adding their rounded size to `used()`.
+// `peak()` is the largest `used()` since the last reset. Because marks
+// release in LIFO order, the bump offset equals `used()` while nothing
+// overflows, so `peak()` after a probe run over a zero-capacity arena is
+// *exactly* the capacity a real arena needs to serve the same call sequence
+// overflow-free — the measurement plan_workspace() relies on.
+//
+// Lifetime rule: arena memory is invalidated by the release of the mark it
+// was allocated under, and by reset(); nothing allocated under a mark may
+// escape it, and nothing allocated under a scope may escape past the owning
+// worker's reset. In the runtime, the scope ends before decode, so
+// detect::Detection tensors (which escape into InferenceResult) are always
+// heap-backed. Under AddressSanitizer, released and reset buffer memory is
+// poisoned, so a read through an escaped tensor is an ASan report.
 //
 // An Arena is single-threaded by design (one per worker); only the
 // ArenaScope binding is thread-local.
@@ -61,13 +73,27 @@ class Arena {
   Arena(const Arena&) = delete;
   Arena& operator=(const Arena&) = delete;
 
+  /// Where the arena stands: what release() rewinds to.
+  struct Mark {
+    int64_t offset = 0;
+    int64_t used = 0;
+    size_t overflow_blocks = 0;
+  };
+
   /// Returns kAlign-aligned storage for `bytes` (nullptr when bytes <= 0).
-  /// Falls back to a heap block — freed at reset() — when the buffer is
-  /// exhausted; `used()` accounts the rounded size either way.
+  /// Falls back to a heap block — freed at release() or reset() — when the
+  /// buffer is exhausted; `used()` accounts the rounded size either way.
   void* allocate(int64_t bytes);
 
+  Mark mark() const { return {offset_, used_, overflow_.size()}; }
+
+  /// Invalidates everything allocated since `m` was taken: rewinds the bump
+  /// pointer and frees the overflow blocks taken since. Marks release in
+  /// LIFO order; used() returns to its value at `m`, peak() keeps its value.
+  void release(const Mark& m);
+
   /// Invalidates everything allocated since the last reset: rewinds the bump
-  /// pointer and frees overflow blocks. used() returns to 0.
+  /// pointer and frees overflow blocks. used() and peak() return to 0.
   void reset();
 
   /// Enlarges the backing buffer. Only legal when the arena is empty (right
@@ -75,9 +101,12 @@ class Arena {
   void grow(int64_t capacity_bytes);
 
   int64_t capacity() const { return capacity_; }
-  /// Rounded bytes handed out since the last reset (exact even when
-  /// allocations overflowed to the heap).
+  /// Rounded bytes live now: handed out since the last reset and not yet
+  /// released (exact even when allocations overflowed to the heap).
   int64_t used() const { return used_; }
+  /// Maximum used() since the last reset: the capacity that serves the
+  /// sequence so far without overflow.
+  int64_t peak() const { return peak_; }
   /// Maximum used() ever reached, across resets.
   int64_t high_water() const { return high_water_; }
   /// Cumulative count of allocations that missed the buffer (never reset —
@@ -89,6 +118,7 @@ class Arena {
   int64_t capacity_ = 0;
   int64_t offset_ = 0;
   int64_t used_ = 0;
+  int64_t peak_ = 0;
   int64_t high_water_ = 0;
   int64_t overflow_allocs_ = 0;
   std::vector<void*> overflow_;
@@ -109,6 +139,27 @@ class ArenaScope {
 
  private:
   Arena* prev_ = nullptr;
+};
+
+/// RAII liveness scope: releases, when it ends, everything the arena bound
+/// on this thread handed out since it began (see the liveness rule above).
+/// A no-op when no ArenaScope is bound. Take it after allocating whatever
+/// must outlive it — a call's outputs, a block's residual stream.
+class ArenaMark {
+ public:
+  ArenaMark() : arena_(ArenaScope::current()) {
+    if (arena_ != nullptr) mark_ = arena_->mark();
+  }
+  ~ArenaMark() {
+    if (arena_ != nullptr) arena_->release(mark_);
+  }
+
+  ArenaMark(const ArenaMark&) = delete;
+  ArenaMark& operator=(const ArenaMark&) = delete;
+
+ private:
+  Arena* arena_;
+  Arena::Mark mark_;
 };
 
 /// Raw scratch buffer for trivially-destructible element types: arena-backed

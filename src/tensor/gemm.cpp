@@ -186,6 +186,7 @@ void gemm_driver(const float* a, ALayout alay, const float* b, BLayout blay,
   if (m <= 0 || n <= 0 || k <= 0) return;
   const int64_t lda = alay == ALayout::kMK ? k : m;
   const int64_t ldb = blay == BLayout::kKN ? n : k;
+  const ArenaMark mark;  // the panels die with the call
   ScratchVec<float> apack(a_slab_elems(m, k), /*zero_fill=*/false);
   ScratchVec<float> bpack(b_block_elems(k, n), /*zero_fill=*/false);
   for (int64_t pc = 0; pc < k; pc += kKC) {
@@ -258,6 +259,7 @@ void gemm_bt_prepacked(const float* a, const PackedB& b, float* c, int64_t m) {
   if (m <= 0 || n <= 0 || k <= 0) return;
   ITASK_PROFILE_COUNT(profile::Counter::kGemmPrepackedCalls, 1);
   ITASK_PROFILE_COUNT(profile::Counter::kGemmPackBytesAvoided, b.bytes());
+  const ArenaMark mark;
   ScratchVec<float> apack(a_slab_elems(m, k), /*zero_fill=*/false);
   const float* block = b.data.data();
   for (int64_t pc = 0; pc < k; pc += kKC) {

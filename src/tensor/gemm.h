@@ -16,8 +16,9 @@
 //
 // Memory: each call takes its pack panels (one A slab, one B block — at most
 // MC×KC and NC×KC floats) from ScratchVec, so under a bound ArenaScope they
-// come from the worker's arena and plan_workspace() sizes them; off an arena
-// (training) they are per-call heap buffers. No pack storage outlives a call.
+// come from the worker's arena, under an ArenaMark that hands them back when
+// the call returns, and plan_workspace() sizes them; off an arena (training)
+// they are per-call heap buffers. No pack storage outlives a call.
 //
 // Semantics: every kernel *accumulates* (C += op(A)·op(B)); callers pass a
 // zeroed C for a plain product. Results are deterministic call-to-call but

@@ -61,6 +61,14 @@ Tensor::Tensor(Shape shape, float fill) : shape_(std::move(shape)) {
   allocate(fill);
 }
 
+Tensor Tensor::uninitialized(Shape shape) {
+  Tensor t;
+  t.shape_ = std::move(shape);
+  t.numel_ = shape_numel(t.shape_);
+  t.allocate_uninit();
+  return t;
+}
+
 Tensor::Tensor(Shape shape, std::vector<float> values)
     : shape_(std::move(shape)), heap_(std::move(values)) {
   ITASK_CHECK(static_cast<int64_t>(heap_.size()) == shape_numel(shape_),

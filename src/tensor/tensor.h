@@ -10,9 +10,10 @@
 //  * Allocator seam (tensor/arena.h): a tensor owns a heap vector by
 //    default, but while an ArenaScope is bound on the constructing thread,
 //    new storage comes from that arena instead — same values, same layout,
-//    no heap traffic. Arena-backed tensors are invalidated by the arena's
-//    reset(); they must not outlive the scope's owner (the runtime ends its
-//    scope before anything escapes a worker). Tensor::borrow() additionally
+//    no heap traffic. Arena-backed tensors are invalidated by the release
+//    of the ArenaMark they were allocated under and by the arena's reset();
+//    they must not outlive either (the runtime ends its scope before
+//    anything escapes a worker). Tensor::borrow() additionally
 //    gives a non-owning view over caller storage.
 #pragma once
 
@@ -38,6 +39,11 @@ class Tensor {
 
   /// Tensor of the given shape with every element set to `fill`.
   Tensor(Shape shape, float fill);
+
+  /// Tensor of the given shape whose every element the caller writes
+  /// before reading it: arena storage is left as its last use left it
+  /// (heap storage is still zeroed). For outputs a kernel fully overwrites.
+  static Tensor uninitialized(Shape shape);
 
   /// Tensor with explicit contents; `values.size()` must equal the shape's
   /// element count. Always adopts the vector as heap storage (the values

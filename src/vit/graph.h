@@ -16,6 +16,10 @@
 // layer list to the accelerator and GPU models, and the QuantizedVit
 // constructor feeds each linear's input to its calibrator (INT8 calibration
 // is a sink on the FP32 graph). A new layer is added here and nowhere else.
+// Under a bound ArenaScope the graph keeps only the residual stream live
+// across sections: an ArenaMark releases the patch embedding's and each
+// encoder block's temporaries (tensor/arena.h), so the serving workspace
+// does not grow with depth.
 #pragma once
 
 #include <array>
@@ -23,6 +27,7 @@
 #include "nn/attention.h"
 #include "nn/embedding.h"
 #include "nn/layernorm.h"
+#include "tensor/arena.h"
 #include "tensor/ops.h"
 #include "vit/model.h"
 
@@ -123,18 +128,26 @@ VitOutput run_graph(const ViTConfig& config, const Layers& layers,
     return y;
   };
 
-  const Tensor patches = nn::patchify(images, config.patch_size);
-  const Tensor embedded = linear("patch_embed", kTop, layers.patch_proj,
-                                 patches, ops::Epilogue::bias());
-  Tensor x = nn::assemble_tokens(embedded, layers.cls,
-                                 layers.pos);  // [B, T+1, D], the stream
-  report(Step::kAssembleTokens, "assemble_tokens", kTop, embedded, x);
+  // The residual stream [B, T+1, D] is allocated first and is the only
+  // tensor a section leaves behind: the ArenaMarks below release the patch
+  // embedding's temporaries, then each block's, under a bound ArenaScope.
+  Tensor x = Tensor::uninitialized(
+      {images.dim(0), config.tokens() + 1, config.dim});
+  {
+    const ArenaMark mark;
+    const Tensor patches = nn::patchify(images, config.patch_size);
+    const Tensor embedded = linear("patch_embed", kTop, layers.patch_proj,
+                                   patches, ops::Epilogue::bias());
+    nn::assemble_tokens(embedded, layers.cls, layers.pos, x);
+    report(Step::kAssembleTokens, "assemble_tokens", kTop, embedded, x);
+  }
   for (int64_t i = 0; i < config.depth; ++i) {
+    const ArenaMark mark;
     const auto& blk = layers.blocks[i];
     const Tensor ln1 = nn::layernorm_affine(x, blk.ln1_gamma, blk.ln1_beta);
     report(Step::kLayerNorm, "ln1", i, x, ln1);
     const Tensor qkv = linear("qkv", i, blk.qkv, ln1, ops::Epilogue::bias());
-    const Tensor ctx = nn::attention_core(qkv, config.heads).ctx;
+    const Tensor ctx = nn::attention_ctx(qkv, config.heads);
     report(Step::kAttention, "attention", i, qkv, ctx);
     linear("proj", i, blk.proj, ctx, ops::Epilogue::add_to(x));
     const Tensor ln2 = nn::layernorm_affine(x, blk.ln2_gamma, blk.ln2_beta);

@@ -3,11 +3,13 @@
 // envelope, not just the two presets.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <tuple>
 
 #include "nn/gradcheck.h"
 #include "nn/loss.h"
 #include "quant/qvit.h"
+#include "tensor/arena.h"
 #include "tensor/ops.h"
 #include "vit/model.h"
 #include "vit/workload.h"
@@ -113,6 +115,42 @@ TEST_P(ArchSweep, WorkloadMacsMatchHandCount) {
               (d * 1 + d * cfg.num_classes + d * cfg.num_attributes +
                d * d + d * 4 + d * 1);              // heads (box is an MLP)
   EXPECT_EQ(w.total_macs(), expected);
+}
+
+/// The plan_workspace() probe for one b8 forward: the peak live bytes over
+/// a zero-capacity arena, the stacked input batch included.
+template <typename Forward>
+int64_t probe_peak(const ViTConfig& cfg, Forward&& forward) {
+  Arena probe(0);
+  const ArenaScope scope(probe);
+  const Tensor images({8, cfg.channels, cfg.image_size, cfg.image_size});
+  const VitOutput out = forward(images);
+  (void)out;
+  return probe.peak();
+}
+
+TEST(ArenaPeak, ServedForwardDoesNotGrowWithDepth) {
+  // Each encoder block releases its temporaries under an ArenaMark, so the
+  // serving arena holds the residual stream and one block at a time: the
+  // workspace a forward needs is the same at depth 1 and depth 4, on both
+  // served configurations. (A bump arena that never releases sums every
+  // block's allocations and grows with depth.)
+  std::array<int64_t, 2> fp32{}, int8{};
+  for (int i = 0; i < 2; ++i) {
+    ViTConfig cfg = ViTConfig::student();
+    cfg.depth = i == 0 ? 1 : 4;
+    Rng rng(19);
+    const VitModel model(cfg, rng);
+    const Tensor calib =
+        rng.rand({2, cfg.channels, cfg.image_size, cfg.image_size});
+    const quant::QuantizedVit qvit(model, calib);
+    fp32[i] = probe_peak(cfg, [&](const Tensor& x) { return model.infer(x); });
+    int8[i] = probe_peak(cfg, [&](const Tensor& x) { return qvit.forward(x); });
+  }
+  EXPECT_GT(fp32[0], 0);
+  EXPECT_GT(int8[0], 0);
+  EXPECT_EQ(fp32[1], fp32[0]);
+  EXPECT_EQ(int8[1], int8[0]);
 }
 
 INSTANTIATE_TEST_SUITE_P(

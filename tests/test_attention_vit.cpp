@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <tuple>
 #include <vector>
 
 #include "composed_attention.h"
@@ -13,6 +14,7 @@
 #include "nn/gradcheck.h"
 #include "nn/loss.h"
 #include "nn/transformer.h"
+#include "tensor/arena.h"
 #include "tensor/ops.h"
 #include "vit/model.h"
 #include "vit/workload.h"
@@ -124,6 +126,45 @@ TEST(AttentionCore, NanPositionsMatchOracle) {
     EXPECT_TRUE(same_bits(got.attn, want.attn)) << "T " << t;
     EXPECT_TRUE(same_bits(got.ctx, want.ctx)) << "T " << t;
   }
+}
+
+TEST(AttentionCore, ServedContextMatchesTheCoreBitForBit) {
+  // attention_ctx keeps each row block's probabilities in one scratch
+  // strip instead of the [B*H, T, T] tensor; its ctx must equal
+  // attention_core's (and so the composed oracle's) bit for bit, with
+  // saturating scores and NaNs included, and it needs less arena.
+  Rng rng(23);
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  for (const auto& [t, d, heads] :
+       {std::tuple<int64_t, int64_t, int64_t>{10, 40, 4},
+        {17, 32, 4},
+        {1, 40, 4},
+        {9, 15, 3},
+        {300, 8, 1}})
+    for (int64_t b : {1, 3}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "T " << t << " D " << d << " B " << b);
+      Tensor qkv = rng.randn({b, t, 3 * d});
+      for (int64_t i = 5; i < qkv.numel(); i += 29) qkv[i] *= 1e19f;
+      qkv[qkv.numel() - 1] = nan;
+      const Tensor got = nn::attention_ctx(qkv, heads);
+      EXPECT_TRUE(same_bits(got, nn::attention_core(qkv, heads).ctx));
+      EXPECT_TRUE(same_bits(got, composed_attention(qkv, heads).ctx));
+      Arena served(0), core(0);
+      {
+        ArenaScope scope(served);
+        (void)nn::attention_ctx(qkv, heads);
+      }
+      {
+        ArenaScope scope(core);
+        (void)nn::attention_core(qkv, heads);
+      }
+      // At T 1 the strip and the probabilities round to the same line.
+      if (t > 1)
+        EXPECT_LT(served.peak(), core.peak());
+      else
+        EXPECT_EQ(served.peak(), core.peak());
+    }
 }
 
 TEST(Attention, PermutationEquivariance) {

@@ -9,6 +9,7 @@
 #include "detect/decoder.h"
 #include "detect/metrics.h"
 #include "detect/nms.h"
+#include "tensor/ops.h"
 #include "tensor/rng.h"
 
 namespace itask::detect {
@@ -265,6 +266,37 @@ TEST(Decoder, ThresholdGatesCells) {
   float sum = 0.0f;
   for (int64_t c = 0; c < 3; ++c) sum += d.class_probs[c];
   EXPECT_NEAR(sum, 1.0f, 1e-5f);
+}
+
+TEST(Decoder, CandidateRowsMatchWholeBatchActivationsBitForBit) {
+  // decode runs the class softmax and the attribute sigmoids only on the
+  // cells that pass the threshold; each must equal, bit for bit, what
+  // softmax_lastdim and sigmoid give over the whole batch.
+  Rng rng(31);
+  vit::VitOutput out;
+  out.objectness = rng.randn({3, 9, 1});
+  out.class_logits = rng.randn({3, 9, 5});
+  out.attr_logits = rng.randn({3, 9, 4});
+  out.box_deltas = rng.randn({3, 9, 4});
+  for (int64_t i = 0; i < out.class_logits.numel(); i += 7)
+    out.class_logits[i] *= 30.0f;
+  DecoderOptions options;
+  options.objectness_threshold = 0.4f;
+  const Tensor class_probs = ops::softmax_lastdim(out.class_logits);
+  const Tensor attr_probs = ops::sigmoid(out.attr_logits);
+  const auto dets = decode(out, options);
+  ASSERT_EQ(dets.size(), 3u);
+  int64_t kept = 0;
+  for (int64_t bi = 0; bi < 3; ++bi)
+    for (const Detection& d : dets[static_cast<size_t>(bi)]) {
+      ++kept;
+      for (int64_t j = 0; j < 5; ++j)
+        EXPECT_EQ(d.class_probs[j], class_probs.at({bi, d.cell, j}));
+      for (int64_t j = 0; j < 4; ++j)
+        EXPECT_EQ(d.attr_probs[j], attr_probs.at({bi, d.cell, j}));
+    }
+  EXPECT_GT(kept, 0);
+  EXPECT_LT(kept, 27);  // the threshold dropped some cells
 }
 
 TEST(Decoder, GridMismatchThrows) {

@@ -57,7 +57,7 @@ TEST(FunctionalArray, CycleCountMatchesAnalyticComputeModel) {
   // The analytic model's compute term is tiles * (m + rows + cols - 2);
   // the clocked simulation must agree exactly.
   Rng rng(9);
-  for (const auto [m, k, n] :
+  for (const auto& [m, k, n] :
        {std::tuple<int64_t, int64_t, int64_t>{10, 40, 120},
         std::tuple<int64_t, int64_t, int64_t>{25, 64, 40},
         std::tuple<int64_t, int64_t, int64_t>{9, 48, 40}}) {

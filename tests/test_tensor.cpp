@@ -254,6 +254,137 @@ TEST(Arena, GrowRequiresEmptyAndPreservesNothing) {
   EXPECT_EQ(a.overflow_allocs(), 0);
 }
 
+TEST(Arena, ReleaseRewindsToTheMarkAndReusesItsMemory) {
+  Arena a(1024);
+  void* kept = a.allocate(64);
+  const Arena::Mark m = a.mark();
+  void* first = a.allocate(100);  // rounds to 128
+  a.allocate(64);
+  EXPECT_EQ(a.used(), 64 + 128 + 64);
+  a.release(m);
+  EXPECT_EQ(a.used(), 64);
+  EXPECT_EQ(a.peak(), 64 + 128 + 64);  // the peak survives the release
+  // The bump pointer rewound: the next allocation reuses the released
+  // bytes, and what was allocated before the mark is untouched.
+  EXPECT_EQ(a.allocate(32), first);
+  EXPECT_NE(kept, first);
+  EXPECT_EQ(a.used(), 128);
+  a.reset();
+  EXPECT_EQ(a.used(), 0);
+  EXPECT_EQ(a.peak(), 0);  // peak() is per reset…
+  EXPECT_EQ(a.high_water(), 64 + 128 + 64);  // …high_water() is not
+}
+
+TEST(Arena, ReleaseFreesOverflowBlocksTakenSinceTheMark) {
+  Arena a(64);
+  float* fits = static_cast<float*>(a.allocate(64));
+  float* before = static_cast<float*>(a.allocate(128));  // spills
+  const Arena::Mark m = a.mark();
+  float* spilled = static_cast<float*>(a.allocate(256));
+  ASSERT_NE(fits, nullptr);
+  ASSERT_NE(spilled, nullptr);
+  std::memset(spilled, 0, 256);
+  EXPECT_EQ(a.overflow_allocs(), 2);
+  a.release(m);  // frees `spilled` only (LeakSanitizer would flag a leak)
+  EXPECT_EQ(a.used(), 64 + 128);
+  before[31] = 1.0f;  // the block taken before the mark is still live
+  EXPECT_EQ(before[31], 1.0f);
+  a.allocate(256);  // spills again: the buffer is still full
+  EXPECT_EQ(a.overflow_allocs(), 3);
+  a.reset();
+  EXPECT_EQ(a.used(), 0);
+}
+
+TEST(Arena, ZeroCapacityProbePeakServesTheSequenceOverflowFree) {
+  // The plan_workspace() measurement rule with marks: a probe over a
+  // zero-capacity arena reads peak(), the largest live footprint, and an
+  // arena of exactly that capacity serves the same sequence with no
+  // overflow — however much more the sequence allocates in total.
+  const auto sequence = [](Arena& a) {
+    a.allocate(40);  // lives throughout, like the residual stream
+    for (int block = 0; block < 3; ++block) {
+      const Arena::Mark m = a.mark();
+      a.allocate(100);
+      {
+        const Arena::Mark inner = a.mark();
+        a.allocate(200);  // a call's scratch
+        a.release(inner);
+      }
+      a.allocate(64);
+      a.release(m);
+    }
+    a.allocate(64);
+  };
+  Arena probe(0);
+  sequence(probe);
+  const int64_t required = probe.peak();
+  EXPECT_EQ(required, 64 + 128 + 256);  // far below the 1472 B total
+  EXPECT_EQ(probe.used(), 64 + 64);
+  Arena sized(required);
+  sequence(sized);
+  EXPECT_EQ(sized.overflow_allocs(), 0);
+  EXPECT_EQ(sized.peak(), required);
+  Arena small(required - Arena::kAlign);
+  sequence(small);
+  EXPECT_GT(small.overflow_allocs(), 0);
+  EXPECT_EQ(small.peak(), required);  // accounting unaffected by overflow
+}
+
+TEST(ArenaMark, ReleasesTheBoundArenaAndIsANoOpWithoutOne) {
+  Arena a(4096);
+  {
+    ArenaScope scope(a);
+    const Tensor stream({16}, 1.0f);
+    {
+      const ArenaMark mark;
+      const Tensor temp({32}, 2.0f);
+      ScratchVec<int32_t> panel(100);
+      EXPECT_EQ(a.used(), 64 + 128 + 448);
+    }
+    EXPECT_EQ(a.used(), 64);
+    EXPECT_EQ(stream[15], 1.0f);
+  }
+  // No scope bound: heap tensors, and the mark leaves the arena alone.
+  const Tensor heap({8}, 3.0f);
+  {
+    const ArenaMark mark;
+    const Tensor temp({8}, 4.0f);
+  }
+  EXPECT_EQ(a.used(), 64);
+  EXPECT_EQ(heap[7], 3.0f);
+}
+
+TEST(Tensor, UninitializedHasTheShapeAndArenaStorage) {
+  Arena a(4096);
+  ArenaScope scope(a);
+  Tensor t = Tensor::uninitialized({3, 5});
+  EXPECT_EQ(t.shape(), (Shape{3, 5}));
+  EXPECT_EQ(t.numel(), 15);
+  EXPECT_EQ(a.used(), 64);
+  t.fill(0.5f);
+  EXPECT_EQ(t[14], 0.5f);
+}
+
+#if defined(__SANITIZE_ADDRESS__)
+// Under AddressSanitizer the arena poisons what a mark releases: a tensor
+// that outlives its mark reads poisoned memory, and ASan reports it.
+TEST(ArenaDeathTest, ReadThroughATensorThatOutlivedItsMarkIsReported) {
+  EXPECT_DEATH(
+      {
+        Arena a(4096);
+        ArenaScope scope(a);
+        Tensor escaped;
+        {
+          const ArenaMark mark;
+          escaped = Tensor({16}, 1.0f);
+        }
+        volatile float v = escaped[3];
+        (void)v;
+      },
+      "use-after-poison");
+}
+#endif
+
 TEST(ArenaScope, BindsPerThreadAndNests) {
   EXPECT_EQ(ArenaScope::current(), nullptr);
   Arena outer(4096), inner(4096);
