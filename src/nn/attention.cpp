@@ -127,6 +127,28 @@ void gemm_dot_rows(const float* a, int64_t lda, int64_t n, const float* b,
 }
 #endif
 
+/// dst[c·rows + r] = src[r·ld + c] for the rows × cols block at src: the
+/// transposed panel whose rows the dot kernels read a column from.
+void transpose_panel(const float* src, int64_t ld, int64_t rows, int64_t cols,
+                     float* dst) {
+  for (int64_t r = 0; r < rows; ++r)
+    for (int64_t c = 0; c < cols; ++c) dst[c * rows + r] = src[r * ld + c];
+}
+
+/// out[r·ldo + l] = gemm_dot(a + r·lda, b + l, ldb, k) for the n ≤ kRows
+/// rows r and the cols lanes l: the lane kernel where AVX2 is built, the
+/// scalar chain elsewhere.
+void dot_rows(const float* a, int64_t lda, int64_t n, const float* b,
+              int64_t ldb, int64_t k, int64_t cols, float* out, int64_t ldo) {
+#if defined(__AVX2__) && defined(__FMA__)
+  gemm_dot_rows(a, lda, n, b, ldb, k, cols, 1.0f, out, ldo);
+#else
+  for (int64_t r = 0; r < n; ++r)
+    for (int64_t l = 0; l < cols; ++l)
+      out[r * ldo + l] = gemm_dot(a + r * lda, b + l, ldb, k);
+#endif
+}
+
 /// The loop nest behind attention_core and attention_ctx: returns ctx and
 /// writes the probabilities into *attn_out ([B*H, T, T]) when it is given,
 /// else row block by row block into one kRows × T scratch strip. A row's
@@ -193,6 +215,61 @@ Tensor attend(const Tensor& qkv, int64_t heads, Tensor* attn_out) {
 
 }  // namespace
 
+Tensor attention_core_backward(const Tensor& qkv, const Tensor& attn,
+                               const Tensor& d_ctx, int64_t heads) {
+  ITASK_CHECK(qkv.ndim() == 3 && qkv.dim(2) % 3 == 0,
+              "attention_core_backward: need qkv [B, T, 3D]");
+  const int64_t b = qkv.dim(0), t = qkv.dim(1), d = qkv.dim(2) / 3;
+  ITASK_CHECK(heads >= 1 && d % heads == 0,
+              "attention_core_backward: dim not divisible by heads");
+  ITASK_CHECK(attn.shape() == (Shape{b * heads, t, t}),
+              "attention_core_backward: need attn [B*H, T, T]");
+  ITASK_CHECK(d_ctx.shape() == (Shape{b, t, d}),
+              "attention_core_backward: need d_ctx [B, T, D]");
+  const int64_t hd = d / heads;
+  const int64_t ld = 3 * d;  // token stride of Q, K and V (and dQ, dK, dV)
+  const float scale = 1.0f / std::sqrt(static_cast<float>(hd));
+  Tensor d_qkv = Tensor::uninitialized({b, t, ld});  // every element is written
+  const ArenaMark mark;  // the panels die with the call
+  // Per (image, head): Vᵀ, Pᵀ, dS and dSᵀ, so every product reads rows.
+  ScratchVec<float> vt(hd * t, /*zero_fill=*/false);
+  ScratchVec<float> pt(t * t, /*zero_fill=*/false);
+  ScratchVec<float> ds(t * t, /*zero_fill=*/false);
+  ScratchVec<float> dst(t * t, /*zero_fill=*/false);
+  for (int64_t bi = 0; bi < b; ++bi)
+    for (int64_t h = 0; h < heads; ++h) {
+      const float* q = qkv.data().data() + bi * t * ld + h * hd;
+      const float* k = q + d;
+      const float* v = q + 2 * d;
+      const float* p = attn.data().data() + (bi * heads + h) * t * t;
+      const float* dc = d_ctx.data().data() + bi * t * d + h * hd;
+      float* dq = d_qkv.data().data() + bi * t * ld + h * hd;
+      float* dk = dq + d;
+      float* dv = dq + 2 * d;
+      transpose_panel(v, ld, t, hd, vt.data());
+      transpose_panel(p, t, t, t, pt.data());
+      // dS = softmax_backward(P, dC·Vᵀ)·scale, each rounding as the
+      // composed ops round it.
+      for (int64_t i = 0; i < t; i += kRows) {
+        const int64_t n = std::min(kRows, t - i);
+        dot_rows(dc + i * d, d, n, vt.data(), t, hd, t, ds.data() + i * t, t);
+        for (int64_t r = i; r < i + n; ++r) {
+          float* row = ds.data() + r * t;
+          ops::softmax_backward_row(p + r * t, row, t, row);
+          for (int64_t j = 0; j < t; ++j) row[j] *= scale;
+        }
+      }
+      transpose_panel(ds.data(), t, t, t, dst.data());
+      for (int64_t i = 0; i < t; i += kRows) {
+        const int64_t n = std::min(kRows, t - i);
+        dot_rows(pt.data() + i * t, t, n, dc, d, t, hd, dv + i * ld, ld);
+        dot_rows(ds.data() + i * t, t, n, k, ld, t, hd, dq + i * ld, ld);
+        dot_rows(dst.data() + i * t, t, n, q, ld, t, hd, dk + i * ld, ld);
+      }
+    }
+  return d_qkv;
+}
+
 AttentionCore attention_core(const Tensor& qkv, int64_t heads) {
   AttentionCore core;
   core.ctx = attend(qkv, heads, &core.attn);
@@ -204,11 +281,7 @@ Tensor attention_ctx(const Tensor& qkv, int64_t heads) {
 }
 
 MultiHeadAttention::MultiHeadAttention(int64_t dim, int64_t heads, Rng& rng)
-    : dim_(dim),
-      heads_(heads),
-      scale_(1.0f / std::sqrt(static_cast<float>(dim / heads))),
-      qkv_(dim, 3 * dim, rng),
-      proj_(dim, dim, rng) {
+    : dim_(dim), heads_(heads), qkv_(dim, 3 * dim, rng), proj_(dim, dim, rng) {
   ITASK_CHECK(dim % heads == 0, "MultiHeadAttention: dim % heads != 0");
   register_child("qkv", qkv_);
   register_child("proj", proj_);
@@ -226,50 +299,9 @@ Tensor MultiHeadAttention::forward(const Tensor& tokens) {
 Tensor MultiHeadAttention::backward(const Tensor& grad_out) {
   ITASK_CHECK(!cached_attn_.empty(),
               "MultiHeadAttention: backward before forward");
-  const int64_t b = cached_qkv_.dim(0), t = cached_qkv_.dim(1);
-  // Per-head q/k/v [B*H, T, hd], sliced from the cached fused projection.
-  Tensor q({b, t, dim_}), k({b, t, dim_}), v({b, t, dim_});
-  {
-    auto src = cached_qkv_.data();
-    auto qd = q.data(), kd = k.data(), vd = v.data();
-    for (int64_t r = 0; r < b * t; ++r) {
-      const float* row = src.data() + r * 3 * dim_;
-      std::copy(row, row + dim_, qd.data() + r * dim_);
-      std::copy(row + dim_, row + 2 * dim_, kd.data() + r * dim_);
-      std::copy(row + 2 * dim_, row + 3 * dim_, vd.data() + r * dim_);
-    }
-  }
-  q = split_heads(q, heads_);
-  k = split_heads(k, heads_);
-  v = split_heads(v, heads_);
-  Tensor d_ctx_merged = proj_.backward(grad_out);    // [B, T, D]
-  Tensor d_ctx = split_heads(d_ctx_merged, heads_);  // [B*H, T, hd]
-  // ctx = attn · v
-  Tensor d_attn = ops::bmm_bt(d_ctx, v);             // [B*H, T, T]
-  Tensor d_v = ops::bmm_at(cached_attn_, d_ctx);     // [B*H, T, hd]
-  // attn = softmax(scores)
-  Tensor d_scores = ops::softmax_backward_lastdim(cached_attn_, d_attn);
-  d_scores = ops::mul_scalar(d_scores, scale_);
-  // scores = q · kᵀ
-  Tensor d_q = ops::bmm(d_scores, k);     // [B*H, T, hd]
-  Tensor d_k = ops::bmm_at(d_scores, q);  // [B*H, T, hd]
-  // Re-pack [dq|dk|dv] into the qkv gradient layout [B, T, 3D].
-  Tensor dq_m = merge_heads(d_q, heads_);
-  Tensor dk_m = merge_heads(d_k, heads_);
-  Tensor dv_m = merge_heads(d_v, heads_);
-  Tensor d_qkv({b, t, 3 * dim_});
-  {
-    auto dst = d_qkv.data();
-    auto qd = dq_m.data(), kd = dk_m.data(), vd = dv_m.data();
-    for (int64_t r = 0; r < b * t; ++r) {
-      float* row = dst.data() + r * 3 * dim_;
-      std::copy(qd.data() + r * dim_, qd.data() + (r + 1) * dim_, row);
-      std::copy(kd.data() + r * dim_, kd.data() + (r + 1) * dim_, row + dim_);
-      std::copy(vd.data() + r * dim_, vd.data() + (r + 1) * dim_,
-                row + 2 * dim_);
-    }
-  }
-  return qkv_.backward(d_qkv);
+  const Tensor d_ctx = proj_.backward(grad_out);  // [B, T, D]
+  return qkv_.backward(
+      attention_core_backward(cached_qkv_, cached_attn_, d_ctx, heads_));
 }
 
 }  // namespace itask::nn

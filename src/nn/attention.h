@@ -35,6 +35,17 @@ AttentionCore attention_core(const Tensor& qkv, int64_t heads);
 /// Training's MultiHeadAttention keeps attention_core for its backward.
 Tensor attention_ctx(const Tensor& qkv, int64_t heads);
 
+/// attention_core's backward, its twin: given the fused projection qkv
+/// [B, T, 3D], the probabilities attn [B*H, T, T] attention_core returned
+/// and the context gradient d_ctx [B, T, D], returns d_qkv [B, T, 3D]
+/// (dQ|dK|dV). Per (image, head) it reads Q, K, V and d_ctx in place:
+/// dP = dC·Vᵀ, dV = Pᵀ·dC, dS = softmax_backward(P, dP)·scale, dQ = dS·K,
+/// dK = dSᵀ·Q. Bit-identical to composing slice, split_heads, bmm_bt,
+/// bmm_at, softmax_backward_lastdim, mul_scalar, bmm and merge_heads.
+/// Scratch comes from the bound arena, if any.
+Tensor attention_core_backward(const Tensor& qkv, const Tensor& attn,
+                               const Tensor& d_ctx, int64_t heads);
+
 /// Scaled-dot-product multi-head self-attention over token sequences
 /// shaped [B, T, D]. QKV and output projections are Linear layers.
 class MultiHeadAttention : public Module {
@@ -56,7 +67,6 @@ class MultiHeadAttention : public Module {
  private:
   int64_t dim_;
   int64_t heads_;
-  float scale_;
   Linear qkv_;
   Linear proj_;
   // Cached activations for backward: the fused projection [B, T, 3D] and

@@ -16,14 +16,6 @@ namespace {
 
 constexpr float kEps = 1e-5f;
 
-/// p rounded to float before its consumer sees it: the volatile round trip
-/// keeps the compiler from contracting the product into the add that
-/// consumes it.
-inline float rounded(float p) {
-  volatile float v = p;
-  return v;
-}
-
 /// The one definition of LayerNorm's per-row arithmetic: normalises the `c`
 /// values at `x`, writes the normalised row to `xhat` and xhat·γ + β to `y`,
 /// and returns 1/sqrt(var + kEps). `xhat` and `y` may alias each other and
@@ -47,7 +39,7 @@ float layernorm_row(const float* x, const float* g, const float* b, int64_t c,
   const int64_t rounded_terms = c / 4 * 4;
   for (int64_t j = 0; j < rounded_terms; ++j) {
     const float d = x[j] - mean;
-    var += rounded(d * d);
+    var += ops::rounded(d * d);
   }
   for (int64_t j = rounded_terms; j < c; ++j) {
     const float d = x[j] - mean;
@@ -66,7 +58,7 @@ float layernorm_row(const float* x, const float* g, const float* b, int64_t c,
 // layernorm_row on eight rows at a time, one row per AVX2 lane, op for op
 // (LayerNorm.AffineMatchesForwardBitForBit pins it).
 
-/// rounded() on eight lanes: the compiler cannot see through the empty
+/// ops::rounded() on eight lanes: the compiler cannot see through the empty
 /// asm, so it cannot fuse v's product into the add that consumes it.
 inline __m256 rounded(__m256 v) {
   asm("" : "+x"(v));
@@ -179,7 +171,7 @@ Tensor LayerNorm::forward(const Tensor& input) {
   const int64_t rows = input.numel() / c;
   Tensor xhat({rows, c});
   Tensor rstd({rows});
-  Tensor out = input;
+  Tensor out = Tensor::uninitialized(input.shape());  // every row is written
   auto in = input.data();
   auto xh = xhat.data();
   auto rs = rstd.data();
@@ -201,7 +193,7 @@ Tensor LayerNorm::backward(const Tensor& grad_out) {
   const int64_t c = features_;
   const int64_t rows = cached_xhat_.dim(0);
   ITASK_CHECK(grad_out.numel() == rows * c, "LayerNorm: grad size mismatch");
-  Tensor dx({rows, c});
+  Tensor dx = Tensor::uninitialized(cached_shape_);  // every row is written
   auto g = grad_out.data();
   auto xh = cached_xhat_.data();
   auto rs = cached_rstd_.data();
@@ -230,7 +222,7 @@ Tensor LayerNorm::backward(const Tensor& grad_out) {
       dxrow[j] = rs[r] * (dxh - mean_dxh - xrow[j] * mean_dxh_xh);
     }
   }
-  return dx.reshape(cached_shape_);
+  return dx;
 }
 
 }  // namespace itask::nn

@@ -17,19 +17,45 @@ Linear::Linear(int64_t in_features, int64_t out_features, Rng& rng, bool bias)
   }
 }
 
+namespace {
+
+/// The pass over the GEMM result y [rows, n] shared by forward() and
+/// infer(): row[j] += bias[j], then, per ep, the row goes into the residual
+/// stream (srow[j] += row[j]) or through GELU.
+void epilogue_rows(float* y, int64_t rows, int64_t n, const float* bias,
+                   const ops::Epilogue& ep) {
+  float* stream = ep.residual != nullptr ? ep.residual->data().data() : nullptr;
+  for (int64_t r = 0; r < rows; ++r) {
+    float* row = y + r * n;
+    if (bias != nullptr)
+      for (int64_t j = 0; j < n; ++j) row[j] += bias[j];
+    if (stream != nullptr) {
+      float* srow = stream + r * n;
+      for (int64_t j = 0; j < n; ++j) srow[j] += row[j];
+    } else if (ep.gelu) {
+      ops::gelu_row(row, n);
+    }
+  }
+}
+
+}  // namespace
+
 Tensor Linear::forward(const Tensor& input) {
   ITASK_CHECK(input.ndim() >= 1, "Linear: input must be at least 1-D");
   ITASK_CHECK(input.dim(input.ndim() - 1) == in_features_,
               "Linear: trailing dim mismatch");
+  // Row-major storage: the input's flat data is the [rows, in] matrix and
+  // y's is [rows, out]. Always the live weight, never the serving packing.
   const int64_t rows = input.numel() / in_features_;
-  Tensor x2d = input.reshape({rows, in_features_});
-  Tensor y = ops::matmul_bt(x2d, weight_.value);  // [rows, out]
-  if (bias_ != nullptr) y = ops::add_rowwise(y, bias_->value);
-  cached_input_2d_ = x2d;
-  cached_input_shape_ = input.shape();
   Shape out_shape = input.shape();
   out_shape.back() = out_features_;
-  return y.reshape(std::move(out_shape));
+  Tensor y(std::move(out_shape));  // zeroed: the GEMM accumulates
+  gemm::gemm_bt(input.data().data(), weight_.value.data().data(),
+                y.data().data(), rows, in_features_, out_features_);
+  epilogue_rows(y.data().data(), rows, out_features_,
+                bias_ != nullptr ? bias_->value.data().data() : nullptr, {});
+  cached_input_ = input;
+  return y;
 }
 
 Tensor Linear::infer(const Tensor& input, const ops::Epilogue& ep) const {
@@ -61,19 +87,8 @@ Tensor Linear::infer(const Tensor& input, const ops::Epilogue& ep) const {
     gemm::gemm_bt(input.data().data(), weight_.value.data().data(), out,
                   rows, in_features_, out_features_);
   }
-  const float* bias = bias_ != nullptr ? bias_->value.data().data() : nullptr;
-  float* stream = into_stream ? ep.residual->data().data() : nullptr;
-  for (int64_t r = 0; r < rows; ++r) {
-    float* row = out + r * out_features_;
-    if (bias != nullptr)
-      for (int64_t j = 0; j < out_features_; ++j) row[j] += bias[j];
-    if (stream != nullptr) {
-      float* srow = stream + r * out_features_;
-      for (int64_t j = 0; j < out_features_; ++j) srow[j] += row[j];
-    } else if (ep.gelu) {
-      ops::gelu_row(row, out_features_);
-    }
-  }
+  epilogue_rows(out, rows, out_features_,
+                bias_ != nullptr ? bias_->value.data().data() : nullptr, ep);
   return y;
 }
 
@@ -84,18 +99,32 @@ void Linear::prepack_for_serving() {
 }
 
 Tensor Linear::backward(const Tensor& grad_out) {
-  ITASK_CHECK(!cached_input_2d_.empty(), "Linear: backward before forward");
-  const int64_t rows = cached_input_2d_.dim(0);
+  ITASK_CHECK(!cached_input_.empty(), "Linear: backward before forward");
+  const int64_t rows = cached_input_.numel() / in_features_;
   ITASK_CHECK(grad_out.numel() == rows * out_features_,
               "Linear: grad_out size mismatch");
-  Tensor g2d = grad_out.reshape({rows, out_features_});
-  // dW[out,in] += gᵀ · x
-  ops::add_inplace(weight_.grad, ops::matmul_at(g2d, cached_input_2d_));
-  if (bias_ != nullptr)
-    ops::add_inplace(bias_->grad, ops::sum_to_lastdim(g2d));
-  // dx[rows,in] = g · W
-  Tensor dx = ops::matmul(g2d, weight_.value);
-  return dx.reshape(cached_input_shape_);
+  const float* g = grad_out.data().data();
+  Tensor dx(cached_input_.shape());  // dx[rows,in] = g · W, zeroed
+  gemm::gemm_nn(g, weight_.value.data().data(), dx.data().data(), rows,
+                out_features_, in_features_);
+  // dW[out,in] += gᵀ · x and db += Σ_rows g, each summed into zeroed
+  // scratch and then added: summing into the grads directly would round
+  // differently (the GEMM adds each kKC slab of rows to its output).
+  const ArenaMark mark;  // the scratch dies with the call
+  ScratchVec<float> dw(out_features_ * in_features_);
+  gemm::gemm_at(g, cached_input_.data().data(), dw.data(), out_features_, rows,
+                in_features_);
+  float* wg = weight_.grad.data().data();
+  for (int64_t i = 0; i < out_features_ * in_features_; ++i) wg[i] += dw[i];
+  if (bias_ != nullptr) {
+    ScratchVec<float> db(out_features_);
+    for (int64_t r = 0; r < rows; ++r)
+      for (int64_t j = 0; j < out_features_; ++j)
+        db[j] += g[r * out_features_ + j];
+    float* bg = bias_->grad.data().data();
+    for (int64_t j = 0; j < out_features_; ++j) bg[j] += db[j];
+  }
+  return dx;
 }
 
 }  // namespace itask::nn

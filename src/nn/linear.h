@@ -52,8 +52,7 @@ class Linear : public Module {
   /// Serving-time cache built by prepack_for_serving(); shared so snapshots
   /// holding the same model share one packing.
   std::shared_ptr<const gemm::PackedB> packed_;
-  Tensor cached_input_2d_;  // [rows, in]
-  Shape cached_input_shape_;
+  Tensor cached_input_;  // [..., in], as forward() received it
 };
 
 }  // namespace itask::nn

@@ -359,22 +359,25 @@ Tensor log_softmax_lastdim(const Tensor& a) {
   return out;
 }
 
+void softmax_backward_row(const float* y, const float* g, int64_t n,
+                          float* out) {
+  float dot = 0.0f;
+  const int64_t rounded_terms = n / 4 * 4;
+  for (int64_t j = 0; j < rounded_terms; ++j) dot += rounded(y[j] * g[j]);
+  for (int64_t j = rounded_terms; j < n; ++j) dot = std::fma(y[j], g[j], dot);
+  for (int64_t j = 0; j < n; ++j) out[j] = y[j] * (g[j] - dot);
+}
+
 Tensor softmax_backward_lastdim(const Tensor& y, const Tensor& g) {
   check_same_shape(y, g, "softmax_backward_lastdim");
   const int64_t c = y.dim(y.ndim() - 1);
   const int64_t rows = y.numel() / c;
-  Tensor out = y;
-  auto o = out.data();
-  auto yd = y.data();
-  auto gd = g.data();
-  for (int64_t r = 0; r < rows; ++r) {
-    const float* yrow = yd.data() + r * c;
-    const float* grow = gd.data() + r * c;
-    float dot = 0.0f;
-    for (int64_t j = 0; j < c; ++j) dot += yrow[j] * grow[j];
-    float* orow = o.data() + r * c;
-    for (int64_t j = 0; j < c; ++j) orow[j] = yrow[j] * (grow[j] - dot);
-  }
+  Tensor out = Tensor::uninitialized(y.shape());  // every row is written
+  const float* yd = y.data().data();
+  const float* gd = g.data().data();
+  float* o = out.data().data();
+  for (int64_t r = 0; r < rows; ++r)
+    softmax_backward_row(yd + r * c, gd + r * c, c, o + r * c);
   return out;
 }
 

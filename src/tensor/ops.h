@@ -84,6 +84,22 @@ Tensor log_softmax_lastdim(const Tensor& a);
 /// dx = y * (g - sum(g*y)).
 Tensor softmax_backward_lastdim(const Tensor& y, const Tensor& g);
 
+/// p rounded to float before its consumer sees it: the volatile round trip
+/// keeps the compiler from contracting the product into the add that
+/// consumes it. For kernels that write out the rounding GCC compiled.
+inline float rounded(float p) {
+  volatile float v = p;
+  return v;
+}
+
+/// softmax_backward_lastdim's arithmetic on one row of n > 0 floats:
+/// out[j] = y[j]·(g[j] − dot). `out` may alias `g`. Every rounding is
+/// explicit, so no build setting moves its bits: dot sums the first
+/// 4⌊n/4⌋ terms as rounded y·g and the last n mod 4 as fma(y, g, dot),
+/// in order (what GCC made of the plain loop at -O3 -march=native).
+void softmax_backward_row(const float* y, const float* g, int64_t n,
+                          float* out);
+
 // ---- reductions -----------------------------------------------------------
 
 float sum(const Tensor& a);

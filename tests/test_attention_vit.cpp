@@ -14,6 +14,7 @@
 #include "nn/gradcheck.h"
 #include "nn/loss.h"
 #include "nn/transformer.h"
+#include "same_bits.h"
 #include "tensor/arena.h"
 #include "tensor/ops.h"
 #include "vit/model.h"
@@ -65,20 +66,6 @@ TEST(Attention, OutputShapeAndGradCheck) {
   const auto result = nn::check_gradients(attn, loss_fn, 1e-2f, 4e-2f, 12);
   EXPECT_TRUE(result.ok) << result.worst_parameter << " rel "
                          << result.max_rel_error;
-}
-
-// Bitwise equality; NaN matches NaN of any payload.
-::testing::AssertionResult same_bits(const Tensor& got, const Tensor& want) {
-  if (got.shape() != want.shape())
-    return ::testing::AssertionFailure() << "shape mismatch";
-  for (int64_t i = 0; i < got.numel(); ++i) {
-    const float g = got[i], w = want[i];
-    if (std::isnan(g) && std::isnan(w)) continue;
-    if (std::memcmp(&g, &w, sizeof g) != 0)
-      return ::testing::AssertionFailure()
-             << "element " << i << ": " << g << " vs " << w;
-  }
-  return ::testing::AssertionSuccess();
 }
 
 TEST(AttentionCore, MatchesComposedOracleBitForBit) {
@@ -165,6 +152,43 @@ TEST(AttentionCore, ServedContextMatchesTheCoreBitForBit) {
       else
         EXPECT_EQ(served.peak(), core.peak());
     }
+}
+
+TEST(MultiHeadAttention, BackwardMatchesComposedBitForBit) {
+  // attention_core_backward (what MultiHeadAttention::backward runs) must
+  // round every element as the composed ops do: token counts below, at
+  // and past the 8-lane width, head dims with and without a lane tail,
+  // ±0, saturated probabilities, huge gradients and a NaN.
+  Rng rng(24);
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  for (int64_t b : {1, 3, 16})
+    for (int64_t t : {1, 2, 5, 10, 17})
+      for (int64_t hd : {8, 9, 10, 16})
+        for (int64_t heads : {1, 3}) {
+          SCOPED_TRACE(::testing::Message() << "B " << b << " T " << t
+                                            << " hd " << hd << " H " << heads);
+          const int64_t d = hd * heads;
+          Tensor qkv = rng.randn({b, t, 3 * d});
+          for (int64_t i = 0; i < qkv.numel(); i += 7) qkv[i] = 0.0f;
+          for (int64_t i = 3; i < qkv.numel(); i += 11) qkv[i] = -0.0f;
+          // The last image's scores saturate the softmax.
+          if (b > 1)
+            for (int64_t i = (b - 1) * t * 3 * d + 5; i < qkv.numel(); i += 29)
+              qkv[i] *= 1e3f;
+          const Tensor attn = nn::attention_core(qkv, heads).attn;
+          Tensor d_ctx = rng.randn({b, t, d});
+          for (int64_t i = 1; i < d_ctx.numel(); i += 5) d_ctx[i] = -0.0f;
+          for (int64_t i = 2; i < d_ctx.numel(); i += 13) d_ctx[i] *= 1e30f;
+          if (b == 3) d_ctx[t * d + d / 2] = nan;  // image 1 only
+          const Tensor got =
+              nn::attention_core_backward(qkv, attn, d_ctx, heads);
+          EXPECT_TRUE(same_bits(
+              got, composed_attention_backward(qkv, attn, d_ctx, heads)));
+          if (b == 3) {
+            EXPECT_TRUE(std::isnan(got[t * 3 * d + 2 * d + d / 2]));
+            EXPECT_FALSE(std::isnan(got[0]));
+          }
+        }
 }
 
 TEST(Attention, PermutationEquivariance) {

@@ -5,6 +5,8 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <memory>
+#include <vector>
 
 #include "nn/activation.h"
 #include "nn/gradcheck.h"
@@ -12,6 +14,7 @@
 #include "nn/linear.h"
 #include "nn/loss.h"
 #include "nn/optimizer.h"
+#include "same_bits.h"
 #include "tensor/ops.h"
 
 namespace itask::nn {
@@ -56,6 +59,44 @@ TEST(Linear, GradCheck) {
   const auto result = check_gradients(layer, loss_fn);
   EXPECT_TRUE(result.ok) << "worst: " << result.worst_parameter
                          << " rel err " << result.max_rel_error;
+}
+
+// Linear's training pass runs one GEMM per product straight between the
+// caller's tensors; it must round as the composed tensor ops do (reshape to
+// [rows, in], matmul_bt, add_rowwise; matmul_at and sum_to_lastdim added
+// into the grads, matmul for dx), gradients accumulating over calls. 300
+// rows put more than one kKC slab into the dW reduction.
+TEST(Linear, ForwardBackwardMatchesComposedBitForBit) {
+  Rng rng(31);
+  for (bool bias : {true, false})
+    for (const Shape& shape : {Shape{300, 13}, Shape{4, 7, 13}, Shape{13}}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "bias " << bias << " " << shape_to_string(shape));
+      Linear layer(13, 21, rng, bias);
+      const Tensor& w = layer.weight().value;
+      Tensor want_dw = layer.weight().grad;
+      Tensor want_db = bias ? layer.bias()->grad : Tensor();
+      for (int call = 0; call < 2; ++call) {
+        const Tensor x = rng.randn(shape);
+        const int64_t rows = x.numel() / 13;
+        Shape out_shape = shape;
+        out_shape.back() = 21;
+        const Tensor x2d = x.reshape({rows, 13});
+        Tensor want_y = ops::matmul_bt(x2d, w);
+        if (bias) want_y = ops::add_rowwise(want_y, layer.bias()->value);
+        EXPECT_TRUE(same_bits(layer.forward(x), want_y.reshape(out_shape)));
+        const Tensor g = rng.randn(out_shape);
+        const Tensor g2d = g.reshape({rows, 21});
+        ops::add_inplace(want_dw, ops::matmul_at(g2d, x2d));
+        if (bias) ops::add_inplace(want_db, ops::sum_to_lastdim(g2d));
+        EXPECT_TRUE(
+            same_bits(layer.backward(g), ops::matmul(g2d, w).reshape(shape)));
+        EXPECT_TRUE(same_bits(layer.weight().grad, want_dw));
+        if (bias) {
+          EXPECT_TRUE(same_bits(layer.bias()->grad, want_db));
+        }
+      }
+    }
 }
 
 TEST(Linear, NoBiasVariant) {
@@ -191,6 +232,52 @@ TEST(Optimizer, AdamConvergesOnQuadratic) {
     adam.step();
   }
   EXPECT_NEAR(layer.weight().value[0], 3.0f, 0.05f);
+}
+
+// Adam's 8-lane form must round as its scalar form, written with explicit
+// fmas: at every tail length, with and without weight decay, for gradients
+// of ±0, tiny ones whose square underflows and huge ones whose overflows.
+TEST(Optimizer, AdamLanesMatchScalarBitForBit) {
+  const float lr = 3e-3f, b1 = 0.9f, b2 = 0.999f, eps = 1e-8f;
+  for (float wd : {0.0f, 0.05f}) {
+    SCOPED_TRACE(::testing::Message() << "wd " << wd);
+    Rng rng(13);
+    std::vector<std::unique_ptr<Parameter>> owned;
+    std::vector<Parameter*> params;
+    for (int64_t n = 1; n <= 35; ++n) {
+      owned.push_back(std::make_unique<Parameter>("p", rng.randn({n})));
+      params.push_back(owned.back().get());
+    }
+    std::vector<Tensor> w, m, v;
+    for (Parameter* p : params) {
+      w.push_back(p->value);
+      m.emplace_back(p->value.shape());
+      v.emplace_back(p->value.shape());
+    }
+    Adam adam(params, lr, b1, b2, eps, wd);
+    for (int t = 1; t <= 4; ++t) {
+      const float bc1 = 1.0f - std::pow(b1, static_cast<float>(t));
+      const float bc2 = 1.0f - std::pow(b2, static_cast<float>(t));
+      for (size_t i = 0; i < params.size(); ++i) {
+        Tensor& g = params[i]->grad;
+        g = rng.randn(g.shape());
+        for (int64_t j = 0; j < g.numel(); j += 3)
+          g[j] = (j % 2) ? -0.0f : 0.0f;
+        for (int64_t j = 1; j < g.numel(); j += 7) g[j] *= 1e-30f;
+        for (int64_t j = 4; j < g.numel(); j += 9) g[j] *= 1e25f;
+        for (int64_t j = 0; j < g.numel(); ++j) {
+          m[i][j] = std::fma(b1, m[i][j], (1.0f - b1) * g[j]);
+          v[i][j] = std::fma(b2, v[i][j], ((1.0f - b2) * g[j]) * g[j]);
+          const float q = (m[i][j] / bc1) / (std::sqrt(v[i][j] / bc2) + eps);
+          w[i][j] = std::fma(-lr, std::fma(wd, w[i][j], q), w[i][j]);
+        }
+      }
+      adam.step();
+      for (size_t i = 0; i < params.size(); ++i)
+        EXPECT_TRUE(same_bits(params[i]->value, w[i]))
+            << "size " << i + 1 << " step " << t;
+    }
+  }
 }
 
 TEST(Optimizer, ZeroGradClears) {
