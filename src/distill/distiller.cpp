@@ -10,18 +10,26 @@ namespace itask::distill {
 
 namespace {
 
-/// Per-scene teacher outputs (leading batch dim stripped).
-struct TeacherSlice {
-  Tensor objectness, class_logits, attr_logits, box_deltas, features;
-};
+/// The teacher outputs distillation reads.
+constexpr Tensor vit::VitOutput::*kTeacherFields[] = {
+    &vit::VitOutput::objectness, &vit::VitOutput::class_logits,
+    &vit::VitOutput::attr_logits, &vit::VitOutput::box_deltas,
+    &vit::VitOutput::features};
 
-/// The teacher is frozen during distillation, so its outputs per scene are
-/// computed once up front instead of once per epoch — this is the dominant
-/// cost of distillation otherwise (the teacher is the big model). They come
-/// from the served graph (infer), which caches nothing for backward.
-std::vector<TeacherSlice> precompute_teacher(const vit::VitModel& teacher,
-                                             const data::Dataset& dataset) {
-  std::vector<TeacherSlice> cache(static_cast<size_t>(dataset.size()));
+/// `shape` with its leading (batch) dimension set to `rows`.
+Shape with_rows(Shape shape, int64_t rows) {
+  shape[0] = rows;
+  return shape;
+}
+
+/// The teacher is frozen during distillation, so its outputs for every
+/// scene are computed once up front, into one [N, ...] tensor per field,
+/// instead of once per epoch — this is the dominant cost of distillation
+/// otherwise (the teacher is the big model). They come from the served
+/// graph (infer), which caches nothing for backward.
+vit::VitOutput precompute_teacher(const vit::VitModel& teacher,
+                                  const data::Dataset& dataset) {
+  vit::VitOutput all;
   const auto indices = dataset.all_indices();
   constexpr int64_t kChunk = 16;
   for (int64_t start = 0; start < dataset.size(); start += kChunk) {
@@ -29,38 +37,34 @@ std::vector<TeacherSlice> precompute_teacher(const vit::VitModel& teacher,
     const data::Batch batch = dataset.make_batch(std::span<const int64_t>(
         indices.data() + start, static_cast<size_t>(end - start)));
     const vit::VitOutput out = teacher.infer(batch.images);
-    for (int64_t i = start; i < end; ++i) {
-      TeacherSlice& s = cache[static_cast<size_t>(i)];
-      const int64_t bi = i - start;
-      s.objectness = out.objectness.index(bi);
-      s.class_logits = out.class_logits.index(bi);
-      s.attr_logits = out.attr_logits.index(bi);
-      s.box_deltas = out.box_deltas.index(bi);
-      s.features = out.features.index(bi);
+    for (const auto field : kTeacherFields) {
+      const Tensor& part = out.*field;
+      Tensor& dst = all.*field;
+      if (dst.empty())
+        dst = Tensor::uninitialized(with_rows(part.shape(), dataset.size()));
+      const int64_t row = part.numel() / part.dim(0);
+      std::copy_n(part.data().data(), part.numel(),
+                  dst.data().data() + start * row);
     }
   }
-  return cache;
+  return all;
 }
 
-/// Re-assembles cached teacher outputs for a shuffled batch.
-vit::VitOutput gather_teacher(const std::vector<TeacherSlice>& cache,
-                              std::span<const int64_t> indices) {
-  std::vector<Tensor> obj, cls, attr, box, feat;
-  for (int64_t i : indices) {
-    const TeacherSlice& s = cache[static_cast<size_t>(i)];
-    obj.push_back(s.objectness);
-    cls.push_back(s.class_logits);
-    attr.push_back(s.attr_logits);
-    box.push_back(s.box_deltas);
-    feat.push_back(s.features);
+/// Copies the cached teacher rows of a shuffled batch straight into `out`'s
+/// batch tensors, allocated only when the batch size changes.
+void gather_teacher(const vit::VitOutput& all,
+                    std::span<const int64_t> indices, vit::VitOutput& out) {
+  const auto b = static_cast<int64_t>(indices.size());
+  for (const auto field : kTeacherFields) {
+    const Tensor& src = all.*field;
+    Tensor& dst = out.*field;
+    if (dst.empty() || dst.dim(0) != b)
+      dst = Tensor::uninitialized(with_rows(src.shape(), b));
+    const int64_t row = src.numel() / src.dim(0);
+    for (int64_t k = 0; k < b; ++k)
+      std::copy_n(src.data().data() + indices[static_cast<size_t>(k)] * row,
+                  row, dst.data().data() + k * row);
   }
-  vit::VitOutput out;
-  out.objectness = ops::stack(obj);
-  out.class_logits = ops::stack(cls);
-  out.attr_logits = ops::stack(attr);
-  out.box_deltas = ops::stack(box);
-  out.features = ops::stack(feat);
-  return out;
 }
 
 }  // namespace
@@ -88,8 +92,9 @@ Distiller::Distiller(const vit::VitModel& teacher, vit::VitModel& student,
 DistillStats Distiller::run(const data::Dataset& dataset,
                             const data::TaskSpec* task) {
   ITASK_CHECK(dataset.size() > 0, "Distiller: empty dataset");
-  const std::vector<TeacherSlice> teacher_cache =
-      precompute_teacher(teacher_, dataset);
+  const vit::VitOutput teacher_cache = precompute_teacher(teacher_, dataset);
+  const std::vector<nn::Parameter*> student_params = student_.parameters();
+  vit::VitOutput t_out;  // the batch's teacher outputs, refilled each step
   DistillStats stats;
 
   TrainerOptions hard_options;
@@ -129,7 +134,7 @@ DistillStats Distiller::run(const data::Dataset& dataset,
       const std::span<const int64_t> batch_ids(order.data() + start,
                                                end - start);
       const data::Batch batch = dataset.make_batch(batch_ids, task);
-      const vit::VitOutput t_out = gather_teacher(teacher_cache, batch_ids);
+      gather_teacher(teacher_cache, batch_ids, t_out);
 
       student_.zero_grad();
       if (feature_proj_) feature_proj_->zero_grad();
@@ -165,13 +170,12 @@ DistillStats Distiller::run(const data::Dataset& dataset,
         const Tensor projected = feature_proj_->forward(s_out.features);
         auto fd = nn::mse(projected, t_out.features);
         feat_loss = options_.gamma_features * fd.value;
-        const Tensor d_proj_in = feature_proj_->backward(
+        grads.features = feature_proj_->backward(
             ops::mul_scalar(fd.grad, options_.gamma_features));
-        grads.features = d_proj_in;
       }
 
       student_.backward(grads);
-      nn::clip_grad_norm(student_.parameters(), options_.grad_clip);
+      nn::clip_grad_norm(student_params, options_.grad_clip);
       optimizer_->step();
 
       const float total = hard.total() + kd_total + feat_loss;

@@ -11,7 +11,9 @@ Tensor Gelu::forward(const Tensor& input) {
 
 Tensor Gelu::backward(const Tensor& grad_out) {
   ITASK_CHECK(!cached_input_.empty(), "Gelu: backward before forward");
-  return ops::gelu_grad(cached_input_, grad_out);
+  const Tensor input = std::move(cached_input_);  // backward consumes it
+  if (grad_out.empty()) return {};  // no gradient reaches this layer
+  return ops::gelu_grad(input, grad_out);
 }
 
 }  // namespace itask::nn

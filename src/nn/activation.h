@@ -1,4 +1,6 @@
-// The GELU activation layer (caches the forward input for backward).
+// The GELU activation layer (caches the forward input for its backward,
+// which consumes it; an empty grad_out drops it and returns empty, as in
+// Linear::backward).
 #pragma once
 
 #include "nn/module.h"

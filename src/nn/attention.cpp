@@ -299,9 +299,11 @@ Tensor MultiHeadAttention::forward(const Tensor& tokens) {
 Tensor MultiHeadAttention::backward(const Tensor& grad_out) {
   ITASK_CHECK(!cached_attn_.empty(),
               "MultiHeadAttention: backward before forward");
+  // Backward consumes the cache: a second one needs a new forward.
+  const Tensor qkv = std::move(cached_qkv_);
+  const Tensor attn = std::move(cached_attn_);
   const Tensor d_ctx = proj_.backward(grad_out);  // [B, T, D]
-  return qkv_.backward(
-      attention_core_backward(cached_qkv_, cached_attn_, d_ctx, heads_));
+  return qkv_.backward(attention_core_backward(qkv, attn, d_ctx, heads_));
 }
 
 }  // namespace itask::nn

@@ -53,6 +53,7 @@ class MultiHeadAttention : public Module {
   MultiHeadAttention(int64_t dim, int64_t heads, Rng& rng);
 
   Tensor forward(const Tensor& tokens);
+  /// Consumes forward's cache: a second backward needs a new forward.
   Tensor backward(const Tensor& grad_out);
 
   int64_t dim() const { return dim_; }
@@ -61,7 +62,8 @@ class MultiHeadAttention : public Module {
   const Linear& proj() const { return proj_; }
 
   /// Attention probabilities of the most recent forward pass, laid out
-  /// [B*H, T, T] (rows sum to 1). Empty before the first forward.
+  /// [B*H, T, T] (rows sum to 1). Valid from a forward until its backward;
+  /// empty otherwise.
   const Tensor& last_attention() const { return cached_attn_; }
 
  private:
@@ -69,8 +71,8 @@ class MultiHeadAttention : public Module {
   int64_t heads_;
   Linear qkv_;
   Linear proj_;
-  // Cached activations for backward: the fused projection [B, T, 3D] and
-  // the probabilities [B*H, T, T].
+  // Cached activations for backward, which consumes them: the fused
+  // projection [B, T, 3D] and the probabilities [B*H, T, T].
   Tensor cached_qkv_, cached_attn_;
 };
 

@@ -1,5 +1,7 @@
 #include "nn/embedding.h"
 
+#include <utility>
+
 #include "nn/init.h"
 #include "tensor/ops.h"
 
@@ -137,14 +139,14 @@ Tensor PatchEmbed::forward(const Tensor& images) {
 
 Tensor PatchEmbed::backward(const Tensor& grad_tokens) {
   ITASK_CHECK(cached_batch_ > 0, "PatchEmbed: backward before forward");
-  const int64_t b = cached_batch_;
+  const int64_t b = std::exchange(cached_batch_, 0);  // backward consumes it
   ITASK_CHECK(grad_tokens.ndim() == 3 && grad_tokens.dim(0) == b &&
                   grad_tokens.dim(1) == tokens_ + 1 &&
                   grad_tokens.dim(2) == dim_,
               "PatchEmbed: grad shape mismatch");
   auto g = grad_tokens.data();
-  auto dcls = cls_.grad.data();
-  auto dpos = pos_.grad.data();
+  auto dcls = cls_.grad_buffer().data();
+  auto dpos = pos_.grad_buffer().data();
   Tensor d_proj({b, tokens_, dim_});
   auto dp = d_proj.data();
   for (int64_t bi = 0; bi < b; ++bi) {

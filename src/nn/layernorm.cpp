@@ -20,8 +20,9 @@ constexpr float kEps = 1e-5f;
 /// values at `x`, writes the normalised row to `xhat` and xhat·γ + β to `y`,
 /// and returns 1/sqrt(var + kEps). `xhat` and `y` may alias each other and
 /// `x` (every element is read before it is written), which is how a build
-/// without AVX2 serves it without materialising xhat; AVX2 builds serve
-/// through layernorm_lanes, which repeats this arithmetic eight rows wide.
+/// without AVX2 serves it without materialising xhat; AVX2 builds train and
+/// serve through layernorm_lanes, which repeats this arithmetic eight rows
+/// wide.
 ///
 /// Every product's rounding is explicit, so no compiler setting (contraction,
 /// vectorisation, sanitizers) can change the bits: the mean and variance are
@@ -30,8 +31,9 @@ constexpr float kEps = 1e-5f;
 /// GCC made of the plain C++ form at -O3 -march=native (the variance loop
 /// vectorised 8 and 4 wide, its scalar remainder contracted), so trained
 /// weights kept their bits when the arithmetic was written out.
-float layernorm_row(const float* x, const float* g, const float* b, int64_t c,
-                    float* xhat, float* y) {
+[[maybe_unused]] float layernorm_row(const float* x, const float* g,
+                                     const float* b, int64_t c, float* xhat,
+                                     float* y) {
   float mean = 0.0f;
   for (int64_t j = 0; j < c; ++j) mean += x[j];
   mean /= static_cast<float>(c);
@@ -87,11 +89,25 @@ void transpose8x8(const float* src, int64_t lds, float* dst, int64_t ldd) {
   }
 }
 
+/// The column-major scratch t[j·8 + lane] back out to the first n rows of
+/// dst (row stride c).
+void store_lanes(const float* t, int64_t c, int64_t n, float* dst) {
+  int64_t j = 0;
+  if (n == 8)
+    for (; j + 8 <= c; j += 8) transpose8x8(t + j * 8, 8, dst + j, c);
+  for (; j < c; ++j)
+    for (int64_t l = 0; l < n; ++l) dst[l * c + j] = t[j * 8 + l];
+}
+
 /// Normalises the n ≤ 8 rows of c values at x (row stride c) into y, over
 /// the column-major copy xt[j·8 + lane] (8·c floats of scratch). Lanes past
-/// n repeat row n − 1 and are not stored.
+/// n repeat row n − 1 and are not stored. Training passes `xhat` and `rstd`
+/// to keep what backward reads, the normalised rows and each row's
+/// 1/sqrt(var + eps); the rows go out through xt[8·c, 16·c).
 void layernorm_lanes(const float* x, const float* g, const float* b,
-                     int64_t c, int64_t n, float* y, float* xt) {
+                     int64_t c, int64_t n, float* y, float* xt,
+                     float* xhat = nullptr, float* rstd = nullptr) {
+  float* xhat_t = xt + 8 * c;
   int64_t j = 0;
   if (n == 8)
     for (; j + 8 <= c; j += 8) transpose8x8(x + j, c, xt + j * 8, 8);
@@ -114,20 +130,23 @@ void layernorm_lanes(const float* x, const float* g, const float* b,
     var = _mm256_fmadd_ps(d, d, var);
   }
   var = _mm256_div_ps(var, count);
-  const __m256 rstd =
+  const __m256 rs =
       _mm256_div_ps(_mm256_set1_ps(1.0f),
                     _mm256_sqrt_ps(_mm256_add_ps(var, _mm256_set1_ps(kEps))));
   for (j = 0; j < c; ++j) {
-    const __m256 xhat =
-        _mm256_mul_ps(_mm256_sub_ps(_mm256_loadu_ps(xt + j * 8), mean), rstd);
-    _mm256_storeu_ps(xt + j * 8, _mm256_fmadd_ps(xhat, _mm256_set1_ps(g[j]),
+    const __m256 xh =
+        _mm256_mul_ps(_mm256_sub_ps(_mm256_loadu_ps(xt + j * 8), mean), rs);
+    if (xhat != nullptr) _mm256_storeu_ps(xhat_t + j * 8, xh);
+    _mm256_storeu_ps(xt + j * 8, _mm256_fmadd_ps(xh, _mm256_set1_ps(g[j]),
                                                  _mm256_set1_ps(b[j])));
   }
-  j = 0;
-  if (n == 8)
-    for (; j + 8 <= c; j += 8) transpose8x8(xt + j * 8, 8, y + j, c);
-  for (; j < c; ++j)
-    for (int64_t l = 0; l < n; ++l) y[l * c + j] = xt[j * 8 + l];
+  store_lanes(xt, c, n, y);
+  if (xhat != nullptr) store_lanes(xhat_t, c, n, xhat);
+  if (rstd != nullptr) {
+    alignas(32) float lanes[8];
+    _mm256_store_ps(lanes, rs);
+    std::copy(lanes, lanes + n, rstd);
+  }
 }
 #endif
 
@@ -169,19 +188,25 @@ Tensor LayerNorm::forward(const Tensor& input) {
               "LayerNorm: trailing dim mismatch");
   const int64_t c = features_;
   const int64_t rows = input.numel() / c;
-  Tensor xhat({rows, c});
-  Tensor rstd({rows});
-  Tensor out = Tensor::uninitialized(input.shape());  // every row is written
-  auto in = input.data();
-  auto xh = xhat.data();
-  auto rs = rstd.data();
-  auto o = out.data();
-  auto g = gamma_.value.data();
-  auto b = beta_.value.data();
-  for (int64_t r = 0; r < rows; ++r) {
-    rs[r] = layernorm_row(in.data() + r * c, g.data(), b.data(), c,
-                          xh.data() + r * c, o.data() + r * c);
-  }
+  Tensor xhat = Tensor::uninitialized({rows, c});  // every row is written
+  Tensor rstd = Tensor::uninitialized({rows});
+  Tensor out = Tensor::uninitialized(input.shape());
+  const float* in = input.data().data();
+  float* xh = xhat.data().data();
+  float* rs = rstd.data().data();
+  float* o = out.data().data();
+  const float* g = gamma_.value.data().data();
+  const float* b = beta_.value.data().data();
+#if defined(__AVX2__) && defined(__FMA__)
+  const ArenaMark mark;  // the column scratch dies with the call
+  ScratchVec<float> xt(16 * c, /*zero_fill=*/false);
+  for (int64_t r = 0; r < rows; r += 8)
+    layernorm_lanes(in + r * c, g, b, c, std::min<int64_t>(8, rows - r),
+                    o + r * c, xt.data(), xh + r * c, rs + r);
+#else
+  for (int64_t r = 0; r < rows; ++r)
+    rs[r] = layernorm_row(in + r * c, g, b, c, xh + r * c, o + r * c);
+#endif
   cached_xhat_ = std::move(xhat);
   cached_rstd_ = std::move(rstd);
   cached_shape_ = input.shape();
@@ -190,16 +215,19 @@ Tensor LayerNorm::forward(const Tensor& input) {
 
 Tensor LayerNorm::backward(const Tensor& grad_out) {
   ITASK_CHECK(!cached_xhat_.empty(), "LayerNorm: backward before forward");
+  // Backward consumes the cache: a second one needs a new forward.
+  const Tensor xhat = std::move(cached_xhat_);
+  const Tensor rstd = std::move(cached_rstd_);
   const int64_t c = features_;
-  const int64_t rows = cached_xhat_.dim(0);
+  const int64_t rows = xhat.dim(0);
   ITASK_CHECK(grad_out.numel() == rows * c, "LayerNorm: grad size mismatch");
   Tensor dx = Tensor::uninitialized(cached_shape_);  // every row is written
   auto g = grad_out.data();
-  auto xh = cached_xhat_.data();
-  auto rs = cached_rstd_.data();
+  auto xh = xhat.data();
+  auto rs = rstd.data();
   auto gam = gamma_.value.data();
-  auto dgam = gamma_.grad.data();
-  auto dbet = beta_.grad.data();
+  auto dgam = gamma_.grad_buffer().data();
+  auto dbet = beta_.grad_buffer().data();
   auto dxo = dx.data();
   for (int64_t r = 0; r < rows; ++r) {
     const float* grow = g.data() + r * c;

@@ -7,8 +7,9 @@ namespace itask::nn {
 
 /// Stateless affine layernorm over the trailing axis, used by the serving
 /// graph (vit/graph.h) in both configurations (INT8 keeps LayerNorm in
-/// fp32). It runs the same per-row routine as LayerNorm::forward, without
-/// keeping the normalised rows.
+/// fp32). It runs the same arithmetic as LayerNorm::forward (eight rows per
+/// AVX2 lane group, or the scalar row routine), without keeping the
+/// normalised rows.
 Tensor layernorm_affine(const Tensor& x, const Tensor& gamma,
                         const Tensor& beta);
 
@@ -29,6 +30,7 @@ class LayerNorm : public Module {
   int64_t features_;
   Parameter& gamma_;
   Parameter& beta_;
+  // What backward reads, cached by forward and consumed by backward.
   Tensor cached_xhat_;   // normalised input, [rows, C]
   Tensor cached_rstd_;   // 1/sqrt(var+eps) per row, [rows]
   Shape cached_shape_;

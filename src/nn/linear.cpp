@@ -100,11 +100,13 @@ void Linear::prepack_for_serving() {
 
 Tensor Linear::backward(const Tensor& grad_out) {
   ITASK_CHECK(!cached_input_.empty(), "Linear: backward before forward");
-  const int64_t rows = cached_input_.numel() / in_features_;
+  const Tensor input = std::move(cached_input_);  // backward consumes it
+  if (grad_out.empty()) return {};  // no gradient reaches this layer
+  const int64_t rows = input.numel() / in_features_;
   ITASK_CHECK(grad_out.numel() == rows * out_features_,
               "Linear: grad_out size mismatch");
   const float* g = grad_out.data().data();
-  Tensor dx(cached_input_.shape());  // dx[rows,in] = g · W, zeroed
+  Tensor dx(input.shape());  // dx[rows,in] = g · W, zeroed
   gemm::gemm_nn(g, weight_.value.data().data(), dx.data().data(), rows,
                 out_features_, in_features_);
   // dW[out,in] += gᵀ · x and db += Σ_rows g, each summed into zeroed
@@ -112,16 +114,16 @@ Tensor Linear::backward(const Tensor& grad_out) {
   // differently (the GEMM adds each kKC slab of rows to its output).
   const ArenaMark mark;  // the scratch dies with the call
   ScratchVec<float> dw(out_features_ * in_features_);
-  gemm::gemm_at(g, cached_input_.data().data(), dw.data(), out_features_, rows,
+  gemm::gemm_at(g, input.data().data(), dw.data(), out_features_, rows,
                 in_features_);
-  float* wg = weight_.grad.data().data();
+  float* wg = weight_.grad_buffer().data().data();
   for (int64_t i = 0; i < out_features_ * in_features_; ++i) wg[i] += dw[i];
   if (bias_ != nullptr) {
     ScratchVec<float> db(out_features_);
     for (int64_t r = 0; r < rows; ++r)
       for (int64_t j = 0; j < out_features_; ++j)
         db[j] += g[r * out_features_ + j];
-    float* bg = bias_->grad.data().data();
+    float* bg = bias_->grad_buffer().data().data();
     for (int64_t j = 0; j < out_features_; ++j) bg[j] += db[j];
   }
   return dx;

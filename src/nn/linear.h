@@ -17,7 +17,7 @@ class Linear : public Module {
   Linear(int64_t in_features, int64_t out_features, Rng& rng,
          bool bias = true);
 
-  /// Forward pass; caches the input when training for use by backward().
+  /// Forward pass; caches the input for backward(), which consumes it.
   Tensor forward(const Tensor& input);
 
   /// Cache-free forward for concurrent inference: numerically identical to
@@ -27,7 +27,10 @@ class Linear : public Module {
   /// it and an empty tensor is returned.
   Tensor infer(const Tensor& input, const ops::Epilogue& ep = {}) const;
 
-  /// Accumulates dW/db and returns dL/dinput (same shape as the cached input).
+  /// Accumulates dW/db and returns dL/dinput (same shape as the cached
+  /// input), consuming the cache: a second backward needs a new forward.
+  /// An empty grad_out means no gradient reaches this layer: the cache is
+  /// dropped, no gradient changes and an empty tensor is returned.
   Tensor backward(const Tensor& grad_out);
 
   /// Packs the weight into the k-major panel cache gemm_bt_prepacked

@@ -1,9 +1,13 @@
 // Module / Parameter machinery for the explicit-backward neural-net layers.
 //
-// iTask deliberately avoids a tape autograd (DESIGN.md §6.1): every layer
-// caches what its backward pass needs and exposes `backward(grad_out)`
-// returning the gradient w.r.t. its input. Parameters accumulate gradients
-// in-place; optimizers consume `parameters()`.
+// iTask deliberately avoids a tape autograd (DESIGN.md §6.1): a layer's
+// forward caches what its backward pass needs, and `backward(grad_out)`
+// consumes that cache and returns the gradient w.r.t. its input, so a
+// second backward without a new forward throws. Parameters accumulate
+// gradients in place; optimizers consume `parameters()`. Training state ends
+// with training: caches die in the backward that reads them and gradient
+// buffers with the optimizer that trains them, so a trained, loaded or
+// never-trained model holds its weights and nothing else.
 #pragma once
 
 #include <memory>
@@ -15,16 +19,24 @@
 
 namespace itask::nn {
 
-/// A trainable tensor together with its accumulated gradient.
+/// A trainable tensor together with its accumulated gradient. The gradient
+/// buffer is empty until zero_grad(), a backward or an optimizer over the
+/// parameter allocates it, and an optimizer releases it when destroyed.
 struct Parameter {
   std::string name;
   Tensor value;
   Tensor grad;
 
   Parameter(std::string n, Tensor v)
-      : name(std::move(n)), value(std::move(v)), grad(value.shape()) {}
+      : name(std::move(n)), value(std::move(v)) {}
 
-  void zero_grad() { grad.fill(0.0f); }
+  /// The gradient buffer a backward adds into, allocated zeroed if missing.
+  Tensor& grad_buffer() {
+    if (grad.shape() != value.shape()) grad = Tensor(value.shape());
+    return grad;
+  }
+
+  void zero_grad() { grad_buffer().fill(0.0f); }
 };
 
 /// Base class for layers and models. Owns its parameters; children are

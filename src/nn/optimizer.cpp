@@ -8,6 +8,15 @@
 
 namespace itask::nn {
 
+Optimizer::Optimizer(std::vector<Parameter*> params)
+    : params_(std::move(params)) {
+  for (Parameter* p : params_) (void)p->grad_buffer();
+}
+
+Optimizer::~Optimizer() {
+  for (Parameter* p : params_) p->grad = Tensor();
+}
+
 void Optimizer::zero_grad() {
   for (Parameter* p : params_) p->zero_grad();
 }

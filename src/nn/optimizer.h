@@ -7,12 +7,17 @@
 
 namespace itask::nn {
 
-/// Common optimizer interface: step() applies accumulated gradients.
+/// Common optimizer interface: step() applies accumulated gradients. The
+/// optimizer owns its parameters' gradient buffers for its lifetime: the
+/// constructor allocates them zeroed and the destructor releases them, so
+/// a gradient outlives no fit.
 class Optimizer {
  public:
-  explicit Optimizer(std::vector<Parameter*> params)
-      : params_(std::move(params)) {}
-  virtual ~Optimizer() = default;
+  explicit Optimizer(std::vector<Parameter*> params);
+  virtual ~Optimizer();
+
+  Optimizer(const Optimizer&) = delete;
+  Optimizer& operator=(const Optimizer&) = delete;
 
   virtual void step() = 0;
   void zero_grad();

@@ -1,5 +1,7 @@
 #include "vit/model.h"
 
+#include <utility>
+
 #include "tensor/ops.h"
 #include "vit/graph.h"
 
@@ -105,23 +107,22 @@ VitOutput VitModel::infer(const Tensor& images, const GraphSink& sink) const {
 
 Tensor VitModel::backward(const VitOutputGrads& grads) {
   ITASK_CHECK(cached_batch_ > 0, "VitModel: backward before forward");
-  const int64_t b = cached_batch_;
+  const int64_t b = std::exchange(cached_batch_, 0);  // backward consumes it
   const int64_t t = config_.tokens();
   const int64_t d = config_.dim;
-  // Accumulate per-patch gradients from each active head.
+  // Accumulate per-patch gradients from each active head. Every head runs
+  // its backward, so each consumes its cache; a head with no gradient
+  // returns an empty tensor and changes nothing.
   Tensor d_patches({b, t, d});
-  if (!grads.objectness.empty())
-    ops::add_inplace(d_patches, obj_head_.backward(grads.objectness));
-  if (!grads.class_logits.empty())
-    ops::add_inplace(d_patches, cls_head_.backward(grads.class_logits));
-  if (!grads.attr_logits.empty())
-    ops::add_inplace(d_patches, attr_head_.backward(grads.attr_logits));
-  if (!grads.box_deltas.empty())
-    ops::add_inplace(
-        d_patches,
-        box_fc1_.backward(box_gelu_.backward(box_fc2_.backward(grads.box_deltas))));
-  if (!grads.relevance.empty())
-    ops::add_inplace(d_patches, rel_head_.backward(grads.relevance));
+  const auto add = [&](const Tensor& grad) {
+    if (!grad.empty()) ops::add_inplace(d_patches, grad);
+  };
+  add(obj_head_.backward(grads.objectness));
+  add(cls_head_.backward(grads.class_logits));
+  add(attr_head_.backward(grads.attr_logits));
+  add(box_fc1_.backward(
+      box_gelu_.backward(box_fc2_.backward(grads.box_deltas))));
+  add(rel_head_.backward(grads.relevance));
   // Scatter patch grads into the full token layout (CLS slot gets the
   // feature-distillation gradient, if any).
   Tensor d_tokens({b, t + 1, d});

@@ -61,7 +61,8 @@ class VitModel : public nn::Module {
   /// (vit::build_workload records the layer list this way).
   VitOutput infer(const Tensor& images, const GraphSink& sink) const;
 
-  /// Attention rollout (Abnar & Zuidema, 2020) of the most recent forward:
+  /// Attention rollout (Abnar & Zuidema, 2020) of the most recent forward,
+  /// valid until that forward's backward consumes the attention caches:
   /// per-image token-to-token attribution [B, T+1, T+1] obtained by
   /// propagating head-averaged attention (with residual mixing 0.5A + 0.5I)
   /// through the encoder stack. Row t says which input tokens token t's
@@ -70,7 +71,9 @@ class VitModel : public nn::Module {
   Tensor attention_rollout() const;
 
   /// Accumulates gradients for all heads + encoder + embedding.
-  /// Returns the gradient w.r.t. the input images.
+  /// Returns the gradient w.r.t. the input images. Consumes every cache
+  /// forward() left, also those of heads whose gradient is empty: a second
+  /// backward needs a new forward.
   Tensor backward(const VitOutputGrads& grads);
 
  private:

@@ -68,6 +68,23 @@ TEST(Attention, OutputShapeAndGradCheck) {
                          << result.max_rel_error;
 }
 
+// Backward consumes the forward's cache, the probabilities included: a
+// second backward without a new forward throws, and last_attention() is
+// valid only between a forward and its backward.
+TEST(MultiHeadAttention, SecondBackwardThrows) {
+  Rng rng(21);
+  nn::MultiHeadAttention attn(8, 2, rng);
+  const Tensor x = rng.randn({2, 4, 8});
+  const Tensor g = rng.randn({2, 4, 8});
+  (void)attn.forward(x);
+  EXPECT_EQ(attn.last_attention().shape(), (Shape{4, 4, 4}));
+  (void)attn.backward(g);
+  EXPECT_TRUE(attn.last_attention().empty());
+  EXPECT_THROW(attn.backward(g), std::invalid_argument);
+  (void)attn.forward(x);
+  EXPECT_NO_THROW(attn.backward(g));
+}
+
 TEST(AttentionCore, MatchesComposedOracleBitForBit) {
   struct Case {
     int64_t t, d, heads;
@@ -348,6 +365,24 @@ TEST(VitModel, FullGradCheckThroughAllHeads) {
   const auto result = nn::check_gradients(model, loss_fn, 2e-3f, 5e-2f, 6);
   EXPECT_TRUE(result.ok) << result.worst_parameter << " rel "
                          << result.max_rel_error;
+}
+
+// VitModel::backward consumes every cache forward() left, also those of
+// the heads it gets no gradient for: a second backward, and the rollout
+// after a backward, throw until a new forward.
+TEST(VitModel, SecondBackwardThrows) {
+  Rng rng(12);
+  vit::VitModel model(tiny_config(), rng);
+  const Tensor img = rng.randn({2, 3, 8, 8});
+  vit::VitOutputGrads grads;
+  grads.objectness = rng.randn({2, 4, 1});  // the other heads get none
+  (void)model.forward(img);
+  EXPECT_NO_THROW((void)model.attention_rollout());
+  (void)model.backward(grads);
+  EXPECT_THROW(model.backward(grads), std::invalid_argument);
+  EXPECT_THROW((void)model.attention_rollout(), std::invalid_argument);
+  (void)model.forward(img);
+  EXPECT_NO_THROW(model.backward(grads));
 }
 
 TEST(VitModel, DeterministicForward) {

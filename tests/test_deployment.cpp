@@ -88,6 +88,43 @@ TEST(Deployment, RoundTripReproducesDetections) {
   std::filesystem::remove_all(dir);
 }
 
+/// No parameter of `model` owns a gradient buffer.
+::testing::AssertionResult owns_no_gradients(vit::VitModel& model) {
+  for (nn::Parameter* p : model.parameters())
+    if (!p->grad.empty())
+      return ::testing::AssertionFailure() << p->name << " has a gradient";
+  return ::testing::AssertionSuccess();
+}
+
+// Gradients live only while an optimizer trains: a constructed model, every
+// model a prepared deployment holds and every model load_deployment restores
+// carry their weights and no gradient buffer.
+TEST(Deployment, ModelsOwnNoGradientBuffers) {
+  const std::string dir =
+      (std::filesystem::temp_directory_path() / "itask_deploy_gradients")
+          .string();
+  std::filesystem::remove_all(dir);
+  const FrameworkOptions options = tiny_options();
+  Framework prepared(options);
+  EXPECT_TRUE(owns_no_gradients(prepared.teacher()));
+  prepared.pretrain_teacher();
+  TaskHandle task = prepared.define_task(data::task_by_id(1));
+  prepared.prepare_task_specific(task);
+  prepared.prepare_quantized();
+  EXPECT_TRUE(owns_no_gradients(prepared.teacher()));
+  EXPECT_TRUE(owns_no_gradients(prepared.student_for(task)));
+  EXPECT_TRUE(owns_no_gradients(prepared.multitask_student()));
+  prepared.save_deployment(dir);
+
+  Framework restored(options);
+  restored.load_deployment(dir);
+  TaskHandle task2 = restored.define_task(data::task_by_id(1));
+  EXPECT_TRUE(owns_no_gradients(restored.teacher()));
+  EXPECT_TRUE(owns_no_gradients(restored.student_for(task2)));
+  EXPECT_TRUE(owns_no_gradients(restored.multitask_student()));
+  std::filesystem::remove_all(dir);
+}
+
 TEST(Deployment, ManifestListsArtifacts) {
   const std::string dir =
       (std::filesystem::temp_directory_path() / "itask_deploy_manifest")

@@ -4,6 +4,7 @@
 
 #include "distill/distiller.h"
 #include "distill/trainer.h"
+#include "quant/qat.h"
 #include "tensor/ops.h"
 
 namespace itask::distill {
@@ -22,6 +23,53 @@ vit::ViTConfig tiny_model_config() {
   c.depth = 1;
   c.heads = 2;
   return c;
+}
+
+/// Training leaves only weights behind: no parameter keeps a gradient
+/// buffer, and the last backward consumed every cache, so another backward
+/// throws until a new forward.
+void expect_only_weights_left(vit::VitModel& model) {
+  for (nn::Parameter* p : model.parameters())
+    EXPECT_TRUE(p->grad.empty()) << p->name;
+  EXPECT_THROW(model.backward({}), std::invalid_argument);
+}
+
+TEST(Trainer, FitLeavesOnlyWeights) {
+  Rng rng(3);
+  vit::VitModel model(tiny_model_config(), rng);
+  const data::Dataset ds = tiny_dataset(12, 4);
+  TrainerOptions options;
+  options.epochs = 1;
+  options.batch_size = 8;
+  Trainer(model, options).fit(ds);
+  expect_only_weights_left(model);
+}
+
+TEST(Distiller, RunLeavesOnlyWeights) {
+  Rng rng(5);
+  vit::ViTConfig teacher_cfg = tiny_model_config();
+  teacher_cfg.dim = 24;
+  vit::VitModel teacher(teacher_cfg, rng);
+  vit::VitModel student(tiny_model_config(), rng);
+  const data::Dataset ds = tiny_dataset(12, 6);
+  DistillOptions options;
+  options.epochs = 1;
+  options.batch_size = 8;
+  Distiller(teacher, student, options, rng).run(ds, &data::task_by_id(1));
+  expect_only_weights_left(student);
+  for (nn::Parameter* p : teacher.parameters())
+    EXPECT_TRUE(p->grad.empty()) << p->name;
+}
+
+TEST(Qat, FinetuneLeavesOnlyWeights) {
+  Rng rng(7);
+  vit::VitModel model(tiny_model_config(), rng);
+  const data::Dataset ds = tiny_dataset(12, 8);
+  quant::QatOptions options;
+  options.epochs = 1;
+  options.batch_size = 8;
+  (void)quant::qat_finetune(model, ds, options);
+  expect_only_weights_left(model);
 }
 
 TEST(Trainer, LossDecreases) {

@@ -44,6 +44,75 @@ TEST(Linear, BackwardBeforeForwardThrows) {
   EXPECT_THROW(layer.backward(Tensor({1, 2})), std::invalid_argument);
 }
 
+// A backward consumes its forward's cache: a second backward without a new
+// forward throws, and a new forward makes backward work again.
+template <typename Layer>
+void expect_backward_consumes_cache(Layer& layer, const Tensor& x,
+                                    const Tensor& g) {
+  (void)layer.forward(x);
+  (void)layer.backward(g);
+  EXPECT_THROW(layer.backward(g), std::invalid_argument);
+  (void)layer.forward(x);
+  EXPECT_NO_THROW(layer.backward(g));
+}
+
+TEST(Linear, SecondBackwardThrows) {
+  Rng rng(41);
+  Linear layer(3, 2, rng);
+  expect_backward_consumes_cache(layer, rng.randn({4, 3}), rng.randn({4, 2}));
+}
+
+// An empty gradient (a head nothing trains this step) drops the cache and
+// changes no gradient.
+TEST(Linear, EmptyGradientDropsTheCache) {
+  Rng rng(42);
+  Linear layer(3, 2, rng);
+  layer.zero_grad();
+  (void)layer.forward(rng.randn({4, 3}));
+  EXPECT_TRUE(layer.backward(Tensor()).empty());
+  for (Parameter* p : layer.parameters())
+    for (float v : p->grad.data()) EXPECT_EQ(v, 0.0f) << p->name;
+  EXPECT_THROW(layer.backward(rng.randn({4, 2})), std::invalid_argument);
+}
+
+// A gradient buffer exists only while something trains the parameter: a new
+// layer owns none, an optimizer allocates them zeroed and releases them when
+// destroyed, and zero_grad() or a backward allocates a missing one for
+// direct callers (gradient checks).
+TEST(Parameter, GradientLivesWhileAnOptimizerTrains) {
+  Rng rng(43);
+  Linear layer(3, 2, rng);
+  const auto expect_no_buffers = [&] {
+    for (Parameter* p : layer.parameters())
+      EXPECT_TRUE(p->grad.empty()) << p->name;
+  };
+  const auto expect_zeroed_buffers = [&] {
+    for (Parameter* p : layer.parameters()) {
+      ASSERT_EQ(p->grad.shape(), p->value.shape()) << p->name;
+      for (float v : p->grad.data()) EXPECT_EQ(v, 0.0f) << p->name;
+    }
+  };
+  expect_no_buffers();
+  {
+    Adam adam(layer.parameters(), 0.1f);
+    expect_zeroed_buffers();
+    (void)layer.forward(rng.randn({4, 3}));
+    (void)layer.backward(rng.randn({4, 2}));
+    adam.step();
+  }
+  expect_no_buffers();
+  layer.zero_grad();
+  expect_zeroed_buffers();
+  {
+    Sgd sgd(layer.parameters(), 0.1f);
+  }
+  expect_no_buffers();
+  (void)layer.forward(rng.randn({4, 3}));
+  (void)layer.backward(rng.randn({4, 2}));
+  for (Parameter* p : layer.parameters())
+    EXPECT_EQ(p->grad.shape(), p->value.shape()) << p->name;
+}
+
 TEST(Linear, GradCheck) {
   Rng rng(4);
   Linear layer(3, 4, rng);
@@ -73,6 +142,7 @@ TEST(Linear, ForwardBackwardMatchesComposedBitForBit) {
       SCOPED_TRACE(::testing::Message()
                    << "bias " << bias << " " << shape_to_string(shape));
       Linear layer(13, 21, rng, bias);
+      layer.zero_grad();  // a new layer owns no gradient buffer
       const Tensor& w = layer.weight().value;
       Tensor want_dw = layer.weight().grad;
       Tensor want_db = bias ? layer.bias()->grad : Tensor();
@@ -189,6 +259,94 @@ TEST(LayerNorm, AffineMatchesForwardBitForBit) {
   }
 }
 
+TEST(LayerNorm, SecondBackwardThrows) {
+  Rng rng(44);
+  LayerNorm ln(5);
+  expect_backward_consumes_cache(ln, rng.randn({3, 5}), rng.randn({3, 5}));
+}
+
+/// LayerNorm's row arithmetic as layernorm.cpp defines it, every rounding
+/// explicit: xhat = (x − mean)·rstd and y = fma(xhat, γ, β).
+void reference_layernorm_row(const float* x, const float* g, const float* b,
+                             int64_t c, float* xhat, float* y) {
+  float mean = 0.0f;
+  for (int64_t j = 0; j < c; ++j) mean += x[j];
+  mean /= static_cast<float>(c);
+  float var = 0.0f;
+  for (int64_t j = 0; j < c; ++j) {
+    const float d = x[j] - mean;
+    var = j < c / 4 * 4 ? var + ops::rounded(d * d) : std::fma(d, d, var);
+  }
+  var /= static_cast<float>(c);
+  const float rstd = 1.0f / std::sqrt(var + 1e-5f);
+  for (int64_t j = 0; j < c; ++j) {
+    xhat[j] = ops::rounded((x[j] - mean) * rstd);
+    y[j] = std::fma(xhat[j], g[j], b[j]);
+  }
+}
+
+// The training forward normalises eight rows per lane group and keeps the
+// normalised rows and their 1/std for backward. At row counts that leave a
+// partial group, every row must come out as the scalar row arithmetic makes
+// it, the kept rows too (a gradient of ones sums them, exactly, into dγ),
+// and backward must give each row the dx it gets alone, accumulating the
+// same dγ and dβ.
+TEST(LayerNorm, TrainingLanesMatchRowByRowBitForBit) {
+  Rng rng(19);
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  for (int64_t c : {3, 7, 13, 40, 64}) {
+    const Tensor gamma = rng.randn({c}), beta = rng.randn({c});
+    for (int64_t rows : {1, 3, 7, 9, 12, 17, 23}) {
+      SCOPED_TRACE(::testing::Message() << "rows " << rows << " c " << c);
+      Tensor x = rng.randn({rows, c});
+      for (int64_t i = 0; i < x.numel(); i += 5) x[i] = 0.0f;
+      for (int64_t i = 2; i < x.numel(); i += 7) x[i] = -0.0f;
+      for (int64_t r = 1; r < rows; r += 4)
+        for (int64_t j = 0; j < c; ++j) x[r * c + j] *= 1e19f;
+      for (int64_t r = 2; r < rows; r += 4)
+        for (int64_t j = 0; j < c; ++j) x[r * c + j] *= 1e-22f;
+      if (rows > 3)
+        for (int64_t j = 0; j < c; ++j) x[3 * c + j] = 0.0f;
+      if (rows > 5) x[5 * c + c / 2] = nan;
+      const Tensor g = rng.randn({rows, c});
+      LayerNorm whole(c), alone(c);
+      for (LayerNorm* ln : {&whole, &alone}) {
+        ln->load_state_dict({{"gamma", gamma}, {"beta", beta}});
+        ln->zero_grad();
+      }
+      const Tensor y = whole.forward(x);
+      const Tensor dx = whole.backward(g);
+      Tensor want_xhat({rows, c}), want_y({rows, c});
+      for (int64_t r = 0; r < rows; ++r)
+        reference_layernorm_row(x.data().data() + r * c, gamma.data().data(),
+                                beta.data().data(), c,
+                                want_xhat.data().data() + r * c,
+                                want_y.data().data() + r * c);
+      EXPECT_TRUE(same_bits(y, want_y));
+      Tensor xhat_sum({c});
+      for (int64_t r = 0; r < rows; ++r)
+        for (int64_t j = 0; j < c; ++j) xhat_sum[j] += want_xhat[r * c + j];
+      LayerNorm probe(c);
+      probe.load_state_dict({{"gamma", gamma}, {"beta", beta}});
+      probe.zero_grad();
+      (void)probe.forward(x);
+      (void)probe.backward(Tensor({rows, c}, 1.0f));
+      EXPECT_TRUE(same_bits(probe.parameters()[0]->grad, xhat_sum));
+      for (int64_t r = 0; r < rows; ++r) {
+        SCOPED_TRACE(::testing::Message() << "row " << r);
+        const Tensor yr = alone.forward(x.index(r).reshape({1, c}));
+        EXPECT_TRUE(same_bits(yr, y.index(r).reshape({1, c})));
+        const Tensor dxr = alone.backward(g.index(r).reshape({1, c}));
+        EXPECT_TRUE(same_bits(dxr, dx.index(r).reshape({1, c})));
+      }
+      EXPECT_TRUE(same_bits(alone.parameters()[0]->grad,
+                            whole.parameters()[0]->grad));
+      EXPECT_TRUE(same_bits(alone.parameters()[1]->grad,
+                            whole.parameters()[1]->grad));
+    }
+  }
+}
+
 TEST(Activations, GeluLayerMatchesOp) {
   Gelu gelu;
   Rng rng(7);
@@ -198,12 +356,18 @@ TEST(Activations, GeluLayerMatchesOp) {
   EXPECT_TRUE(gelu.backward(g).allclose(ops::gelu_grad(x, g)));
 }
 
+TEST(Activations, GeluSecondBackwardThrows) {
+  Gelu gelu;
+  Rng rng(45);
+  expect_backward_consumes_cache(gelu, rng.randn({3, 3}), rng.randn({3, 3}));
+}
+
 TEST(Optimizer, SgdStepDirection) {
   Rng rng(9);
   Linear layer(2, 2, rng);
   layer.weight().value.fill(1.0f);
+  Sgd sgd(layer.parameters(), /*lr=*/0.1f);  // allocates the gradients
   layer.weight().grad.fill(0.5f);
-  Sgd sgd(layer.parameters(), /*lr=*/0.1f);
   sgd.step();
   for (float v : layer.weight().value.data()) EXPECT_NEAR(v, 0.95f, 1e-6f);
 }
@@ -283,8 +447,8 @@ TEST(Optimizer, AdamLanesMatchScalarBitForBit) {
 TEST(Optimizer, ZeroGradClears) {
   Rng rng(12);
   Linear layer(2, 2, rng);
-  layer.weight().grad.fill(5.0f);
   Sgd sgd(layer.parameters(), 0.1f);
+  layer.weight().grad.fill(5.0f);
   sgd.zero_grad();
   for (float v : layer.weight().grad.data()) EXPECT_EQ(v, 0.0f);
 }
