@@ -20,7 +20,7 @@ int main() {
   std::printf("pretraining teacher + FP32 multi-task student…\n");
   fw.pretrain_teacher();
   fw.prepare_quantized();  // also trains the FP32 multi-task student
-  vit::VitModel& fp32 = fw.multitask_student();
+  const vit::VitModel& fp32 = fw.multitask_student();
 
   const data::Dataset eval = bench::make_eval_set(options, 96, 16180);
   Rng calib_rng(4242);
@@ -47,7 +47,7 @@ int main() {
 
   // FP32 reference rows.
   const double fp32_mean =
-      mean_f1([&](const Tensor& img) { return fp32.forward(img); });
+      mean_f1([&](const Tensor& img) { return fp32.infer(img); });
   std::printf("\nFP32 reference mean F1 over %zu tasks: %.3f\n\n",
               tasks.size(), fp32_mean);
 
@@ -67,7 +67,7 @@ int main() {
           mean_f1([&](const Tensor& img) { return qvit.forward(img); });
 
       // Raw distortion: mean |Δ class logit| on the calibration set.
-      const vit::VitOutput ref = fp32.forward(calib_images);
+      const vit::VitOutput ref = fp32.infer(calib_images);
       const vit::VitOutput out = qvit.forward(calib_images);
       double mae = 0.0;
       for (int64_t i = 0; i < ref.class_logits.numel(); ++i)

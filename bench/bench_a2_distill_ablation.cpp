@@ -110,11 +110,10 @@ int main() {
         dopt.epochs = options.distillation.epochs *
                       std::max<int64_t>(1, options.task_corpus_size /
                                                corpus_size);
-        distill::Distiller distiller(fw.teacher(), student, dopt, rng);
-        distiller.run(corpus, &spec);
+        distill::distill(fw.teacher(), student, corpus, dopt, rng, &spec);
         const auto r =
             fw.evaluate(eval, task, core::ConfigKind::kTaskSpecific,
-                        [&](const Tensor& img) { return student.forward(img); });
+                        [&](const Tensor& img) { return student.infer(img); });
         f1 += r.f1;
         ap += r.average_precision;
         recall += r.recall;

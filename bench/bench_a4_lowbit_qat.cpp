@@ -45,7 +45,7 @@ int main() {
   };
 
   const double fp32_f1 =
-      mean_f1([&](const Tensor& img) { return fp32.forward(img); });
+      mean_f1([&](const Tensor& img) { return fp32.infer(img); });
   std::printf("\nFP32 reference mean F1: %.3f (%.3f MB)\n\n", fp32_f1,
               static_cast<double>(fp32.parameter_count()) * 4.0 /
                   (1024.0 * 1024.0));

@@ -60,7 +60,7 @@ int main() {
     const auto score = [&](vit::VitModel& student) {
       return fw
           .evaluate(eval, task, core::ConfigKind::kTaskSpecific,
-                    [&](const Tensor& img) { return student.forward(img); })
+                    [&](const Tensor& img) { return student.infer(img); })
           .f1;
     };
     for (int64_t shots : shot_counts) {
@@ -78,9 +78,9 @@ int main() {
           distill::TrainerOptions topt;
           topt.batch_size = std::min<int64_t>(16, few.size());
           topt.epochs = epochs_for(few.size(), topt.batch_size);
-          topt.w_relevance = 1.5f;
+          topt.losses.relevance = 1.5f;
           topt.seed = seed;
-          distill::Trainer(student, topt).fit(few, &spec);
+          distill::train(student, few, topt, &spec);
           scratch_sum += score(student);
         }
         // (2) KG + distillation from the task-agnostic teacher, K scenes.
@@ -90,8 +90,7 @@ int main() {
           dopt.batch_size = std::min<int64_t>(16, few.size());
           dopt.epochs = epochs_for(few.size(), dopt.batch_size);
           dopt.seed = seed;
-          distill::Distiller distiller(fw.teacher(), student, dopt, rng);
-          distiller.run(few, &spec);
+          distill::distill(fw.teacher(), student, few, dopt, rng, &spec);
           distill_sum += score(student);
         }
       }

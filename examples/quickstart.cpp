@@ -42,8 +42,8 @@ int main() {
   const auto stats = fw.prepare_task_specific(task);
   std::printf("       %lld steps, loss %.3f → %.3f\n",
               static_cast<long long>(stats.steps),
-              static_cast<double>(stats.first_total),
-              static_cast<double>(stats.last_total));
+              static_cast<double>(stats.first.total()),
+              static_cast<double>(stats.last.total()));
 
   std::printf("[4/5] building INT8 quantized multi-task model…\n");
   fw.prepare_quantized();

@@ -70,8 +70,7 @@ void Framework::pretrain_teacher() {
   Rng data_rng = rng_.fork();
   const data::SceneGenerator generator(options_.generator);
   corpus_ = data::Dataset::generate(generator, options_.corpus_size, data_rng);
-  distill::Trainer trainer(*teacher_, options_.teacher_training);
-  trainer.fit(corpus_);
+  distill::train(*teacher_, corpus_, options_.teacher_training);
   teacher_trained_ = true;
 }
 
@@ -104,7 +103,7 @@ TaskHandle Framework::define_task_from_text(const std::string& description) {
   return define_task(spec);
 }
 
-distill::DistillStats Framework::prepare_task_specific(
+distill::FitStats Framework::prepare_task_specific(
     const TaskHandle& task) {
   ITASK_CHECK(teacher_trained_, "Framework: pretrain_teacher() first");
   Rng fork = rng_.fork();
@@ -120,9 +119,9 @@ distill::DistillStats Framework::prepare_task_specific(
   // retrained in place.
   auto student =
       std::make_shared<vit::VitModel>(options_.student_config, fork);
-  distill::Distiller distiller(*teacher_, *student, options_.distillation,
-                               fork);
-  const distill::DistillStats stats = distiller.run(task_corpus, &task.spec);
+  const distill::FitStats stats = distill::distill(
+      *teacher_, *student, task_corpus, options_.distillation, fork,
+      &task.spec);
   students_[task.slot] = std::move(student);
   return stats;
 }
@@ -141,9 +140,8 @@ void Framework::prepare_quantized() {
   // snapshots may still be serving the previous quantized model.
   multitask_student_ =
       std::make_shared<vit::VitModel>(options_.student_config, fork);
-  distill::Distiller distiller(*teacher_, *multitask_student_,
-                               options_.multitask_distillation, fork);
-  distiller.run(mt_corpus, /*task=*/nullptr);
+  distill::distill(*teacher_, *multitask_student_, mt_corpus,
+                   options_.multitask_distillation, fork);
   // 2. Post-training quantization with calibration.
   quantized_ = build_quantized(*multitask_student_, options_, fork);
 }

@@ -100,7 +100,7 @@ class Framework {
   TaskHandle define_task_from_text(const std::string& description);
 
   /// Distils a task-specific student for this task (stored per slot).
-  distill::DistillStats prepare_task_specific(const TaskHandle& task);
+  distill::FitStats prepare_task_specific(const TaskHandle& task);
 
   /// Builds the quantized configuration: distils a *multi-task* student
   /// (same compact architecture as the task-specific students) from the

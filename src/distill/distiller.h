@@ -8,8 +8,6 @@
 //    student to teacher width.
 #pragma once
 
-#include <memory>
-
 #include "distill/trainer.h"
 
 namespace itask::distill {
@@ -28,38 +26,14 @@ struct DistillOptions {
   float gamma_features = 0.3f; // weight on feature distillation (0 disables)
   float w_relevance = 1.5f;    // hard relevance supervision (task-specific)
   uint64_t seed = 11;
-  bool verbose = false;
-};
-
-struct DistillStats {
-  int64_t steps = 0;
-  float first_total = 0.0f;
-  float last_total = 0.0f;
-  float last_hard = 0.0f;
-  float last_kd = 0.0f;
-  float last_feature = 0.0f;
 };
 
 /// Distills `teacher` into `student` on `dataset`, optionally specialising
 /// for `task` (relevance head supervision + task-focused data is the
-/// caller's responsibility).
-class Distiller {
- public:
-  Distiller(const vit::VitModel& teacher, vit::VitModel& student,
-            DistillOptions options, Rng& rng);
-
-  DistillStats run(const data::Dataset& dataset,
-                   const data::TaskSpec* task = nullptr);
-
- private:
-  const vit::VitModel& teacher_;
-  vit::VitModel& student_;
-  DistillOptions options_;
-  /// Projects student features to teacher width for feature distillation;
-  /// null when widths match or gamma_features == 0.
-  std::unique_ptr<nn::Linear> feature_proj_;
-  std::unique_ptr<nn::Adam> optimizer_;
-  Rng rng_;
-};
+/// caller's responsibility). The feature projection's initial weights are
+/// the first draw from `rng`.
+FitStats distill(const vit::VitModel& teacher, vit::VitModel& student,
+                 const data::Dataset& dataset, const DistillOptions& options,
+                 Rng& rng, const data::TaskSpec* task = nullptr);
 
 }  // namespace itask::distill

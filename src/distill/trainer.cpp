@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 
+#include "nn/optimizer.h"
 #include "tensor/ops.h"
 
 namespace itask::distill {
@@ -33,125 +33,110 @@ nn::LossResult masked_mse(const Tensor& pred, const Tensor& target,
   return {static_cast<float>(loss) * inv, std::move(grad)};
 }
 
-}  // namespace
-
-StepLosses supervised_losses(const vit::VitOutput& output,
-                             const data::Batch& batch,
-                             const TrainerOptions& options,
-                             vit::VitOutputGrads& grads) {
-  StepLosses losses;
-  {
-    auto res = nn::bce_with_logits(output.objectness, batch.objectness);
-    losses.objectness = options.w_objectness * res.value;
-    grads.objectness = ops::mul_scalar(res.grad, options.w_objectness);
-  }
-  {
-    auto res = nn::softmax_cross_entropy(output.class_logits,
-                                         batch.cell_class);
-    losses.classification = options.w_class * res.value;
-    grads.class_logits = ops::mul_scalar(res.grad, options.w_class);
-  }
-  {
-    auto res = nn::bce_with_logits(output.attr_logits, batch.attributes,
-                                   &batch.attr_mask);
-    losses.attributes = options.w_attributes * res.value;
-    grads.attr_logits = ops::mul_scalar(res.grad, options.w_attributes);
-  }
-  {
-    auto res = masked_mse(output.box_deltas, batch.boxes, batch.box_mask);
-    losses.box = options.w_box * res.value;
-    grads.box_deltas = ops::mul_scalar(res.grad, options.w_box);
-  }
-  if (options.w_relevance > 0.0f) {
-    auto res = nn::bce_with_logits(output.relevance, batch.relevance);
-    losses.relevance = options.w_relevance * res.value;
-    grads.relevance = ops::mul_scalar(res.grad, options.w_relevance);
-  }
-  return losses;
-}
-
-Trainer::Trainer(vit::VitModel& model, TrainerOptions options)
-    : model_(model),
-      options_(options),
-      optimizer_(model.parameters(), options.lr, 0.9f, 0.999f, 1e-8f,
-                 options.weight_decay),
-      rng_(options.seed) {}
-
-StepLosses Trainer::step(const data::Dataset& dataset,
-                         std::span<const int64_t> indices,
-                         const data::TaskSpec* task) {
-  const data::Batch batch = dataset.make_batch(indices, task);
-  model_.zero_grad();
-  const vit::VitOutput output = model_.forward(batch.images);
-  vit::VitOutputGrads grads;
-  const StepLosses losses =
-      supervised_losses(output, batch, options_, grads);
-  model_.backward(grads);
-  nn::clip_grad_norm(model_.parameters(), options_.grad_clip);
-  optimizer_.step();
-  return losses;
-}
-
-namespace {
-
-/// Linear warmup followed by cosine decay to lr*min_fraction.
-float scheduled_lr(float base_lr, float min_fraction, float warmup_fraction,
-                   int64_t step, int64_t total_steps) {
+/// Linear warmup followed by cosine decay to lr*lr_min_fraction.
+float scheduled_lr(const FitOptions& options, int64_t step,
+                   int64_t total_steps) {
   const float warmup_steps = std::max(
-      1.0f, warmup_fraction * static_cast<float>(total_steps));
+      1.0f, options.warmup_fraction * static_cast<float>(total_steps));
   const float s = static_cast<float>(step);
-  if (s < warmup_steps) return base_lr * (s + 1.0f) / warmup_steps;
+  if (s < warmup_steps) return options.lr * (s + 1.0f) / warmup_steps;
   const float progress =
       (s - warmup_steps) /
       std::max(1.0f, static_cast<float>(total_steps) - warmup_steps);
   const float cosine = 0.5f * (1.0f + std::cos(3.14159265f * progress));
-  return base_lr * (min_fraction + (1.0f - min_fraction) * cosine);
+  return options.lr * (options.lr_min_fraction +
+                       (1.0f - options.lr_min_fraction) * cosine);
 }
 
 }  // namespace
 
-TrainStats Trainer::fit(const data::Dataset& dataset,
-                        const data::TaskSpec* task) {
-  ITASK_CHECK(dataset.size() > 0, "Trainer: empty dataset");
-  TrainStats stats;
+StepLosses supervised_losses(const vit::VitOutput& output,
+                             const data::Batch& batch,
+                             const LossWeights& weights,
+                             vit::VitOutputGrads& grads) {
+  StepLosses losses;
+  {
+    auto res = nn::bce_with_logits(output.objectness, batch.objectness);
+    losses.objectness = weights.objectness * res.value;
+    grads.objectness = ops::mul_scalar(res.grad, weights.objectness);
+  }
+  {
+    auto res = nn::softmax_cross_entropy(output.class_logits,
+                                         batch.cell_class);
+    losses.classification = weights.classification * res.value;
+    grads.class_logits = ops::mul_scalar(res.grad, weights.classification);
+  }
+  {
+    auto res = nn::bce_with_logits(output.attr_logits, batch.attributes,
+                                   &batch.attr_mask);
+    losses.attributes = weights.attributes * res.value;
+    grads.attr_logits = ops::mul_scalar(res.grad, weights.attributes);
+  }
+  {
+    auto res = masked_mse(output.box_deltas, batch.boxes, batch.box_mask);
+    losses.box = weights.box * res.value;
+    grads.box_deltas = ops::mul_scalar(res.grad, weights.box);
+  }
+  if (weights.relevance > 0.0f) {
+    auto res = nn::bce_with_logits(output.relevance, batch.relevance);
+    losses.relevance = weights.relevance * res.value;
+    grads.relevance = ops::mul_scalar(res.grad, weights.relevance);
+  }
+  return losses;
+}
+
+StepLosses supervised_step(vit::VitModel& model, const data::Batch& batch,
+                           const LossWeights& weights) {
+  const vit::VitOutput output = model.forward(batch.images);
+  vit::VitOutputGrads grads;
+  const StepLosses losses = supervised_losses(output, batch, weights, grads);
+  model.backward(grads);
+  return losses;
+}
+
+FitStats fit(vit::VitModel& model, const data::Dataset& dataset,
+             const data::TaskSpec* task, const FitOptions& options,
+             const StepFn& step,
+             const std::vector<nn::Parameter*>& loss_params) {
+  ITASK_CHECK(dataset.size() > 0, "fit: empty dataset");
+  ITASK_CHECK(options.batch_size > 0, "fit: batch_size must be positive");
+  const std::vector<nn::Parameter*> params = model.parameters();
+  std::vector<nn::Parameter*> stepped = params;
+  stepped.insert(stepped.end(), loss_params.begin(), loss_params.end());
+  nn::Adam optimizer(std::move(stepped), options.lr, 0.9f, 0.999f, 1e-8f,
+                     options.weight_decay);
+  Rng rng(options.seed);
   std::vector<int64_t> order = dataset.all_indices();
-  const int64_t steps_per_epoch = static_cast<int64_t>(
-      (order.size() + options_.batch_size - 1) / options_.batch_size);
-  const int64_t total_steps = steps_per_epoch * options_.epochs;
-  bool first_recorded = false;
-  for (int64_t epoch = 0; epoch < options_.epochs; ++epoch) {
-    rng_.shuffle(order);
-    for (size_t start = 0; start < order.size();
-         start += static_cast<size_t>(options_.batch_size)) {
-      const size_t end = std::min(
-          order.size(), start + static_cast<size_t>(options_.batch_size));
-      optimizer_.set_lr(scheduled_lr(options_.lr, options_.lr_min_fraction,
-                                     options_.warmup_fraction, stats.steps,
-                                     total_steps));
-      const StepLosses losses =
-          step(dataset,
-               std::span<const int64_t>(order.data() + start, end - start),
-               task);
-      if (!first_recorded) {
-        stats.first = losses;
-        first_recorded = true;
-      }
+  const auto batch_size = static_cast<size_t>(options.batch_size);
+  const auto total_steps = options.epochs *
+      static_cast<int64_t>((order.size() + batch_size - 1) / batch_size);
+  FitStats stats;
+  for (int64_t epoch = 0; epoch < options.epochs; ++epoch) {
+    rng.shuffle(order);
+    for (size_t start = 0; start < order.size(); start += batch_size) {
+      const std::span<const int64_t> ids(
+          order.data() + start, std::min(batch_size, order.size() - start));
+      optimizer.set_lr(scheduled_lr(options, stats.steps, total_steps));
+      optimizer.zero_grad();
+      const StepLosses losses = step(dataset.make_batch(ids, task), ids);
+      nn::clip_grad_norm(params, options.grad_clip);
+      optimizer.step();
+      if (stats.steps++ == 0) stats.first = losses;
       stats.last = losses;
-      ++stats.steps;
-      if (options_.verbose && stats.steps % 20 == 0) {
-        std::printf("  [trainer] step %lld total=%.4f obj=%.4f cls=%.4f "
-                    "attr=%.4f box=%.4f rel=%.4f\n",
-                    static_cast<long long>(stats.steps),
-                    static_cast<double>(losses.total()),
-                    static_cast<double>(losses.objectness),
-                    static_cast<double>(losses.classification),
-                    static_cast<double>(losses.attributes),
-                    static_cast<double>(losses.box),
-                    static_cast<double>(losses.relevance));
-      }
     }
   }
   return stats;
+}
+
+FitStats train(vit::VitModel& model, const data::Dataset& dataset,
+               const TrainerOptions& options, const data::TaskSpec* task) {
+  return fit(model, dataset, task,
+             {options.epochs, options.batch_size, options.lr,
+              options.lr_min_fraction, options.warmup_fraction,
+              options.weight_decay, options.grad_clip, options.seed},
+             [&](const data::Batch& batch, std::span<const int64_t>) {
+               return supervised_step(model, batch, options.losses);
+             });
 }
 
 }  // namespace itask::distill

@@ -1,9 +1,5 @@
 #include "quant/qat.h"
 
-#include <algorithm>
-
-#include "nn/optimizer.h"
-
 namespace itask::quant {
 
 namespace {
@@ -15,58 +11,40 @@ bool is_quantized_weight(const nn::Parameter& p) {
 
 }  // namespace
 
-QatStats qat_finetune(vit::VitModel& model, const data::Dataset& dataset,
-                      const QatOptions& options, const data::TaskSpec* task) {
-  ITASK_CHECK(dataset.size() > 0, "qat_finetune: empty dataset");
-  const auto params = model.parameters();
-  nn::Adam optimizer(params, options.lr);
-  Rng rng(options.seed);
-  QatStats stats;
+distill::FitStats qat_finetune(vit::VitModel& model,
+                               const data::Dataset& dataset,
+                               const QatOptions& options,
+                               const data::TaskSpec* task) {
+  distill::LossWeights losses = options.losses;
+  if (task == nullptr) losses.relevance = 0.0f;
+  std::vector<nn::Parameter*> weights;
+  for (nn::Parameter* p : model.parameters())
+    if (is_quantized_weight(*p)) weights.push_back(p);
 
-  distill::TrainerOptions loss_options = options.losses;
-  if (task == nullptr) loss_options.w_relevance = 0.0f;
-
-  std::vector<int64_t> order = dataset.all_indices();
   std::vector<Tensor> masters;  // FP32 snapshots during the fake-quant pass
-  for (int64_t epoch = 0; epoch < options.epochs; ++epoch) {
-    rng.shuffle(order);
-    for (size_t start = 0; start < order.size();
-         start += static_cast<size_t>(options.batch_size)) {
-      const size_t end = std::min(
-          order.size(), start + static_cast<size_t>(options.batch_size));
-      const data::Batch batch = dataset.make_batch(
-          std::span<const int64_t>(order.data() + start, end - start), task);
-
-      // 1. Snapshot masters and drop weights onto the integer grid.
-      masters.clear();
-      for (nn::Parameter* p : params) {
-        if (!is_quantized_weight(*p)) continue;
-        masters.push_back(p->value);
-        fake_quantize_weight(p->value, options.quant.granularity,
-                             options.quant.weight_bits);
-      }
-      // 2. Forward/backward through the deployment-time weights.
-      model.zero_grad();
-      const vit::VitOutput out = model.forward(batch.images);
-      vit::VitOutputGrads grads;
-      const distill::StepLosses losses =
-          distill::supervised_losses(out, batch, loss_options, grads);
-      model.backward(grads);
-      // 3. Restore masters; STE applies the gradients to them unmodified.
-      size_t mi = 0;
-      for (nn::Parameter* p : params) {
-        if (!is_quantized_weight(*p)) continue;
-        p->value = masters[mi++];
-      }
-      nn::clip_grad_norm(params, options.grad_clip);
-      optimizer.step();
-
-      if (stats.steps == 0) stats.first_total = losses.total();
-      stats.last_total = losses.total();
-      ++stats.steps;
+  const auto step = [&](const data::Batch& batch, std::span<const int64_t>) {
+    // 1. Snapshot masters and drop weights onto the integer grid.
+    masters.clear();
+    for (nn::Parameter* p : weights) {
+      masters.push_back(p->value);
+      fake_quantize_weight(p->value, options.quant.granularity,
+                           options.quant.weight_bits);
     }
-  }
-  return stats;
+    // 2. Forward/backward through the deployment-time weights.
+    const distill::StepLosses step_losses =
+        distill::supervised_step(model, batch, losses);
+    // 3. Restore masters; STE applies the gradients to them unmodified.
+    for (size_t i = 0; i < weights.size(); ++i)
+      weights[i]->value = std::move(masters[i]);
+    return step_losses;
+  };
+  // No warmup and a decay floor of 1 make the schedule a constant lr.
+  return distill::fit(model, dataset, task,
+                      {options.epochs, options.batch_size, options.lr,
+                       /*lr_min_fraction=*/1.0f, /*warmup_fraction=*/0.0f,
+                       /*weight_decay=*/0.0f, options.grad_clip,
+                       options.seed},
+                      step);
 }
 
 }  // namespace itask::quant

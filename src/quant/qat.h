@@ -22,20 +22,16 @@ struct QatOptions {
   int64_t batch_size = 16;
   float lr = 5e-4f;            // gentle: the model is already trained
   float grad_clip = 5.0f;
-  distill::TrainerOptions losses;  // head-loss weights reused from training
+  distill::LossWeights losses;  // head-loss weights, as in training
   uint64_t seed = 17;
 };
 
-struct QatStats {
-  int64_t steps = 0;
-  float first_total = 0.0f;
-  float last_total = 0.0f;
-};
-
 /// Fine-tunes `model` in place so its FP32 weights sit on (near) the target
-/// integer grid. `task` enables relevance supervision (as in training).
-QatStats qat_finetune(vit::VitModel& model, const data::Dataset& dataset,
-                      const QatOptions& options,
-                      const data::TaskSpec* task = nullptr);
+/// integer grid: distill::fit at a constant rate without weight decay.
+/// `task` enables relevance supervision (as in training).
+distill::FitStats qat_finetune(vit::VitModel& model,
+                               const data::Dataset& dataset,
+                               const QatOptions& options,
+                               const data::TaskSpec* task = nullptr);
 
 }  // namespace itask::quant

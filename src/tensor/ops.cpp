@@ -34,12 +34,6 @@ Tensor add(const Tensor& a, const Tensor& b) {
   return out;
 }
 
-Tensor add_scalar(const Tensor& a, float s) {
-  Tensor out = a;
-  for (float& v : out.data()) v += s;
-  return out;
-}
-
 Tensor mul_scalar(const Tensor& a, float s) {
   Tensor out = a;
   for (float& v : out.data()) v *= s;
@@ -60,46 +54,12 @@ void axpy_inplace(Tensor& a, float alpha, const Tensor& b) {
   for (size_t i = 0; i < ad.size(); ++i) ad[i] += alpha * bd[i];
 }
 
-Tensor add_rowwise(const Tensor& a, const Tensor& bias) {
-  ITASK_CHECK(bias.ndim() == 1, "add_rowwise: bias must be 1-D");
-  ITASK_CHECK(a.ndim() >= 1, "add_rowwise: input must be at least 1-D");
-  const int64_t c = a.dim(a.ndim() - 1);
-  ITASK_CHECK(bias.dim(0) == c, "add_rowwise: bias length mismatch");
-  Tensor out = a;
-  auto o = out.data();
-  auto bd = bias.data();
-  const int64_t rows = a.numel() / c;
-  for (int64_t r = 0; r < rows; ++r) {
-    float* row = o.data() + r * c;
-    for (int64_t j = 0; j < c; ++j) row[j] += bd[j];
-  }
-  return out;
-}
-
 Tensor matmul(const Tensor& a, const Tensor& b) {
   ITASK_CHECK(a.ndim() == 2 && b.ndim() == 2, "matmul: need 2-D operands");
   ITASK_CHECK(a.dim(1) == b.dim(0), "matmul: inner dimension mismatch");
   const int64_t m = a.dim(0), k = a.dim(1), n = b.dim(1);
   Tensor out({m, n});
   gemm::gemm_nn(a.data().data(), b.data().data(), out.data().data(), m, k, n);
-  return out;
-}
-
-Tensor matmul_bt(const Tensor& a, const Tensor& b) {
-  ITASK_CHECK(a.ndim() == 2 && b.ndim() == 2, "matmul_bt: need 2-D operands");
-  ITASK_CHECK(a.dim(1) == b.dim(1), "matmul_bt: inner dimension mismatch");
-  const int64_t m = a.dim(0), k = a.dim(1), n = b.dim(0);
-  Tensor out({m, n});
-  gemm::gemm_bt(a.data().data(), b.data().data(), out.data().data(), m, k, n);
-  return out;
-}
-
-Tensor matmul_at(const Tensor& a, const Tensor& b) {
-  ITASK_CHECK(a.ndim() == 2 && b.ndim() == 2, "matmul_at: need 2-D operands");
-  ITASK_CHECK(a.dim(0) == b.dim(0), "matmul_at: inner dimension mismatch");
-  const int64_t k = a.dim(0), m = a.dim(1), n = b.dim(1);
-  Tensor out({m, n});
-  gemm::gemm_at(a.data().data(), b.data().data(), out.data().data(), m, k, n);
   return out;
 }
 
@@ -152,17 +112,6 @@ Tensor bmm_at(const Tensor& a, const Tensor& b) {
     gemm::gemm_at(ad.data() + i * k * m, bd.data() + i * k * n,
                   out.data().data() + i * m * n, m, k, n);
   });
-}
-
-Tensor transpose2d(const Tensor& a) {
-  ITASK_CHECK(a.ndim() == 2, "transpose2d: need 2-D operand");
-  const int64_t m = a.dim(0), n = a.dim(1);
-  Tensor out({n, m});
-  auto ad = a.data();
-  auto od = out.data();
-  for (int64_t i = 0; i < m; ++i)
-    for (int64_t j = 0; j < n; ++j) od[j * m + i] = ad[i * n + j];
-  return out;
 }
 
 namespace {
@@ -390,26 +339,6 @@ float sum(const Tensor& a) {
 float mean(const Tensor& a) {
   ITASK_CHECK(a.numel() > 0, "mean of empty tensor");
   return sum(a) / static_cast<float>(a.numel());
-}
-
-Tensor sum_to_lastdim(const Tensor& a) {
-  ITASK_CHECK(a.ndim() >= 1, "sum_to_lastdim: need at least 1-D");
-  const int64_t c = a.dim(a.ndim() - 1);
-  const int64_t rows = a.numel() / c;
-  Tensor out({c});
-  auto o = out.data();
-  auto ad = a.data();
-  for (int64_t r = 0; r < rows; ++r) {
-    const float* row = ad.data() + r * c;
-    for (int64_t j = 0; j < c; ++j) o[j] += row[j];
-  }
-  return out;
-}
-
-float l2_norm(const Tensor& a) {
-  double acc = 0.0;
-  for (float v : a.data()) acc += static_cast<double>(v) * v;
-  return static_cast<float>(std::sqrt(acc));
 }
 
 Tensor stack(const std::vector<Tensor>& parts) {

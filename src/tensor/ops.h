@@ -14,24 +14,14 @@ namespace itask::ops {
 // ---- elementwise ----------------------------------------------------------
 
 Tensor add(const Tensor& a, const Tensor& b);
-Tensor add_scalar(const Tensor& a, float s);
 Tensor mul_scalar(const Tensor& a, float s);
 void add_inplace(Tensor& a, const Tensor& b);
 void axpy_inplace(Tensor& a, float alpha, const Tensor& b);  // a += alpha*b
-
-/// Adds a 1-D bias of length C to every row of a [..., C] tensor.
-Tensor add_rowwise(const Tensor& a, const Tensor& bias);
 
 // ---- matrix products ------------------------------------------------------
 
 /// [M, K] x [K, N] -> [M, N].
 Tensor matmul(const Tensor& a, const Tensor& b);
-
-/// [M, K] x [N, K]^T -> [M, N] (i.e. B is stored row-major transposed).
-Tensor matmul_bt(const Tensor& a, const Tensor& b);
-
-/// [K, M]^T x [K, N] -> [M, N].
-Tensor matmul_at(const Tensor& a, const Tensor& b);
 
 /// [B, M, K] x [B, K, N] -> [B, M, N].
 Tensor bmm(const Tensor& a, const Tensor& b);
@@ -41,9 +31,6 @@ Tensor bmm_bt(const Tensor& a, const Tensor& b);
 
 /// [B, K, M]^T x [B, K, N] -> [B, M, N].
 Tensor bmm_at(const Tensor& a, const Tensor& b);
-
-/// Transpose of a 2-D tensor.
-Tensor transpose2d(const Tensor& a);
 
 // ---- nonlinearities -------------------------------------------------------
 
@@ -104,13 +91,6 @@ void softmax_backward_row(const float* y, const float* g, int64_t n,
 
 float sum(const Tensor& a);
 float mean(const Tensor& a);
-
-/// Sums over all leading axes, producing a 1-D tensor of the trailing size.
-/// (This is the bias-gradient reduction.)
-Tensor sum_to_lastdim(const Tensor& a);
-
-/// L2 norm of all elements.
-float l2_norm(const Tensor& a);
 
 // ---- shape utilities ------------------------------------------------------
 

@@ -34,43 +34,59 @@ void expect_only_weights_left(vit::VitModel& model) {
   EXPECT_THROW(model.backward({}), std::invalid_argument);
 }
 
-TEST(Trainer, FitLeavesOnlyWeights) {
-  Rng rng(3);
-  vit::VitModel model(tiny_model_config(), rng);
-  const data::Dataset ds = tiny_dataset(12, 4);
+/// The fit contract every configuration shares, on N = 12 scenes in
+/// batches of 8 (the last one ragged) for two epochs.
+struct FitConfig {
+  const char* name;
+  FitStats (*run)(vit::VitModel& model, const data::Dataset& dataset);
+};
+
+void PrintTo(const FitConfig& config, std::ostream* os) { *os << config.name; }
+
+FitStats run_supervised(vit::VitModel& model, const data::Dataset& ds) {
   TrainerOptions options;
-  options.epochs = 1;
+  options.epochs = 2;
   options.batch_size = 8;
-  Trainer(model, options).fit(ds);
-  expect_only_weights_left(model);
+  return train(model, ds, options);
 }
 
-TEST(Distiller, RunLeavesOnlyWeights) {
+FitStats run_kd(vit::VitModel& student, const data::Dataset& ds) {
   Rng rng(5);
   vit::ViTConfig teacher_cfg = tiny_model_config();
   teacher_cfg.dim = 24;
   vit::VitModel teacher(teacher_cfg, rng);
-  vit::VitModel student(tiny_model_config(), rng);
-  const data::Dataset ds = tiny_dataset(12, 6);
   DistillOptions options;
-  options.epochs = 1;
+  options.epochs = 2;
   options.batch_size = 8;
-  Distiller(teacher, student, options, rng).run(ds, &data::task_by_id(1));
-  expect_only_weights_left(student);
+  const FitStats stats =
+      distill(teacher, student, ds, options, rng, &data::task_by_id(1));
   for (nn::Parameter* p : teacher.parameters())
     EXPECT_TRUE(p->grad.empty()) << p->name;
+  return stats;
 }
 
-TEST(Qat, FinetuneLeavesOnlyWeights) {
-  Rng rng(7);
-  vit::VitModel model(tiny_model_config(), rng);
-  const data::Dataset ds = tiny_dataset(12, 8);
+FitStats run_qat(vit::VitModel& model, const data::Dataset& ds) {
   quant::QatOptions options;
-  options.epochs = 1;
+  options.epochs = 2;
   options.batch_size = 8;
-  (void)quant::qat_finetune(model, ds, options);
+  return quant::qat_finetune(model, ds, options);
+}
+
+class FitContract : public ::testing::TestWithParam<FitConfig> {};
+
+TEST_P(FitContract, CountsStepsAndLeavesOnlyWeights) {
+  Rng rng(3);
+  vit::VitModel model(tiny_model_config(), rng);
+  EXPECT_THROW(GetParam().run(model, data::Dataset()), std::invalid_argument);
+  const FitStats stats = GetParam().run(model, tiny_dataset(12, 4));
+  EXPECT_EQ(stats.steps, 2 * 2);  // epochs × ⌈12 / 8⌉
   expect_only_weights_left(model);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    AllConfigurations, FitContract,
+    ::testing::Values(FitConfig{"supervised", run_supervised},
+                      FitConfig{"kd", run_kd}, FitConfig{"qat", run_qat}));
 
 TEST(Trainer, LossDecreases) {
   Rng rng(1);
@@ -79,8 +95,7 @@ TEST(Trainer, LossDecreases) {
   TrainerOptions options;
   options.epochs = 8;
   options.batch_size = 8;
-  Trainer trainer(model, options);
-  const TrainStats stats = trainer.fit(ds);
+  const FitStats stats = train(model, ds, options);
   EXPECT_GT(stats.steps, 0);
   EXPECT_LT(stats.last.total(), 0.6f * stats.first.total());
 }
@@ -92,22 +107,19 @@ TEST(Trainer, RelevanceHeadOnlyWhenRequested) {
   const data::TaskSpec& task = data::task_by_id(2);
   TrainerOptions options;
   options.epochs = 1;
-  options.w_relevance = 0.0f;
-  Trainer trainer(model, options);
-  const TrainStats without = trainer.fit(ds, &task);
+  options.losses.relevance = 0.0f;
+  const FitStats without = train(model, ds, options, &task);
   EXPECT_EQ(without.last.relevance, 0.0f);
-  options.w_relevance = 1.0f;
+  options.losses.relevance = 1.0f;
   vit::VitModel model2(tiny_model_config(), rng);
-  Trainer trainer2(model2, options);
-  const TrainStats with = trainer2.fit(ds, &task);
+  const FitStats with = train(model2, ds, options, &task);
   EXPECT_GT(with.last.relevance, 0.0f);
 }
 
 TEST(Trainer, EmptyDatasetThrows) {
   Rng rng(5);
   vit::VitModel model(tiny_model_config(), rng);
-  Trainer trainer(model, {});
-  EXPECT_THROW(trainer.fit(data::Dataset()), std::invalid_argument);
+  EXPECT_THROW(train(model, data::Dataset(), {}), std::invalid_argument);
 }
 
 TEST(SupervisedLosses, GradShapesMatchOutputs) {
@@ -117,10 +129,10 @@ TEST(SupervisedLosses, GradShapesMatchOutputs) {
   const auto idx = ds.all_indices();
   const data::Batch batch = ds.make_batch(idx);
   const vit::VitOutput out = model.forward(batch.images);
-  TrainerOptions options;
-  options.w_relevance = 1.0f;
+  LossWeights weights;
+  weights.relevance = 1.0f;
   vit::VitOutputGrads grads;
-  const StepLosses losses = supervised_losses(out, batch, options, grads);
+  const StepLosses losses = supervised_losses(out, batch, weights, grads);
   EXPECT_EQ(grads.objectness.shape(), out.objectness.shape());
   EXPECT_EQ(grads.class_logits.shape(), out.class_logits.shape());
   EXPECT_EQ(grads.attr_logits.shape(), out.attr_logits.shape());
@@ -166,11 +178,10 @@ TEST(Distiller, StudentApproachesTeacher) {
   options.epochs = 10;
   options.batch_size = 8;
   options.alpha_hard = 0.0f;  // isolate the KD signal for this test
-  Distiller distiller(teacher, student, options, rng);
-  const DistillStats stats = distiller.run(ds);
+  const FitStats stats = distill(teacher, student, ds, options, rng);
   EXPECT_GT(stats.steps, 0);
   EXPECT_LT(distance(), before);
-  EXPECT_LT(stats.last_total, stats.first_total);
+  EXPECT_LT(stats.last.total(), stats.first.total());
 }
 
 TEST(Distiller, FeatureProjectionOptional) {
@@ -181,15 +192,14 @@ TEST(Distiller, FeatureProjectionOptional) {
   DistillOptions options;
   options.epochs = 1;
   options.gamma_features = 0.0f;  // disabled
-  Distiller distiller(teacher, student, options, rng);
-  const DistillStats stats = distiller.run(ds);
-  EXPECT_EQ(stats.last_feature, 0.0f);
+  const FitStats stats = distill(teacher, student, ds, options, rng);
+  EXPECT_EQ(stats.last.feature, 0.0f);
   DistillOptions with_features;
   with_features.epochs = 1;
   with_features.gamma_features = 0.5f;
   vit::VitModel student2(tiny_model_config(), rng);
-  Distiller distiller2(teacher, student2, with_features, rng);
-  EXPECT_GT(distiller2.run(ds).last_feature, 0.0f);
+  EXPECT_GT(distill(teacher, student2, ds, with_features, rng).last.feature,
+            0.0f);
 }
 
 TEST(Distiller, GridMismatchThrows) {
@@ -198,7 +208,8 @@ TEST(Distiller, GridMismatchThrows) {
   other.image_size = 48;  // different grid
   vit::VitModel teacher(tiny_model_config(), rng);
   vit::VitModel student(other, rng);
-  EXPECT_THROW(Distiller(teacher, student, {}, rng), std::invalid_argument);
+  EXPECT_THROW(distill(teacher, student, tiny_dataset(2, 14), {}, rng),
+               std::invalid_argument);
 }
 
 TEST(Distiller, TaskRelevanceSupervisionLearns) {
@@ -210,14 +221,13 @@ TEST(Distiller, TaskRelevanceSupervisionLearns) {
   const data::Dataset corpus = tiny_dataset(48, 16);
   TrainerOptions topt;
   topt.epochs = 6;
-  Trainer(teacher, topt).fit(corpus);
+  train(teacher, corpus, topt);
 
   vit::VitModel student(tiny_model_config(), rng);
   const data::TaskSpec& task = data::task_by_id(2);  // fragile_items
   DistillOptions options;
   options.epochs = 14;
-  Distiller distiller(teacher, student, options, rng);
-  distiller.run(corpus, &task);
+  distill(teacher, student, corpus, options, rng, &task);
 
   // Relevance head should correlate with ground truth on training data.
   const auto idx = corpus.all_indices();

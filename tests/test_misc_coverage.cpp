@@ -15,10 +15,9 @@ namespace itask {
 namespace {
 
 TEST(Schedule, WarmupThenDecayObservable) {
-  // The schedule is internal to Trainer::fit; observe it through training
-  // dynamics: a model trained with an absurdly large base LR still converges
-  // because warmup + cosine decay bound the damage, while a fixed large LR
-  // (step() calls, which bypass the schedule) diverges or stalls.
+  // The schedule is internal to distill::fit; observe it through training
+  // dynamics: a model trained through the warmup + cosine schedule ends
+  // with a finite loss below its first step's.
   vit::ViTConfig cfg;
   cfg.dim = 16;
   cfg.depth = 1;
@@ -33,8 +32,7 @@ TEST(Schedule, WarmupThenDecayObservable) {
   opt.lr = 3e-3f;
   Rng m1(2);
   vit::VitModel scheduled(cfg, m1);
-  distill::Trainer t1(scheduled, opt);
-  const auto s1 = t1.fit(ds);
+  const auto s1 = distill::train(scheduled, ds, opt);
   EXPECT_LT(s1.last.total(), s1.first.total());
   EXPECT_TRUE(std::isfinite(s1.last.total()));
 }

@@ -14,6 +14,7 @@
 #include "nn/linear.h"
 #include "nn/loss.h"
 #include "nn/optimizer.h"
+#include "reference_ops.h"
 #include "same_bits.h"
 #include "tensor/ops.h"
 
@@ -152,13 +153,14 @@ TEST(Linear, ForwardBackwardMatchesComposedBitForBit) {
         Shape out_shape = shape;
         out_shape.back() = 21;
         const Tensor x2d = x.reshape({rows, 13});
-        Tensor want_y = ops::matmul_bt(x2d, w);
-        if (bias) want_y = ops::add_rowwise(want_y, layer.bias()->value);
+        Tensor want_y = refops::matmul_bt(x2d, w);
+        if (bias)
+          want_y = refops::add_rowwise(want_y, layer.bias()->value);
         EXPECT_TRUE(same_bits(layer.forward(x), want_y.reshape(out_shape)));
         const Tensor g = rng.randn(out_shape);
         const Tensor g2d = g.reshape({rows, 21});
-        ops::add_inplace(want_dw, ops::matmul_at(g2d, x2d));
-        if (bias) ops::add_inplace(want_db, ops::sum_to_lastdim(g2d));
+        ops::add_inplace(want_dw, refops::matmul_at(g2d, x2d));
+        if (bias) ops::add_inplace(want_db, refops::sum_to_lastdim(g2d));
         EXPECT_TRUE(
             same_bits(layer.backward(g), ops::matmul(g2d, w).reshape(shape)));
         EXPECT_TRUE(same_bits(layer.weight().grad, want_dw));
@@ -459,11 +461,11 @@ TEST(Optimizer, ClipGradNorm) {
   layer.weight().grad = Tensor({2, 1}, {3.0f, 4.0f});  // norm 5
   const float norm = clip_grad_norm(layer.parameters(), 1.0f);
   EXPECT_NEAR(norm, 5.0f, 1e-5f);
-  EXPECT_NEAR(ops::l2_norm(layer.weight().grad), 1.0f, 1e-5f);
+  EXPECT_NEAR(refops::l2_norm(layer.weight().grad), 1.0f, 1e-5f);
   // Below the threshold: untouched.
   layer.weight().grad = Tensor({2, 1}, {0.3f, 0.4f});
   clip_grad_norm(layer.parameters(), 1.0f);
-  EXPECT_NEAR(ops::l2_norm(layer.weight().grad), 0.5f, 1e-5f);
+  EXPECT_NEAR(refops::l2_norm(layer.weight().grad), 0.5f, 1e-5f);
 }
 
 TEST(Module, StateDictRoundTripThroughLoad) {

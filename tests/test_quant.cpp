@@ -19,6 +19,7 @@
 #include "quant/calibrate.h"
 #include "quant/int8_gemm.h"
 #include "quant/qvit.h"
+#include "reference_ops.h"
 #include "tensor/ops.h"
 
 namespace itask::quant {
@@ -188,7 +189,7 @@ TEST(Int8Gemm, MatchesFp32Reference) {
   const int64_t m = 6, k = 16, n = 4;
   Tensor x = rng.randn({m, k});
   Tensor w = rng.randn({n, k});
-  const Tensor ref = ops::matmul_bt(x, w);
+  const Tensor ref = refops::matmul_bt(x, w);
   // Quantize and run the INT8 path.
   float lo = 0.0f, hi = 0.0f;
   for (float v : x.data()) {
@@ -412,7 +413,7 @@ INSTANTIATE_TEST_SUITE_P(Methods, CalibMethodSweep,
 /// The INT8 forward as separate passes, one per layer: QLinearLayer::forward
 /// for each linear, the training LayerNorm::forward, ops::gelu, ops::add and
 /// the composed attention. Calibrated on its own, through the same unfused
-/// composition in FP32 (ops::matmul_bt + add_rowwise per linear), each
+/// composition in FP32 (refops::matmul_bt + add_rowwise per linear), each
 /// linear — each of the six heads too — with its own calibrator.
 class PerLayerOracle {
  public:
@@ -442,9 +443,9 @@ class PerLayerOracle {
       const Tensor& w = state.at(key + ".weight");
       Shape out_shape = x.shape();
       out_shape.back() = w.dim(0);
-      return ops::add_rowwise(
-                 ops::matmul_bt(x.reshape({x.numel() / w.dim(1), w.dim(1)}),
-                                w),
+      return refops::add_rowwise(
+                 refops::matmul_bt(
+                     x.reshape({x.numel() / w.dim(1), w.dim(1)}), w),
                  state.at(key + ".bias"))
           .reshape(std::move(out_shape));
     });
